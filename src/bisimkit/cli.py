@@ -11,7 +11,7 @@ import sys
 import click
 
 from .coalgebra import Coalgebra
-from .engine import RefineResult, refine_hopcroft, refine_naive
+from .engine import WEIGHT_KINDS, RefineResult, refine_hopcroft, refine_naive
 from .formats import (
     FORMATS,
     FormatError,
@@ -23,9 +23,7 @@ from .formats import (
 )
 from .gen import FAMILIES, GenSpec, generate
 from .oracle import BRUTEFORCE_STATE_LIMIT, bisim_bruteforce, partitions_equal
-from .wtree import audit_tree
-
-WEIGHTS = ("card", "pred", "reach")
+from .wtree import WeightedTree, audit_tree
 
 
 @click.group()
@@ -70,7 +68,7 @@ def _stats_obj(result: RefineResult) -> dict:
               type=click.Choice(("auto",) + FORMATS))
 @click.option("--algo", default="hopcroft", show_default=True,
               type=click.Choice(("naive", "hopcroft")))
-@click.option("--weight", default=None, type=click.Choice(WEIGHTS),
+@click.option("--weight", default=None, type=click.Choice(WEIGHT_KINDS),
               help="Block weight for the hopcroft algorithm [default: card].")
 @click.option("--out", default="-", show_default=True,
               help="Partition JSON destination ('-' for stdout).")
@@ -107,8 +105,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         tree = result.tree
         dest = tree_out or (out + ".tree.json" if out != "-" else "refinement-tree.json")
         _write_text(dest, tree_to_json(tree))
-        wt, ws, heavy = tree_from_json(tree_to_json(tree))
-        report = audit_tree(wt, ws, heavy)
+        report = audit_tree(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
         if not report.all_ok():
             click.echo("error: refinement tree failed its audit", err=True)
             sys.exit(1)
@@ -128,7 +125,7 @@ def compare(input_path, fmt, oracle_limit):
     """Run every algorithm on INPUT and check all results agree."""
     coalg = _load(input_path, fmt)
     runs = [("naive", refine_naive(coalg).partition)]
-    for w in WEIGHTS:
+    for w in WEIGHT_KINDS:
         runs.append((f"hopcroft/{w}", refine_hopcroft(coalg, w).partition))
     if coalg.n_states <= min(oracle_limit, BRUTEFORCE_STATE_LIMIT):
         runs.append(("bruteforce", bisim_bruteforce(coalg)))
@@ -220,7 +217,7 @@ def bench(families, sizes, instances, seed_base, algos, weights, out):
             if a not in ("naive", "hopcroft"):
                 raise ValueError(f"unknown algorithm {a!r}")
         for w in weight_list:
-            if w not in WEIGHTS:
+            if w not in WEIGHT_KINDS:
                 raise ValueError(f"unknown weight {w!r}")
     except ValueError as e:
         click.echo(f"error: {e}", err=True)

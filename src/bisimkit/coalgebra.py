@@ -236,10 +236,14 @@ def coalgebra_from_obj(obj) -> Coalgebra:
     for key in ("functor", "states", "c"):
         if key not in obj:
             raise InvalidValueError(f"coalgebra document missing {key!r}")
+    if not isinstance(obj["functor"], str):
+        raise InvalidValueError("'functor' must be a string")
     functor = parse_functor(obj["functor"])
     n = obj["states"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidValueError(f"bad state count: {n!r}")
+    if not isinstance(obj["c"], list):
+        raise InvalidValueError("'c' must be an array of values")
     values = [value_from_obj(o) for o in obj["c"]]
     if len(values) != n:
         raise InvalidValueError(f"{len(values)} values for {n} states")

@@ -72,18 +72,31 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n_states: int) -> "Partition":
+        """Canonical partition of ``blocks``; ascending tuples are kept as given."""
         block_of = [-1] * n_states
-        for i, g in enumerate(blocks):
+        canon = []
+        for g in blocks:
+            g = tuple(g)
+            prev = -1
+            ascending = True
             for x in g:
                 if not 0 <= x < n_states:
                     raise ValueError(f"state {x} out of range")
                 if block_of[x] != -1:
                     raise ValueError(f"state {x} appears in two blocks")
-                block_of[x] = i
+                block_of[x] = 0
+                ascending = ascending and prev < x
+                prev = x
+            if g:
+                canon.append(g if ascending else tuple(sorted(g)))
         if any(b == -1 for b in block_of):
             missing = [x for x, b in enumerate(block_of) if b == -1]
             raise ValueError(f"states not covered by any block: {missing[:5]}")
-        return cls.from_block_of(block_of)
+        canon.sort(key=lambda g: g[0])
+        for i, g in enumerate(canon):
+            for x in g:
+                block_of[x] = i
+        return cls(tuple(block_of), tuple(canon))
 
     @property
     def n_states(self) -> int:
@@ -100,35 +113,29 @@ class RefinementTree:
 
     Arrays indexed by node id: ``parent`` (root points to itself),
     ``weight`` under the run's weight kind, ``heavy`` (node id of the
-    heavy child, None at leaves), ``states`` (sorted, frozen at creation).
-    Children were appended in order of smallest member, so child node ids
-    increase with child position.
+    heavy child, None at leaves).  ``leaf_members`` maps each leaf node to
+    its sorted states, the same tuples as the output partition's blocks;
+    an inner node's states are the union of its children's.  Children were
+    appended in order of smallest member, so child node ids increase with
+    child position and exceed their parent's.
     """
 
     weight_kind: str
     parent: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
     heavy: list[Optional[int]] = field(default_factory=list)
-    states: list[tuple[int, ...]] = field(default_factory=list)
+    leaf_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def add_node(self, parent: int, weight: int, states: tuple[int, ...]) -> int:
+    def add_node(self, parent: int, weight: int) -> int:
         node = len(self.parent)
         self.parent.append(parent if parent >= 0 else node)
         self.weight.append(weight)
         self.heavy.append(None)
-        self.states.append(states)
         return node
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
-
-    def children(self, v: int) -> list[int]:
-        return [u for u in range(1, self.node_count) if self.parent[u] == v]
-
-    def leaves(self) -> list[int]:
-        internal = {self.parent[u] for u in range(1, self.node_count)}
-        return [v for v in range(self.node_count) if v not in internal]
 
     def heavy_choice(self) -> dict[int, int]:
         return {v: h for v, h in enumerate(self.heavy) if h is not None}
@@ -290,10 +297,11 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
         stats.splits += sum(1 for parts in old_blocks.values() if len(parts) > 1)
         block_of = new_block_of
         n_blocks = len(groups)
+    partition = Partition.from_block_of(block_of)
     stats.wall_time = time.perf_counter() - start
     if snapshots is not None:
-        snapshots.append(Partition.from_block_of(block_of))
-    return RefineResult(Partition.from_block_of(block_of), stats)
+        snapshots.append(partition)
+    return RefineResult(partition, stats)
 
 
 def refine_hopcroft(
@@ -324,8 +332,7 @@ def refine_hopcroft(
     next_leaf = 1
 
     tree = RefinementTree(weight_kind=weight)
-    root_states = tuple(range(n))
-    tree.add_node(-1, sum(wvec), root_states)
+    tree.add_node(-1, sum(wvec))
     node_of: dict[int, int] = {0: 0}
 
     queue: deque[int] = deque([0])
@@ -439,22 +446,16 @@ def refine_hopcroft(
         dirty[rho] = set()
 
         # record the split in the refinement tree
-        child_nodes = []
         for i, c in enumerate(child_specs):
-            members = c["members"]
-            frozen = tuple(sorted(states)) if members is None else tuple(members)
-            node = tree.add_node(parent_node, c["weight"], frozen)
-            child_nodes.append(node)
+            node = tree.add_node(parent_node, c["weight"])
             node_of[new_leaf_ids[i]] = node
-        tree.heavy[parent_node] = child_nodes[heavy_idx]
+            if i == heavy_idx:
+                tree.heavy[parent_node] = node
 
-        children_for_marking = [
-            None if i == heavy_idx else tree.states[child_nodes[i]]
-            for i in range(len(child_specs))
+        light_members = [
+            None if i == heavy_idx else c["members"] for i, c in enumerate(child_specs)
         ]
-        markings, touches = mark_dirty(
-            children_for_marking, heavy_idx, pidx, block_of, dirty
-        )
+        markings, touches = mark_dirty(light_members, heavy_idx, pidx, block_of, dirty)
         stats.markdirty_touches += touches
         stats.dirty_markings += len(markings)
         for leaf, _ in markings:
@@ -462,9 +463,13 @@ def refine_hopcroft(
                 in_queue.add(leaf)
                 queue.append(leaf)
 
-    snapshot()
+    tree.leaf_members = {
+        node_of[leaf]: tuple(sorted(s)) for leaf, s in leaf_states.items()
+    }
+    partition = Partition.from_blocks(tree.leaf_members.values(), n)
     stats.wall_time = time.perf_counter() - start
-    partition = Partition.from_blocks((sorted(s) for s in leaf_states.values()), n)
+    if snapshots is not None:
+        snapshots.append(partition)
     return RefineResult(partition, stats, tree)
 
 

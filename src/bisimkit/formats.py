@@ -247,14 +247,34 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def tree_to_json(tree: RefinementTree) -> str:
+    """The tree document; every node lists its states, ascending."""
     return _json_dumps(
         {
             "parent": list(tree.parent),
             "w": list(tree.weight),
-            "states": [list(s) for s in tree.states],
+            "states": _node_states(tree),
             "heavy": list(tree.heavy),
         }
     )
+
+
+def _node_states(tree: RefinementTree) -> list:
+    """Each node's sorted states, inner nodes derived from their children.
+
+    A child's id exceeds its parent's, so in reverse id order every node's
+    children are complete before the node itself is reached.
+    """
+    states: list = [None] * tree.node_count
+    below: list[list[int]] = [[] for _ in range(tree.node_count)]
+    for v in range(tree.node_count - 1, -1, -1):
+        members = tree.leaf_members.get(v)
+        if members is None:
+            members = below[v]
+            members.sort()
+        states[v] = members
+        if tree.parent[v] != v:
+            below[tree.parent[v]].extend(members)
+    return states
 
 
 def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[int, int]]]:

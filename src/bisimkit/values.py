@@ -365,6 +365,10 @@ def _parse_fraction(text) -> Fraction:
     return f
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def value_from_obj(obj) -> FValue:
     """Decode the JSON form of a value; raises InvalidValueError on bad input."""
     if isinstance(obj, str):
@@ -373,16 +377,26 @@ def value_from_obj(obj) -> FValue:
         return TupleVal(tuple(value_from_obj(i) for i in obj))
     if isinstance(obj, dict):
         if "x" in obj:
-            if not isinstance(obj["x"], int) or isinstance(obj["x"], bool):
+            if not _is_int(obj["x"]):
                 raise InvalidValueError(f"state reference must be an integer: {obj!r}")
             return StateRef(obj["x"])
         if "inj" in obj:
+            if not _is_int(obj["inj"]):
+                raise InvalidValueError(f"injection tag must be an integer: {obj!r}")
+            if "val" not in obj:
+                raise InvalidValueError(f"injection needs a 'val': {obj!r}")
             return InjVal(obj["inj"], value_from_obj(obj["val"]))
         if "fun" in obj:
+            if not isinstance(obj["fun"], dict):
+                raise InvalidValueError(f"'fun' must map labels to values: {obj!r}")
             return FunVal(tuple((k, value_from_obj(x)) for k, x in obj["fun"].items()))
         if "set" in obj:
+            if not isinstance(obj["set"], list):
+                raise InvalidValueError(f"'set' must be an array: {obj!r}")
             return SetVal(tuple(value_from_obj(m) for m in obj["set"]))
         if "dist" in obj:
+            if not isinstance(obj["dist"], list):
+                raise InvalidValueError(f"'dist' must be an array: {obj!r}")
             entries = []
             for pair in obj["dist"]:
                 if not isinstance(pair, list) or len(pair) != 2:

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import bisimkit
 from bisimkit.cli import main
 from bisimkit.formats import dump_coalgebra
 from bisimkit.gen import GenSpec, generate
@@ -86,6 +90,44 @@ def test_minimize_parse_error_exit_2(runner, tmp_path):
     bad.write_text("0 1 1/2\n1 0 1/1\n", encoding="utf-8")
     res = runner.invoke(main, ["minimize", str(bad)])
     assert res.exit_code == 2
+
+
+def test_minimize_audit_matches_audit_tree_on_written_file(runner, tmp_path):
+    for fam, n, weight in (("dfa", 40, "card"), ("lts", 30, "pred"), ("chain", 25, "reach")):
+        path = coalg_file(tmp_path, name=f"{fam}.json", fam=fam, n=n, seed=3)
+        tree = tmp_path / f"{fam}.tree.json"
+        res = runner.invoke(
+            main,
+            ["minimize", path, "--weight", weight, "--out", str(tmp_path / "p.json"),
+             "--audit", "--tree-out", str(tree)],
+        )
+        res2 = runner.invoke(main, ["audit-tree", str(tree)])
+        assert res.exit_code == res2.exit_code == 0, (res.output, res2.output)
+        # "audit ok: light sum S <= bound B" against "weight bound: S <= B (...)"
+        in_memory = res.stderr.split("light sum ")[1].split()
+        from_file = res2.output.split("weight bound: ")[1].split()
+        assert in_memory[0] == from_file[0]
+        assert in_memory[3] == from_file[2]
+
+
+def run_cli(*args):
+    """The CLI in a child process, so a crash shows as it would to a user."""
+    src = os.path.dirname(os.path.dirname(bisimkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "bisimkit.cli", *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize("value", ['{"inj": 0}', '{"fun": [1, 2]}'])
+def test_minimize_malformed_value_exit_2(tmp_path, value):
+    p = tmp_path / "bad.json"
+    p.write_text(f'{{"functor": "X + X", "states": 1, "c": [{value}]}}', encoding="utf-8")
+    res = run_cli("minimize", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
 
 
 def test_compare_agrees(runner, tmp_path):

@@ -1,5 +1,7 @@
 """Refinement engine: both algorithms, split/mark primitives, quotients."""
 
+import json
+
 import pytest
 
 from bisimkit.coalgebra import Coalgebra, build_pred_index
@@ -14,11 +16,12 @@ from bisimkit.engine import (
     refine_naive,
     split_leaf,
 )
+from bisimkit.formats import tree_to_json
 from bisimkit.functors import parse_functor
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce, partitions_equal
 from bisimkit.values import DistVal, FunVal, Label, SetVal, StateRef, TupleVal
-from bisimkit.wtree import WeightedTree, audit_tree
+from bisimkit.wtree import WeightedTree, audit_tree, light_child_sum
 
 DFA1 = parse_functor("{0,1} * (X ^ {a})")
 
@@ -114,22 +117,54 @@ def test_hopcroft_tree_passes_audit():
                 assert report.tight  # all three weights are additive
 
 
+def test_pred_touches_equal_light_child_sum():
+    # under pred weight a light child weighs exactly the predecessor pairs
+    # mark_dirty visits for it, so Theorem 1 bounds markdirty_touches
+    for fam in ("dfa", "nfa", "lts", "mc", "mdp", "chain"):
+        for i in range(12):
+            c = generate(GenSpec(fam, (i % 20) + 2, seed=300 + i))
+            r = refine_hopcroft(c, "pred")
+            tree = WeightedTree(r.tree.parent)
+            light = light_child_sum(tree, r.tree.weight, r.tree.heavy_choice())
+            assert r.stats.markdirty_touches == light, (fam, i)
+
+
 def test_hopcroft_tree_structure():
     r = refine_hopcroft(chain3())
     t = r.tree
+    states = json.loads(tree_to_json(t))["states"]
+    shape = WeightedTree(t.parent)
     assert t.parent[0] == 0
-    assert t.states[0] == (0, 1, 2)
+    assert states[0] == [0, 1, 2]
     # leaves of the tree are exactly the final partition blocks
-    leaf_sets = sorted(t.states[v] for v in t.leaves())
-    assert leaf_sets == [(0,), (1,), (2,)]
+    leaf_sets = sorted(states[v] for v in shape.leaves())
+    assert leaf_sets == [[0], [1], [2]]
+    # the tree's leaf tuples are the partition's blocks, not copies
+    leaves = sorted(t.leaf_members.values())
+    assert [id(g) for g in leaves] == [id(g) for g in r.partition.blocks]
     # children partition their parents
     for v in range(t.node_count):
-        ch = t.children(v)
+        ch = shape.children[v]
         if ch:
-            merged = sorted(x for u in ch for x in t.states[u])
-            assert merged == sorted(t.states[v])
+            merged = sorted(x for u in ch for x in states[u])
+            assert merged == states[v]
             assert t.heavy[v] in ch
             assert t.weight[t.heavy[v]] == max(t.weight[u] for u in ch)
+
+
+def test_hopcroft_tree_keeps_no_per_split_states():
+    # every split of a counter chain peels one state off a heavy child; a
+    # tree that froze each child's states would hold about n^2/2 entries
+    n = 400
+    t = refine_hopcroft(generate(GenSpec("chain", n))).tree
+    assert t.node_count > n
+    entries = 0
+    for value in vars(t).values():
+        items = value.values() if isinstance(value, dict) else value
+        if isinstance(items, str):
+            continue
+        entries += sum(len(x) for x in items if isinstance(x, (tuple, list, set)))
+    assert entries <= t.node_count + n
 
 
 def test_hopcroft_monotone_refinement_snapshots():

@@ -1,0 +1,82 @@
+"""Pinned output bytes: partition and tree JSON and counters never drift.
+
+Each digest is the sha256 over the outputs of a few seeded instances of
+one family under one weight kind.  Any change to the engine or the output
+formats that alters a single byte of a partition or tree document, or a
+single counter, changes a digest here.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from bisimkit.coalgebra import Coalgebra
+from bisimkit.engine import refine_hopcroft
+from bisimkit.formats import partition_to_json, tree_to_json
+from bisimkit.functors import parse_functor
+from bisimkit.gen import GenSpec, SplitMix64, generate
+from bisimkit.values import DistVal, Label, StateRef, TupleVal
+
+COUNTERS = ("iterations", "splits", "dirty_markings", "markdirty_touches",
+            "signatures_computed")
+SEEDS = (3, 11, 42)
+
+
+def labelled_mc(n, seed):
+    """``{0,1} * D X``: an output bit and a distribution in quarters."""
+    rng = SplitMix64(seed)
+    values = []
+    for _ in range(n):
+        bit = Label(str(rng.below(2)))
+        if rng.below(2) == 0:
+            dist = ((rng.below(n), 4),)
+        else:
+            p = 1 + rng.below(3)
+            dist = ((rng.below(n), p), (rng.below(n), 4 - p))
+        values.append(
+            TupleVal((bit, DistVal(tuple((StateRef(y), Fraction(q, 4)) for y, q in dist))))
+        )
+    return Coalgebra.make(parse_functor("{0,1} * D X"), values)
+
+
+INSTANCES = {
+    "dfa": lambda seed: generate(GenSpec("dfa", 80, alphabet_size=1 + seed % 2, seed=seed)),
+    "lts": lambda seed: generate(GenSpec("lts", 60, seed=seed)),
+    "chain": lambda seed: generate(GenSpec("chain", 40 + seed)),
+    "lmc": lambda seed: labelled_mc(60, seed),
+}
+
+# (partition, tree, counters) digests, recorded before the refinement tree
+# stopped storing per-node states
+PINNED = {
+    ("chain", "card"): ("f8a96cafaed0819c", "ce264b9015807d28", "00093fe557cbe6c1"),
+    ("chain", "pred"): ("f8a96cafaed0819c", "64626bdec1a6a712", "1a1004bfb247887a"),
+    ("chain", "reach"): ("f8a96cafaed0819c", "36457a3eee282442", "1a1004bfb247887a"),
+    ("dfa", "card"): ("03c7a114db6457aa", "420e5bbb0bf643ac", "71479f54fadf42ac"),
+    ("dfa", "pred"): ("03c7a114db6457aa", "0fa5fe48f1196737", "a9047979cbbf347f"),
+    ("dfa", "reach"): ("03c7a114db6457aa", "39067ca49ea4a140", "799ac75a7e7ac6b6"),
+    ("lmc", "card"): ("95657545a220b45f", "7108e434cf6f556b", "12178af8e924a374"),
+    ("lmc", "pred"): ("95657545a220b45f", "1a4dcd12e95f7bb0", "59962bea6bd85815"),
+    ("lmc", "reach"): ("95657545a220b45f", "c6d105d2a28c56a8", "95e2fc9681fa6a3b"),
+    ("lts", "card"): ("2825abb6faf6d1da", "d3dcb8f5fb6816f6", "fca2f062d7ef4fa2"),
+    ("lts", "pred"): ("2825abb6faf6d1da", "4b38f13f189945bb", "0e892ce38b9d40f4"),
+    ("lts", "reach"): ("2825abb6faf6d1da", "3a260c33c95f3155", "af46a3bc1715b130"),
+}
+
+
+def digests(family, weight):
+    part, tree, stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for seed in SEEDS:
+        r = refine_hopcroft(INSTANCES[family](seed), weight)
+        part.update(partition_to_json(r.partition).encode())
+        tree.update(tree_to_json(r.tree).encode())
+        stats.update(json.dumps([getattr(r.stats, k) for k in COUNTERS]).encode())
+    return part.hexdigest()[:16], tree.hexdigest()[:16], stats.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+@pytest.mark.parametrize("weight", ("card", "pred", "reach"))
+def test_outputs_match_pinned_digests(family, weight):
+    assert digests(family, weight) == PINNED[family, weight]

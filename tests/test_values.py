@@ -9,6 +9,7 @@ from bisimkit.values import (
     DistVal,
     FunVal,
     InjVal,
+    InvalidValueError,
     Label,
     ProbabilitySumError,
     SetVal,
@@ -215,11 +216,22 @@ def test_dist_json_uses_num_den_strings():
 
 
 def test_value_from_obj_rejects_junk():
-    from bisimkit.values import InvalidValueError
-
     with pytest.raises(InvalidValueError):
         value_from_obj({"weird": 1})
     with pytest.raises(InvalidValueError):
         value_from_obj({"dist": [[{"x": 0}, "1/0"]]})
     with pytest.raises(InvalidValueError):
         value_from_obj({"x": "zero"})
+
+
+@pytest.mark.parametrize("obj", [
+    {"inj": 0},
+    {"inj": "0", "val": {"x": 0}},
+    {"inj": True, "val": {"x": 0}},
+    {"fun": [1, 2]},
+    {"set": 3},
+    {"dist": 5},
+])
+def test_value_from_obj_rejects_malformed_fields(obj):
+    with pytest.raises(InvalidValueError):
+        value_from_obj(obj)
