@@ -1,18 +1,11 @@
 """Functor-generic partition refinement with auditable Hopcroft-style runs."""
 
-from .coalgebra import (
-    Coalgebra,
-    PredIndex,
-    SignatureEvaluator,
-    build_pred_index,
-    reachable_targets,
-)
+from .coalgebra import Coalgebra, PredIndex, SignatureEvaluator, build_pred_index
 from .engine import (
     Partition,
     RefinementTree,
     RefineResult,
     RunStats,
-    block_weight,
     quotient,
     refine_hopcroft,
     refine_naive,
@@ -20,7 +13,7 @@ from .engine import (
 from .functors import FunctorExpr, parse_functor, render_functor
 from .gen import GenSpec, SplitMix64, generate
 from .oracle import PairRelation, bisim_bruteforce, check_r_partitioning, partitions_equal
-from .values import occurring_states, signature_of, validate_value
+from .values import signature_of, validate_value
 from .wtree import (
     AuditReport,
     WeightedTree,
@@ -40,12 +33,10 @@ __all__ = [
     "PredIndex",
     "SignatureEvaluator",
     "build_pred_index",
-    "reachable_targets",
     "Partition",
     "RefinementTree",
     "RefineResult",
     "RunStats",
-    "block_weight",
     "quotient",
     "refine_hopcroft",
     "refine_naive",
@@ -59,7 +50,6 @@ __all__ = [
     "bisim_bruteforce",
     "check_r_partitioning",
     "partitions_equal",
-    "occurring_states",
     "signature_of",
     "validate_value",
     "WeightedTree",

@@ -5,7 +5,8 @@ signature evaluator used by the refinement algorithms.  The evaluator
 pre-compiles each state's value: for rigid functors (no powerset or
 distribution layer) a state's signature is a flat tuple of a shape id and
 block labels, otherwise a small prepared tree is interpreted with constant
-subtrees folded away.
+subtrees folded away.  The same walk records each state's successor refs,
+from which the predecessor index is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .values import (
     SetVal,
     StateRef,
     TupleVal,
-    occurring_states,
     validate_value,
     value_from_obj,
     value_to_obj,
@@ -35,7 +35,6 @@ __all__ = [
     "Coalgebra",
     "PredIndex",
     "build_pred_index",
-    "reachable_targets",
     "SignatureEvaluator",
     "coalgebra_to_obj",
     "coalgebra_from_obj",
@@ -83,22 +82,15 @@ class PredIndex:
     max_indegree: int
 
 
-def build_pred_index(coalg: Coalgebra) -> PredIndex:
-    preds: list[list[int]] = [[] for _ in range(coalg.n_states)]
-    for x in range(coalg.n_states):
-        for y in occurring_states(coalg.functor, coalg.values[x]):
+def build_pred_index(ev: SignatureEvaluator) -> PredIndex:
+    """Predecessor lists from the successor refs the evaluator compiled."""
+    preds: list[list[int]] = [[] for _ in range(ev.n_states)]
+    for x, refs in enumerate(ev.refs):
+        for y in set(refs):
             preds[y].append(x)
     m = sum(len(p) for p in preds)
     big = max((len(p) for p in preds), default=0)
     return PredIndex(tuple(tuple(p) for p in preds), m, big)
-
-
-def reachable_targets(coalg: Coalgebra) -> set[int]:
-    """States that occur as a successor of some state."""
-    out: set[int] = set()
-    for x in range(coalg.n_states):
-        out |= occurring_states(coalg.functor, coalg.values[x])
-    return out
 
 
 # -- signature evaluation -------------------------------------------------------
@@ -106,34 +98,38 @@ def reachable_targets(coalg: Coalgebra) -> set[int]:
 _CONST, _REF, _TUP, _INJ, _SET, _DIST = range(6)
 
 
-def _prepare(v: FValue):
-    """Compile a value into (has_refs, node); constant subtrees are folded."""
+def _prepare(v: FValue, refs: list[int]):
+    """Compile a value into (has_refs, node); constant subtrees are folded.
+
+    Every state reference met on the way is appended to ``refs``.
+    """
     if isinstance(v, StateRef):
+        refs.append(v.index)
         return True, (_REF, v.index)
     if isinstance(v, Label):
         return False, (_CONST, v.name)
     if isinstance(v, TupleVal):
-        parts = [_prepare(i) for i in v.items]
+        parts = [_prepare(i, refs) for i in v.items]
         if any(h for h, _ in parts):
             return True, (_TUP, tuple(n for _, n in parts))
         return False, (_CONST, tuple(n[1] for _, n in parts))
     if isinstance(v, InjVal):
-        h, n = _prepare(v.value)
+        h, n = _prepare(v.value, refs)
         if h:
             return True, (_INJ, (v.tag, n))
         return False, (_CONST, (v.tag, n[1]))
     if isinstance(v, FunVal):
-        parts = [_prepare(x) for _, x in v.entries]
+        parts = [_prepare(x, refs) for _, x in v.entries]
         if any(h for h, _ in parts):
             return True, (_TUP, tuple(n for _, n in parts))
         return False, (_CONST, tuple(n[1] for _, n in parts))
     if isinstance(v, SetVal):
-        parts = [_prepare(m) for m in v.members]
+        parts = [_prepare(m, refs) for m in v.members]
         if any(h for h, _ in parts):
             return True, (_SET, tuple(n for _, n in parts))
         return False, (_CONST, tuple(sorted({n[1] for _, n in parts})))
     if isinstance(v, DistVal):
-        parts = [(_prepare(x), p) for x, p in v.entries]
+        parts = [(_prepare(x, refs), p) for x, p in v.entries]
         if any(h for (h, _), _ in parts):
             return True, (_DIST, tuple((n, p) for (_, n), p in parts))
         acc: dict = {}
@@ -184,36 +180,37 @@ class SignatureEvaluator:
     ``signature(x, block_of)`` returns a hashable key; two states of the same
     coalgebra get equal keys under ``block_of`` exactly when their full
     canonical signatures agree.  Keys from different evaluators or different
-    modes are not comparable.
+    modes are not comparable.  ``refs[x]`` lists the states occurring in x's
+    value, in value order, repeats kept.
     """
 
-    __slots__ = ("n_states", "_mode", "_skel", "_refs", "_prep")
+    __slots__ = ("n_states", "refs", "_mode", "_skel", "_prep")
 
     def __init__(self, coalg: Coalgebra):
         self.n_states = coalg.n_states
+        self.refs = []
         if is_rigid(coalg.functor):
             self._mode = "rigid"
             intern: dict = {}
-            skel_ids = []
-            refs_per_state = []
+            self._skel = []
             for v in coalg.values:
                 refs: list[int] = []
                 sk = _rigid_skeleton(v, refs)
-                sid = intern.setdefault(sk, len(intern))
-                skel_ids.append(sid)
-                refs_per_state.append(tuple(refs))
-            self._skel = skel_ids
-            self._refs = refs_per_state
+                self._skel.append(intern.setdefault(sk, len(intern)))
+                self.refs.append(tuple(refs))
             self._prep = None
         else:
             self._mode = "general"
-            self._prep = [_prepare(v)[1] for v in coalg.values]
+            self._prep = []
+            for v in coalg.values:
+                refs = []
+                self._prep.append(_prepare(v, refs)[1])
+                self.refs.append(tuple(refs))
             self._skel = None
-            self._refs = None
 
     def signature(self, x: int, block_of):
         if self._mode == "rigid":
-            return (self._skel[x], *map(block_of.__getitem__, self._refs[x]))
+            return (self._skel[x], *map(block_of.__getitem__, self.refs[x]))
         return _eval_node(self._prep[x], block_of)
 
 

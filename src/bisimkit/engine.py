@@ -29,7 +29,6 @@ __all__ = [
     "RefinementTree",
     "RunStats",
     "RefineResult",
-    "block_weight",
     "split_leaf",
     "mark_dirty",
     "refine_naive",
@@ -60,15 +59,7 @@ class Partition:
         groups: dict = {}
         for x, b in enumerate(block_of):
             groups.setdefault(b, []).append(x)
-        ordered = sorted(groups.values(), key=lambda g: g[0])
-        renumber = {}
-        for i, g in enumerate(ordered):
-            for x in g:
-                renumber[x] = i
-        return cls(
-            tuple(renumber[x] for x in range(len(block_of))),
-            tuple(tuple(g) for g in ordered),
-        )
+        return cls.from_blocks(groups.values(), len(block_of))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n_states: int) -> "Partition":
@@ -120,7 +111,6 @@ class RefinementTree:
     child position and exceed their parent's.
     """
 
-    weight_kind: str
     parent: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
     heavy: list[Optional[int]] = field(default_factory=list)
@@ -160,104 +150,61 @@ class RefineResult:
     tree: Optional[RefinementTree] = None
 
 
-def block_weight(
-    kind: str,
-    states: Iterable[int],
-    pred_index: Optional[PredIndex] = None,
-    reachable: Optional[set[int]] = None,
-) -> int:
-    """Weight of a state set: its size, total in-degree, or reachable count."""
+def _weight_vector(kind: str, pidx: PredIndex) -> list[int]:
     if kind == "card":
-        return sum(1 for _ in states)
-    if kind == "pred":
-        if pred_index is None:
-            raise ConfigurationError("pred weight needs a predecessor index")
-        return sum(len(pred_index.preds[x]) for x in states)
-    if kind == "reach":
-        if reachable is None:
-            raise ConfigurationError("reach weight needs the reachable-target set")
-        return sum(1 for x in states if x in reachable)
-    raise ConfigurationError(f"unknown weight kind {kind!r}")
-
-
-def _weight_vector(kind: str, coalg: Coalgebra, pidx: PredIndex) -> list[int]:
-    if kind == "card":
-        return [1] * coalg.n_states
+        return [1] * len(pidx.preds)
     if kind == "pred":
         return [len(p) for p in pidx.preds]
     if kind == "reach":
-        reach = {y for y in range(coalg.n_states) if pidx.preds[y]}
-        return [1 if x in reach else 0 for x in range(coalg.n_states)]
+        return [1 if p else 0 for p in pidx.preds]
     raise ConfigurationError(f"unknown weight kind {kind!r}")
 
 
 def split_leaf(
-    leaf_states: set[int],
-    clean: set[int],
-    coalg: Coalgebra,
-    current,
-    evaluator: Optional[SignatureEvaluator] = None,
-    stats: Optional[RunStats] = None,
-) -> list[list[int]]:
-    """Group a leaf's states by signature, touching only dirty states.
+    states: set[int],
+    dirty: set[int],
+    ev: SignatureEvaluator,
+    block_of: Sequence[int],
+) -> tuple[list[list[int]], int]:
+    """Group a leaf's dirty states by signature against its clean mass.
 
-    ``current`` is the surrounding partition (a Partition or a plain
-    state -> block-id sequence).  Signatures are computed for the dirty
-    states plus at most one clean representative; the whole clean set
-    joins the representative's group.  Groups come back ordered by
-    smallest member, members ascending.  A single returned group means
-    the trivial split.
+    ``dirty`` is a nonempty subset of ``states``.  Signatures are computed
+    for the dirty states plus one clean representative, if any; the dirty
+    states whose signature matches the representative's rejoin the clean
+    mass and are dropped.  Returns the remaining groups, ordered by smallest
+    member with members ascending, and the number of signatures computed.
+    The leaf splits into ``len(groups) + has_clean`` children, so fewer
+    than two means the trivial split.
     """
-    if not leaf_states:
-        raise ValueError("leaf must be nonempty")
-    if not clean <= leaf_states:
-        raise ValueError("clean set must be contained in the leaf")
-    block_of = current.block_of if isinstance(current, Partition) else current
-    ev = evaluator or SignatureEvaluator(coalg)
-    dirty = sorted(leaf_states - clean)
-    nsigs = 0
-    if not dirty:
-        return [sorted(leaf_states)]
     groups: dict = {}
-    for x in dirty:
+    for x in sorted(dirty):
         groups.setdefault(ev.signature(x, block_of), []).append(x)
+    nsigs = len(dirty)
+    if len(dirty) < len(states):
+        rep = next(s for s in states if s not in dirty)
+        groups.pop(ev.signature(rep, block_of), None)
         nsigs += 1
-    if clean:
-        rep = next(iter(clean))
-        rep_sig = ev.signature(rep, block_of)
-        nsigs += 1
-        merged = sorted(groups.pop(rep_sig, []) + list(clean))
-        out = [merged] + list(groups.values())
-    else:
-        out = list(groups.values())
-    if stats is not None:
-        stats.signatures_computed += nsigs
-    out.sort(key=lambda g: g[0])
-    return out
+    return sorted(groups.values(), key=lambda g: g[0]), nsigs
 
 
 def mark_dirty(
-    children: Sequence[Optional[Sequence[int]]],
-    heavy_index: int,
+    light: Sequence[Sequence[int]],
     pred_index: PredIndex,
     leaf_of: Sequence[int],
     dirty_sets: Mapping[int, set[int]],
 ) -> tuple[list[tuple[int, int]], int]:
-    """Mark predecessors of every non-heavy child's states as dirty.
+    """Mark predecessors of the light children's states as dirty.
 
-    ``leaf_of`` maps a state to its current leaf id and ``dirty_sets`` holds
-    each leaf's dirty states (mutated in place).  Returns the markings
-    actually performed (a state already dirty is not re-marked) and the
-    number of (successor, predecessor) pairs visited.
+    ``light`` holds each light child's members, ``leaf_of`` maps a state to
+    its current leaf id and ``dirty_sets`` holds each leaf's dirty states
+    (mutated in place).  Returns the markings actually performed (a state
+    already dirty is not re-marked) and the number of (successor,
+    predecessor) pairs visited.
     """
     preds = pred_index.preds
     markings: list[tuple[int, int]] = []
     touches = 0
-    for k, members in enumerate(children):
-        if k == heavy_index:
-            continue
-        if members is None:
-            raise ValueError("only the heavy child may be omitted")
+    for members in light:
         for y in members:
             ps = preds[y]
             touches += len(ps)
@@ -321,8 +268,8 @@ def refine_hopcroft(
     start = time.perf_counter()
     n = coalg.n_states
     ev = SignatureEvaluator(coalg)
-    pidx = build_pred_index(coalg)
-    wvec = _weight_vector(weight, coalg, pidx)
+    pidx = build_pred_index(ev)
+    wvec = _weight_vector(weight, pidx)
     stats = RunStats()
 
     block_of: list[int] = [0] * n
@@ -331,7 +278,7 @@ def refine_hopcroft(
     dirty: dict[int, set[int]] = {0: set(range(n))}
     next_leaf = 1
 
-    tree = RefinementTree(weight_kind=weight)
+    tree = RefinementTree()
     tree.add_node(-1, sum(wvec))
     node_of: dict[int, int] = {0: 0}
 
@@ -354,108 +301,57 @@ def refine_hopcroft(
             continue  # leaf was fully re-cleaned by an earlier split
         snapshot()
         stats.iterations += 1
+        dirty[rho] = set()  # the leaf, or each child it splits into, starts clean
         states = leaf_states[rho]
         if len(states) == 1:
-            dirty[rho] = set()  # a singleton can never split
-            continue
+            continue  # a singleton can never split
 
-        dirty_sorted = sorted(drt)
-        groups: dict = {}
-        for x in dirty_sorted:
-            groups.setdefault(ev.signature(x, block_of), []).append(x)
-        nsigs = len(dirty_sorted)
-        rep_sig = None
-        has_clean = len(drt) < len(states)
-        if has_clean:
-            for s in states:
-                if s not in drt:
-                    rep = s
-                    break
-            rep_sig = ev.signature(rep, block_of)
-            nsigs += 1
+        groups, nsigs = split_leaf(states, drt, ev, block_of)
         stats.signatures_computed += nsigs
-
-        if has_clean:
-            groups.pop(rep_sig, None)  # those dirty states rejoin the clean mass
-        if not groups or (not has_clean and len(groups) == 1):
-            dirty[rho] = set()  # trivial split: everything here is clean now
-            continue
-
+        has_clean = len(drt) < len(states)
+        if len(groups) + has_clean < 2:
+            continue  # trivial split
         stats.splits += 1
-        explicit = sorted(groups.values(), key=lambda g: g[0])
-
-        # the clean-mass child: all clean states plus dirty ones matching the
-        # representative; known only implicitly until materialized
-        child_specs: list[dict] = []
-        if has_clean:
-            moved = set()
-            for g in explicit:
-                moved.update(g)
-            if leaf_min[rho] not in moved:
-                implicit_min = leaf_min[rho]
-            else:
-                implicit_min = min(s for s in states if s not in moved)
-            imp_weight = tree.weight[node_of[rho]] - sum(
-                wvec[x] for g in explicit for x in g
-            )
-            child_specs.append(
-                {"members": None, "min": implicit_min, "weight": imp_weight}
-            )
-        for g in explicit:
-            child_specs.append(
-                {"members": g, "min": g[0], "weight": sum(wvec[x] for x in g)}
-            )
-        child_specs.sort(key=lambda c: c["min"])
-
-        heavy_idx = 0
-        for i, c in enumerate(child_specs):
-            if c["weight"] > child_specs[heavy_idx]["weight"]:
-                heavy_idx = i
-
-        # materialize the clean-mass child unless it will inherit the leaf
-        implicit_heavy = child_specs[heavy_idx]["members"] is None
-        if has_clean and not implicit_heavy:
-            for c in child_specs:
-                if c["members"] is None:
-                    c["members"] = sorted(s for s in states if s not in moved)
-                    break
-
-        # assign live leaf ids: the heavy child inherits rho's id, so only
-        # light-children states get relabeled
         parent_node = node_of[rho]
-        new_leaf_ids = []
-        for i, c in enumerate(child_specs):
+
+        # children as (min, weight, members); the clean-mass child (all clean
+        # states plus the dirty ones matching the representative) is known
+        # only implicitly, members None, until materialized
+        children = [(g[0], sum(wvec[x] for x in g), g) for g in groups]
+        if has_clean:
+            moved = {x for g in groups for x in g}
+            implicit_min = leaf_min[rho]
+            if implicit_min in moved:
+                implicit_min = min(s for s in states if s not in moved)
+            implicit_weight = tree.weight[parent_node] - sum(c[1] for c in children)
+            children.append((implicit_min, implicit_weight, None))
+            children.sort(key=lambda c: c[0])
+        heavy_idx = max(range(len(children)), key=lambda i: children[i][1])
+
+        # the heavy child inherits rho's leaf id and what remains of its state
+        # set, so only light children's states get relabeled
+        light = []
+        for i, (cmin, cweight, members) in enumerate(children):
+            node = tree.add_node(parent_node, cweight)
             if i == heavy_idx:
-                new_leaf_ids.append(rho)
-            else:
-                new_leaf_ids.append(next_leaf)
-                next_leaf += 1
-        for i, c in enumerate(child_specs):
-            if i == heavy_idx:
+                tree.heavy[parent_node] = node
+                node_of[rho] = node
+                leaf_min[rho] = cmin
                 continue
-            lid = new_leaf_ids[i]
-            members = c["members"]
+            if members is None:
+                members = sorted(s for s in states if s not in moved)
+            lid = next_leaf
+            next_leaf += 1
+            node_of[lid] = node
             for x in members:
                 block_of[x] = lid
                 states.discard(x)
             leaf_states[lid] = set(members)
-            leaf_min[lid] = c["min"]
+            leaf_min[lid] = cmin
             dirty[lid] = set()
-        # what remains of the old leaf set is exactly the heavy child
-        leaf_min[rho] = child_specs[heavy_idx]["min"]
-        dirty[rho] = set()
+            light.append(members)
 
-        # record the split in the refinement tree
-        for i, c in enumerate(child_specs):
-            node = tree.add_node(parent_node, c["weight"])
-            node_of[new_leaf_ids[i]] = node
-            if i == heavy_idx:
-                tree.heavy[parent_node] = node
-
-        light_members = [
-            None if i == heavy_idx else c["members"] for i, c in enumerate(child_specs)
-        ]
-        markings, touches = mark_dirty(light_members, heavy_idx, pidx, block_of, dirty)
+        markings, touches = mark_dirty(light, pidx, block_of, dirty)
         stats.markdirty_touches += touches
         stats.dirty_markings += len(markings)
         for leaf, _ in markings:

@@ -88,14 +88,17 @@ def _json_dumps(obj) -> str:
 
 
 def _load_coalg_json(stream: TextIO) -> Coalgebra:
+    # the decoder, the functor parser, the value codec and validation all
+    # recurse, so a deep enough document exhausts the stack in any of them
     try:
         obj = json.load(stream)
+        return coalgebra_from_obj(obj)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad JSON: {e.msg}", e.lineno) from None
-    try:
-        return coalgebra_from_obj(obj)
     except (InvalidValueError, FunctorSyntaxError) as e:
         raise FormatError(str(e)) from None
+    except RecursionError:
+        raise FormatError("input nested too deeply") from None
 
 
 def _load_dfa_text(stream: TextIO) -> Coalgebra:
@@ -283,6 +286,8 @@ def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[in
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad JSON: {e.msg}", e.lineno) from None
+    except RecursionError:
+        raise FormatError("input nested too deeply") from None
     if not isinstance(obj, dict) or "parent" not in obj or "w" not in obj:
         raise FormatError("tree document needs 'parent' and 'w' arrays")
     parent = obj["parent"]

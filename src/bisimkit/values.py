@@ -46,7 +46,6 @@ __all__ = [
     "StateRangeError",
     "validate_value",
     "signature_of",
-    "occurring_states",
     "structure_key",
     "value_to_obj",
     "value_from_obj",
@@ -272,33 +271,6 @@ def _sig(v: FValue, block_of):
             acc[s] = acc.get(s, Fraction(0)) + p
         return tuple(sorted(acc.items()))
     raise TypeError(f"not a value: {v!r}")
-
-
-def occurring_states(expr: FunctorExpr, v: FValue) -> set[int]:
-    """All state indices referenced anywhere inside ``v``."""
-    del expr
-    out: set[int] = set()
-    _collect_states(v, out)
-    return out
-
-
-def _collect_states(v: FValue, out: set[int]) -> None:
-    if isinstance(v, StateRef):
-        out.add(v.index)
-    elif isinstance(v, TupleVal):
-        for i in v.items:
-            _collect_states(i, out)
-    elif isinstance(v, InjVal):
-        _collect_states(v.value, out)
-    elif isinstance(v, FunVal):
-        for _, x in v.entries:
-            _collect_states(x, out)
-    elif isinstance(v, SetVal):
-        for m in v.members:
-            _collect_states(m, out)
-    elif isinstance(v, DistVal):
-        for x, _ in v.entries:
-            _collect_states(x, out)
 
 
 def map_state_refs(v: FValue, f) -> FValue:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import pytest
 from util import random_weighted_tree
 
-from bisimkit.coalgebra import build_pred_index
+from bisimkit.coalgebra import SignatureEvaluator, build_pred_index
 from bisimkit.engine import refine_hopcroft, refine_naive
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import (
@@ -149,7 +149,7 @@ def corpus() -> CorpusResults:
 
             if n >= 2:
                 stats = hop["card"].stats
-                m_deg = build_pred_index(coalg).max_indegree
+                m_deg = build_pred_index(SignatureEvaluator(coalg)).max_indegree
                 bound = m_deg * n * (n - 1).bit_length() + m_deg * n
                 res.card_runs_checked += 1
                 if stats.markdirty_touches > bound:

@@ -130,6 +130,38 @@ def test_minimize_malformed_value_exit_2(tmp_path, value):
     assert "Traceback" not in res.stdout + res.stderr
 
 
+DEEP = 3000  # well past the interpreter's default recursion limit
+
+
+def test_minimize_deep_functor_exit_2(tmp_path):
+    p = tmp_path / "deep.json"
+    functor = "P " * DEEP + "X"
+    p.write_text(f'{{"functor": "{functor}", "states": 1, "c": [{{"set": []}}]}}', encoding="utf-8")
+    res = run_cli("minimize", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+def test_minimize_deep_value_exit_2(tmp_path):
+    p = tmp_path / "deep.json"
+    value = "[" * DEEP + "]" * DEEP
+    p.write_text(f'{{"functor": "X", "states": 1, "c": [{value}]}}', encoding="utf-8")
+    res = run_cli("minimize", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+def test_audit_tree_deep_document_exit_2(tmp_path):
+    p = tmp_path / "tree.json"
+    p.write_text("[" * DEEP + "]" * DEEP, encoding="utf-8")
+    res = run_cli("audit-tree", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
+
+
 def test_compare_agrees(runner, tmp_path):
     for fam in ("dfa", "mc", "lts"):
         path = coalg_file(tmp_path, name=f"{fam}.json", fam=fam, n=15, seed=9)

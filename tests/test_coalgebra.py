@@ -10,14 +10,17 @@ from bisimkit.coalgebra import (
     build_pred_index,
     coalgebra_from_obj,
     coalgebra_to_obj,
-    reachable_targets,
 )
 from bisimkit.functors import parse_functor
 from bisimkit.gen import GenSpec, generate
 from bisimkit.values import (
+    DistVal,
+    FunVal,
     InvalidValueError,
+    Label,
     SetVal,
     StateRef,
+    TupleVal,
     signature_of,
     value_to_obj,
 )
@@ -37,20 +40,20 @@ def test_make_validates_every_state():
 
 def test_pred_index_simple():
     c = kripke([1], [])
-    idx = build_pred_index(c)
+    idx = build_pred_index(SignatureEvaluator(c))
     assert idx.preds == ((), (0,))
     assert idx.m == 1 and idx.max_indegree == 1
 
 
 def test_pred_index_self_loop():
     c = kripke([0])
-    assert build_pred_index(c).preds == ((0,),)
+    assert build_pred_index(SignatureEvaluator(c)).preds == ((0,),)
 
 
 def test_pred_index_complete_graph():
     n = 4
     c = kripke(*[range(n)] * n)
-    idx = build_pred_index(c)
+    idx = build_pred_index(SignatureEvaluator(c))
     assert idx.m == n * n and idx.max_indegree == n
     assert all(p == tuple(range(n)) for p in idx.preds)
 
@@ -58,49 +61,72 @@ def test_pred_index_complete_graph():
 def test_pred_index_matches_erasure_oracle():
     # Def-style cross-check on the JSON encoding: y is a predecessor target
     # of x exactly when the value's JSON mentions {"x": y}
-    def refs_in_json(obj, out):
-        if isinstance(obj, dict):
-            if "x" in obj and isinstance(obj["x"], int):
-                out.add(obj["x"])
-            for v in obj.values():
-                refs_in_json(v, out)
-        elif isinstance(obj, list):
-            for v in obj:
-                refs_in_json(v, out)
-
     for fam in ("dfa", "nfa", "lts", "mc", "mdp"):
         c = generate(GenSpec(fam, 15, seed=42))
-        idx = build_pred_index(c)
+        idx = build_pred_index(SignatureEvaluator(c))
         for y in range(c.n_states):
             expected = sorted(
                 x
                 for x in range(c.n_states)
-                if y in _json_refs(c.values[x], refs_in_json)
+                if y in _json_refs(c.values[x])
             )
             assert list(idx.preds[y]) == expected
 
 
-def _json_refs(value, collector):
+def _collect_json_refs(obj, out):
+    if isinstance(obj, dict):
+        if "x" in obj and isinstance(obj["x"], int):
+            out.add(obj["x"])
+        for v in obj.values():
+            _collect_json_refs(v, out)
+    elif isinstance(obj, list):
+        for v in obj:
+            _collect_json_refs(v, out)
+
+
+def _json_refs(value):
     out = set()
-    collector(value_to_obj(value), out)
+    _collect_json_refs(value_to_obj(value), out)
     return out
 
 
+def test_pred_index_empty_set_has_no_refs():
+    c = kripke([], [0])
+    assert build_pred_index(SignatureEvaluator(c)).preds == ((1,), ())
+
+
+def test_pred_index_shared_target_counted_once():
+    # both letters of state 0 lead to state 1: one predecessor pair
+    dfa = parse_functor("{0,1} * (X ^ {a,b})")
+    v = TupleVal((Label("1"), FunVal((("a", StateRef(1)), ("b", StateRef(1))))))
+    w = TupleVal((Label("0"), FunVal((("a", StateRef(1)), ("b", StateRef(0))))))
+    idx = build_pred_index(SignatureEvaluator(Coalgebra.make(dfa, [v, w])))
+    assert idx.preds == ((1,), (0, 1))
+    assert idx.m == 3
+
+
+def test_pred_index_distribution_target():
+    dx = parse_functor("D X")
+    c = Coalgebra.make(dx, [DistVal(((StateRef(1), 1),)), DistVal(((StateRef(1), 1),))])
+    assert build_pred_index(SignatureEvaluator(c)).preds == ((), (0, 1))
+
+
 def test_reachable_targets():
-    c = kripke([1], [])
-    assert reachable_targets(c) == {1}
-    c2 = kripke([0], [1], [2])
-    assert reachable_targets(c2) == {0, 1, 2}
+    # the reachable targets are the states with a nonempty predecessor list
+    def reachable(c):
+        return {y for y, p in enumerate(build_pred_index(SignatureEvaluator(c)).preds) if p}
+
+    assert reachable(kripke([1], [])) == {1}
+    assert reachable(kripke([0], [1], [2])) == {0, 1, 2}
 
 
 def test_reachable_matches_bruteforce_union():
     c = generate(GenSpec("nfa", 20, seed=5))
-    from bisimkit.values import occurring_states
-
     expected = set()
     for x in range(c.n_states):
-        expected |= occurring_states(c.functor, c.values[x])
-    assert reachable_targets(c) == expected
+        expected |= _json_refs(c.values[x])
+    preds = build_pred_index(SignatureEvaluator(c)).preds
+    assert {y for y, p in enumerate(preds) if p} == expected
 
 
 def test_coalgebra_json_round_trip():

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from bisimkit.coalgebra import Coalgebra, build_pred_index
+from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
 from bisimkit.engine import (
     ConfigurationError,
     EngineInvariantError,
     Partition,
-    block_weight,
     mark_dirty,
     quotient,
     refine_hopcroft,
@@ -20,7 +19,15 @@ from bisimkit.formats import tree_to_json
 from bisimkit.functors import parse_functor
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce, partitions_equal
-from bisimkit.values import DistVal, FunVal, Label, SetVal, StateRef, TupleVal
+from bisimkit.values import (
+    DistVal,
+    FunVal,
+    Label,
+    SetVal,
+    StateRef,
+    TupleVal,
+    value_to_obj,
+)
 from bisimkit.wtree import WeightedTree, audit_tree, light_child_sum
 
 DFA1 = parse_functor("{0,1} * (X ^ {a})")
@@ -203,41 +210,33 @@ def test_hopcroft_stats_counters_consistent():
 # -- split_leaf ------------------------------------------------------------------
 
 
-def test_split_leaf_all_clean_no_signatures():
-    from bisimkit.engine import RunStats
-
-    c = chain3()
-    stats = RunStats()
-    groups = split_leaf({0, 1, 2}, {0, 1, 2}, c, [0, 0, 0], stats=stats)
-    assert groups == [[0, 1, 2]]
-    assert stats.signatures_computed == 0
-
-
 def test_split_leaf_clean_mass_joins_matching_representative():
     # 6-state one-letter DFA; leaf {1,2,3,5} with clean {1,2}: states 1,2,3
     # all map into block B0 with the same acceptance, state 5 maps elsewhere
     c = dfa1(("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 4))
+    ev = SignatureEvaluator(c)
     block_of = [0, 1, 1, 1, 2, 1]
-    groups = split_leaf({1, 2, 3, 5}, {1, 2}, c, block_of)
-    assert groups == [[1, 2, 3], [5]]
-    # cross-check: grouping with nothing clean gives the same kernel
-    full = split_leaf({1, 2, 3, 5}, set(), c, block_of)
+    groups, nsigs = split_leaf({1, 2, 3, 5}, {3, 5}, ev, block_of)
+    # dirty 3 matches the clean representative, so only {5} leaves the mass
+    assert groups == [[5]]
+    assert nsigs == 3
+    # cross-check: with nothing clean the same kernel comes back explicitly
+    full, _ = split_leaf({1, 2, 3, 5}, {1, 2, 3, 5}, ev, block_of)
     assert full == [[1, 2, 3], [5]]
 
 
 def test_split_leaf_all_dirty_equal_signatures():
     c = dfa1(("0", 0), ("0", 1), ("0", 2))
-    groups = split_leaf({0, 1, 2}, set(), c, [0, 0, 0])
-    assert groups == [[0, 1, 2]]
+    groups, nsigs = split_leaf({0, 1, 2}, {0, 1, 2}, SignatureEvaluator(c), [0, 0, 0])
+    assert groups == [[0, 1, 2]]  # one child and no clean mass: trivial
+    assert nsigs == 3
 
 
 def test_split_leaf_counts_one_clean_representative():
-    from bisimkit.engine import RunStats
-
     c = dfa1(("0", 0), ("0", 0), ("1", 0))
-    stats = RunStats()
-    split_leaf({0, 1, 2}, {0, 1}, c, [0, 0, 0], stats=stats)
-    assert stats.signatures_computed == 2  # one dirty state plus the representative
+    groups, nsigs = split_leaf({0, 1, 2}, {2}, SignatureEvaluator(c), [0, 0, 0])
+    assert groups == [[2]]
+    assert nsigs == 2  # one dirty state plus the representative
 
 
 # -- mark_dirty ------------------------------------------------------------------
@@ -245,9 +244,9 @@ def test_split_leaf_counts_one_clean_representative():
 
 def test_mark_dirty_no_predecessors():
     c = dfa1(("0", 1), ("0", 1))
-    pidx = build_pred_index(c)
+    pidx = build_pred_index(SignatureEvaluator(c))
     dirty = {0: set(), 1: set()}
-    markings, touches = mark_dirty([[1], [0]], 0, pidx, [1, 0], dirty)
+    markings, touches = mark_dirty([[0]], pidx, [1, 0], dirty)
     # light child is [0]; state 0 has no predecessors
     assert markings == [] and touches == 0
     assert dirty == {0: set(), 1: set()}
@@ -259,10 +258,10 @@ def test_mark_dirty_double_touch_single_marking():
         parse_functor("P X"),
         [SetVal((StateRef(1), StateRef(2))), SetVal(()), SetVal(())],
     )
-    pidx = build_pred_index(c)
+    pidx = build_pred_index(SignatureEvaluator(c))
     dirty = {7: set(), 8: set()}
     leaf_of = [7, 8, 8]
-    markings, touches = mark_dirty([None, [1, 2]], 0, pidx, leaf_of, dirty)
+    markings, touches = mark_dirty([[1, 2]], pidx, leaf_of, dirty)
     assert touches == 2
     assert markings == [(7, 0)]
     assert dirty[7] == {0}
@@ -270,41 +269,62 @@ def test_mark_dirty_double_touch_single_marking():
 
 def test_mark_dirty_touch_bound():
     c = generate(GenSpec("nfa", 30, seed=12))
-    pidx = build_pred_index(c)
+    pidx = build_pred_index(SignatureEvaluator(c))
     dirty = {0: set()}
     light = list(range(10, 20))
-    _, touches = mark_dirty([None, light], 0, pidx, [0] * 30, dirty)
+    _, touches = mark_dirty([light], pidx, [0] * 30, dirty)
     assert touches <= pidx.max_indegree * len(light)
 
 
-# -- block_weight ----------------------------------------------------------------
+# -- block weights ---------------------------------------------------------------
+#
+# Each tree node's weight is checked against its states from the tree
+# document, with predecessors read off the values' JSON rather than the index.
+
+
+def _json_successors(c):
+    def walk(obj, out):
+        if isinstance(obj, dict):
+            if isinstance(obj.get("x"), int):
+                out.add(obj["x"])
+            for v in obj.values():
+                walk(v, out)
+        elif isinstance(obj, list):
+            for v in obj:
+                walk(v, out)
+        return out
+
+    return [walk(value_to_obj(v), set()) for v in c.values]
+
+
+def _node_states(r):
+    return json.loads(tree_to_json(r.tree))["states"]
 
 
 def test_block_weight_card():
-    assert block_weight("card", {0, 1, 2}) == 3
+    c = generate(GenSpec("dfa", 30, seed=6))
+    r = refine_hopcroft(c, "card")
+    assert r.tree.node_count > 1
+    assert r.tree.weight == [len(s) for s in _node_states(r)]
 
 
 def test_block_weight_pred():
-    # one state with four predecessors outweighs a three-predecessor pair
-    c = Coalgebra.make(
-        parse_functor("P X"),
-        [SetVal((StateRef(4),)), SetVal((StateRef(4),)), SetVal((StateRef(4),)),
-         SetVal((StateRef(4),)), SetVal((StateRef(0), StateRef(1), StateRef(2)))],
-    )
-    pidx = build_pred_index(c)
-    assert block_weight("pred", {4}, pred_index=pidx) == 4
-    assert block_weight("pred", {0, 1, 2}, pred_index=pidx) == 3
+    # a block weighs the (predecessor, state) pairs into it
+    for fam in ("nfa", "lts", "mdp"):
+        c = generate(GenSpec(fam, 25, seed=6))
+        succ = _json_successors(c)
+        indeg = [sum(y in s for s in succ) for y in range(c.n_states)]
+        r = refine_hopcroft(c, "pred")
+        assert r.tree.weight == [sum(indeg[x] for x in s) for s in _node_states(r)]
 
 
 def test_block_weight_reach():
-    assert block_weight("reach", {0, 1, 2, 3, 4}, reachable={2, 3, 4, 9}) == 3
-
-
-def test_block_weight_missing_context():
-    with pytest.raises(ConfigurationError):
-        block_weight("pred", {0})
-    with pytest.raises(ConfigurationError):
-        block_weight("reach", {0})
+    # a block weighs its states that are some state's successor
+    for fam in ("nfa", "lts"):
+        c = generate(GenSpec(fam, 25, seed=6))
+        reach = set().union(*_json_successors(c))
+        r = refine_hopcroft(c, "reach")
+        assert r.tree.weight == [sum(x in reach for x in s) for s in _node_states(r)]
 
 
 def test_zero_weight_children_under_pred():

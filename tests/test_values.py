@@ -18,7 +18,6 @@ from bisimkit.values import (
     StateRef,
     TupleVal,
     UnknownLabelError,
-    occurring_states,
     signature_of,
     value_from_obj,
     value_to_obj,
@@ -166,29 +165,12 @@ def test_signature_pure_distribution_all_equal():
     assert signature_of(DX, d1, one_block) == signature_of(DX, d2, one_block)
 
 
-# -- occurring_states ------------------------------------------------------------
-
-
-def test_occurring_empty_set():
-    assert occurring_states(PX, SetVal(())) == set()
-
-
-def test_occurring_distribution():
-    assert occurring_states(DX, dist((2, 1))) == {2}
-
-
-def test_occurring_shared_target_counted_once():
-    v = TupleVal((Label("1"), FunVal((("a", StateRef(3)), ("b", StateRef(3))))))
-    assert occurring_states(DFA, v) == {3}
-
-
 def test_constant_value_signature_is_block_independent():
     v = SetVal((TupleVal((Label("a"), StateRef(0))),))
     w = SetVal(())
     f = parse_functor("P ({a} * X)")
-    assert occurring_states(f, w) == set()
     assert signature_of(f, w, [0]) == signature_of(f, w, [99])
-    assert occurring_states(f, v) == {0}
+    assert signature_of(f, v, [0]) != signature_of(f, v, [99])
 
 
 # -- JSON codec ------------------------------------------------------------------
