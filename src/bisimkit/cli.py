@@ -23,7 +23,13 @@ from .formats import (
 )
 from .gen import FAMILIES, GenSpec, generate
 from .oracle import BRUTEFORCE_STATE_LIMIT, bisim_bruteforce, partitions_equal
-from .wtree import WeightedTree, audit_tree
+from .wtree import MalformedTreeError, WeightedTree, audit_tree
+
+# the run counters, then the wall time, in the order --stats and bench write them
+STATS_COLUMNS = (
+    "iterations", "splits", "dirty_markings", "markdirty_touches",
+    "signatures_computed", "wall_ms",
+)
 
 
 @click.group()
@@ -34,10 +40,7 @@ def main():
 def _load(path: str, fmt: str) -> Coalgebra:
     try:
         return load_coalgebra(path, fmt)
-    except FormatError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    except OSError as e:
+    except (FormatError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
 
@@ -52,14 +55,21 @@ def _write_text(path: str, text: str) -> None:
 
 def _stats_obj(result: RefineResult) -> dict:
     s = result.stats
-    return {
-        "iterations": s.iterations,
-        "splits": s.splits,
-        "dirty_markings": s.dirty_markings,
-        "markdirty_touches": s.markdirty_touches,
-        "signatures_computed": s.signatures_computed,
-        "wall_ms": round(s.wall_time * 1000.0, 3),
-    }
+    values = [getattr(s, k) for k in STATS_COLUMNS[:-1]] + [round(s.wall_time * 1000.0, 3)]
+    return dict(zip(STATS_COLUMNS, values))
+
+
+def _audit(tree: WeightedTree, weights, heavy):
+    """audit_tree; exit 2 on a malformed tree or weight, 1 on a heavy choice
+    that fails its check."""
+    try:
+        return audit_tree(tree, weights, heavy)
+    except MalformedTreeError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(2)
+    except ValueError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
 
 
 @main.command()
@@ -105,7 +115,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         tree = result.tree
         dest = tree_out or (out + ".tree.json" if out != "-" else "refinement-tree.json")
         _write_text(dest, tree_to_json(tree))
-        report = audit_tree(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
+        report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
         if not report.all_ok():
             click.echo("error: refinement tree failed its audit", err=True)
             sys.exit(1)
@@ -149,7 +159,7 @@ def audit_tree_cmd(tree_path):
     except (FormatError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    report = audit_tree(tree, weights, heavy)
+    report = _audit(tree, weights, heavy)
     if not report.valid:
         click.echo("weight law: VIOLATED")
         sys.exit(1)
@@ -188,12 +198,6 @@ def gen_cmd(family, n_states, alphabet, branching, seed, out):
     _write_text(out, dump_coalgebra(coalg))
 
 
-BENCH_COLUMNS = (
-    "family,n,seed,algo,weight,iterations,splits,dirty_markings,"
-    "markdirty_touches,signatures_computed,wall_ms"
-)
-
-
 @main.command()
 @click.option("--families", default="dfa,nfa,lts,mc,mdp", show_default=True)
 @click.option("--sizes", default="10,20,50", show_default=True)
@@ -225,7 +229,7 @@ def bench(families, sizes, instances, seed_base, algos, weights, out):
 
     with open(out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(BENCH_COLUMNS.split(","))
+        writer.writerow(("family", "n", "seed", "algo", "weight") + STATS_COLUMNS)
         for family in fams:
             for n in ns:
                 for i in range(instances):
@@ -240,15 +244,7 @@ def bench(families, sizes, instances, seed_base, algos, weights, out):
                                 for w in weight_list
                             ]
                         for name, w, result in cells:
-                            so = _stats_obj(result)
-                            writer.writerow(
-                                [family, n, seed, name, w]
-                                + [so[k] for k in (
-                                    "iterations", "splits", "dirty_markings",
-                                    "markdirty_touches", "signatures_computed",
-                                    "wall_ms",
-                                )]
-                            )
+                            writer.writerow([family, n, seed, name, w, *_stats_obj(result).values()])
     click.echo(f"wrote {out}", err=True)
 
 

@@ -297,8 +297,6 @@ def refine_hopcroft(
         rho = queue.popleft()
         in_queue.discard(rho)
         drt = dirty[rho]
-        if not drt:
-            continue  # leaf was fully re-cleaned by an earlier split
         snapshot()
         stats.iterations += 1
         dirty[rho] = set()  # the leaf, or each child it splits into, starts clean

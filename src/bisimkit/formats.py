@@ -305,5 +305,8 @@ def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[in
         raw = obj["heavy"]
         if not isinstance(raw, list) or len(raw) != len(parent):
             raise FormatError("'heavy' must be an array of length node-count")
+        for v, h in enumerate(raw):
+            if h is not None and not (type(h) is int and 0 <= h < len(parent)):
+                raise FormatError(f"heavy child of node {v} is not a node id: {h!r}")
         heavy = {v: h for v, h in enumerate(raw) if h is not None}
     return tree, weights, heavy

@@ -50,7 +50,7 @@ class WeightedTree:
     tie-break used by :func:`choose_heavy`.
     """
 
-    __slots__ = ("node_count", "parent", "children", "root")
+    __slots__ = ("node_count", "parent", "children", "root", "_order", "_leaves")
 
     def __init__(self, parent: Sequence[int]):
         n = len(parent)
@@ -59,6 +59,8 @@ class WeightedTree:
         root = -1
         children: list[list[int]] = [[] for _ in range(n)]
         for v, p in enumerate(parent):
+            if type(p) is not int:
+                raise MalformedTreeError(f"parent of node {v} is not an integer: {p!r}")
             if not 0 <= p < n:
                 raise MalformedTreeError(f"parent of node {v} out of range: {p}")
             if p == v:
@@ -69,37 +71,30 @@ class WeightedTree:
                 children[p].append(v)
         if root < 0:
             raise MalformedTreeError("no root (some parent[i] must equal i)")
-        # connectivity: walking up from any node must reach the root
-        seen_depth = [-1] * n
-        seen_depth[root] = 0
-        for v in range(n):
-            path = []
-            u = v
-            while seen_depth[u] < 0:
-                path.append(u)
-                u = parent[u]
-                if len(path) > n:
-                    raise MalformedTreeError("parent links contain a cycle")
-            base = seen_depth[u]
-            for i, w in enumerate(reversed(path)):
-                seen_depth[w] = base + i + 1
+        # every node has one parent, so the nodes the root does not reach are
+        # exactly those whose parent links run into a cycle
+        order = [root]
+        for v in order:
+            order.extend(children[v])
+        if len(order) < n:
+            raise MalformedTreeError("parent links contain a cycle")
         self.node_count = n
         self.parent = tuple(parent)
         self.children = tuple(tuple(c) for c in children)
         self.root = root
+        self._order = tuple(order)
+        self._leaves = tuple(v for v in range(n) if not children[v])
 
     def leaves(self) -> list[int]:
-        return [v for v in range(self.node_count) if not self.children[v]]
+        """Childless nodes in ascending id."""
+        return list(self._leaves)
 
     def internal_nodes(self) -> list[int]:
         return [v for v in range(self.node_count) if self.children[v]]
 
     def topo_order(self) -> list[int]:
         """Nodes in root-first order (every parent before its children)."""
-        order = [self.root]
-        for v in order:
-            order.extend(self.children[v])
-        return order
+        return list(self._order)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(p, c) for p in range(self.node_count) for c in self.children[p]]
@@ -182,7 +177,7 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int
     """
     _check_weights_shape(tree, w)
     out = list(w)
-    for v in tree.topo_order():
+    for v in tree._order:
         ch = tree.children[v]
         if not ch:
             continue
@@ -192,28 +187,41 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int
     return out
 
 
+# An edge is named by its child: every node but the root is the child of
+# exactly one edge, so a set of edges is a set of non-root nodes.
+
+
+def _heavy_children(tree: WeightedTree, h: dict[int, int]) -> set[int]:
+    """The edges from each node to its heavy child ``h[v]``, named by child."""
+    parent = tree.parent
+    return {u for u in tree._order[1:] if h[parent[u]] == u}
+
+
+def _path_counts(tree: WeightedTree, kept: set[int]) -> list[int]:
+    """Per node, the edges on its root path whose child is not in ``kept``."""
+    counts = [0] * tree.node_count
+    parent = tree.parent
+    for u in tree._order[1:]:
+        counts[u] = counts[parent[u]] + (u not in kept)
+    return counts
+
+
+def _edge_sums(tree: WeightedTree, w: Sequence[int], kept: set[int]) -> tuple[int, int]:
+    """Child weights over edges outside ``kept``, and the sum over leaves of
+    (root-path edges outside ``kept``) * leaf weight."""
+    counts = _path_counts(tree, kept)
+    lhs = sum(w[u] for u in tree._order[1:] if u not in kept)
+    return lhs, sum(counts[l] * w[l] for l in tree._leaves)
+
+
 def light_child_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
     """Total weight of all light children, summed over every internal node."""
-    total = 0
-    for v in tree.internal_nodes():
-        hv = h[v]
-        total += sum(w[u] for u in tree.children[v] if u != hv)
-    return total
-
-
-def _light_depths(tree: WeightedTree, h: dict[int, int]) -> list[int]:
-    """Number of light edges on the root-to-node path, per node."""
-    d = [0] * tree.node_count
-    for v in tree.topo_order():
-        for u in tree.children[v]:
-            d[u] = d[v] + (0 if h[v] == u else 1)
-    return d
+    return _edge_sums(tree, w, _heavy_children(tree, h))[0]
 
 
 def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
-    depths = _light_depths(tree, h)
-    return sum(depths[l] * w[l] for l in tree.leaves())
+    return _edge_sums(tree, w, _heavy_children(tree, h))[1]
 
 
 def general_edge_sum(
@@ -227,22 +235,12 @@ def general_edge_sum(
     tight weights.
     """
     _check_weights_shape(tree, w)
-    edge_set = set(tree.edges())
-    for e in s:
-        if e not in edge_set:
-            raise MalformedTreeError(f"edge {e} not in tree")
-    lhs = 0
-    for v in range(tree.node_count):
-        for u in tree.children[v]:
-            if (v, u) not in s:
-                lhs += w[u]
-    # per-node count of root-path edges outside s
-    excl = [0] * tree.node_count
-    for v in tree.topo_order():
-        for u in tree.children[v]:
-            excl[u] = excl[v] + (0 if (v, u) in s else 1)
-    rhs = sum(excl[l] * w[l] for l in tree.leaves())
-    return lhs, rhs
+    kept = set()
+    for p, c in s:
+        if not (0 <= c < tree.node_count and c != p and tree.parent[c] == p):
+            raise MalformedTreeError(f"edge {(p, c)} not in tree")
+        kept.add(c)
+    return _edge_sums(tree, w, kept)
 
 
 def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> bool:
@@ -251,12 +249,9 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, 
     Equivalent to the log form  |lpath(r,v)| <= log2 w(r) - log2 w(v),
     but decided exactly in integers.
     """
-    depths = _light_depths(tree, h)
+    depths = _path_counts(tree, _heavy_children(tree, h))
     wr = w[tree.root]
-    for v in range(tree.node_count):
-        if w[v] != 0 and (w[v] << depths[v]) > wr:
-            return False
-    return True
+    return all(w[v] == 0 or (w[v] << depths[v]) <= wr for v in range(tree.node_count))
 
 
 # -- exact decision for  2^lhs * prod w^w <= root^root ------------------------
@@ -344,7 +339,7 @@ def hopcroft_bound_check(
     reported for diagnostics only.
     """
     lhs = light_child_sum(tree, w, h)
-    leaf_ws = [w[l] for l in tree.leaves() if w[l] != 0]
+    leaf_ws = [w[l] for l in tree._leaves if w[l] != 0]
     wr = w[tree.root]
     ok = _product_log_le(lhs, leaf_ws, wr)
     bound_float = 0.0
@@ -398,16 +393,10 @@ def audit_tree(
     h = choose_heavy(tree, w) if heavy is None else dict(heavy)
     _check_hcc(tree, w, h)
 
-    heavy_edges = {(v, h[v]) for v in tree.internal_nodes()}
-    all_edges = set(tree.edges())
-    lemma1_ok = True
-    for s in (set(), heavy_edges, all_edges):
-        lhs, rhs = general_edge_sum(tree, w, s)
-        if lhs < rhs or (tight and lhs != rhs):
-            lemma1_ok = False
-
-    light_sum = light_child_sum(tree, w, h)
-    lpath_sum = lpath_weighted_leaf_sum(tree, w, h)
+    heavy_edges = _heavy_children(tree, h)
+    sums = [_edge_sums(tree, w, s) for s in (set(), heavy_edges, set(tree._order[1:]))]
+    lemma1_ok = all(lhs >= rhs and (not tight or lhs == rhs) for lhs, rhs in sums)
+    light_sum, lpath_sum = sums[1]
     lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)
 
     w2 = tighten(tree, w, h)
@@ -423,7 +412,8 @@ def audit_tree(
             lemma3_ok = False
         else:
             # after tightening, the inequality closes to an equality
-            lemma3_ok = light_child_sum(tree, w2, h) == lpath_weighted_leaf_sum(tree, w2, h)
+            light2, lpath2 = _edge_sums(tree, w2, heavy_edges)
+            lemma3_ok = light2 == lpath2
 
     lemma4_ok = lpath_length_bound_check(tree, w, h)
 

@@ -162,6 +162,25 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
     assert "Traceback" not in res.stdout + res.stderr
 
 
+@pytest.mark.parametrize("doc, code", [
+    ('{"parent":[0,0,0],"w":[2,1,"x"]}', 2),  # weight not a number
+    ('{"parent":[0,0,0],"w":[2,1,-1]}', 2),  # weight negative
+    ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[7,null,null]}', 2),  # no node 7
+    ('{"parent":[0,0,0],"w":[2,1,1],"heavy":["a",null,null]}', 2),
+    ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[null,null,null]}', 1),  # root has none
+    ('{"parent":[0,0,"z"],"w":[2,1,1]}', 2),
+    ('{"parent":[0,0,1.5],"w":[2,1,1]}', 2),
+    ('{"parent":[0,0,0],"w":[3,2,1],"heavy":[2,null,null]}', 1),  # 2 is the lighter
+])
+def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
+    p = tmp_path / "tree.json"
+    p.write_text(doc, encoding="utf-8")
+    res = run_cli("audit-tree", str(p))
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
+
+
 def test_compare_agrees(runner, tmp_path):
     for fam in ("dfa", "mc", "lts"):
         path = coalg_file(tmp_path, name=f"{fam}.json", fam=fam, n=15, seed=9)

@@ -90,6 +90,11 @@ def test_tree_construction_rejects_garbage():
         WeightedTree([0, 1])  # two roots
     with pytest.raises(MalformedTreeError):
         WeightedTree([0, 5])  # parent out of range
+    with pytest.raises(MalformedTreeError, match="cycle"):
+        WeightedTree([0, 2, 1])  # a root plus a two-node cycle
+    for bad in ("z", 1.5, None, True):
+        with pytest.raises(MalformedTreeError, match="not an integer"):
+            WeightedTree([0, 0, bad])
 
 
 def test_tree_children_ordered_by_id():
@@ -211,6 +216,28 @@ def test_lpath_weighted_leaf_sum_path_graph_zero():
     t = WeightedTree([0, 0, 1, 2])
     h = choose_heavy(t, [9, 9, 9, 9])
     assert lpath_weighted_leaf_sum(t, [9, 9, 9, 9], h) == 0
+
+
+def brute_lpath_length_bound(tree, w, h):
+    for v in range(tree.node_count):
+        light = sum(1 for (p, c) in brute_path_edges(tree, v) if h[p] != c)
+        if w[v] != 0 and w[v] * 2**light > w[tree.root]:
+            return False
+    return True
+
+
+def test_sums_match_brute_force_on_random_trees(seed=17):
+    rng = random.Random(seed)
+    for _ in range(300):
+        tree, w = random_weighted_tree(rng, max_nodes=40, max_root_weight=1000)
+        # a true heavy choice and an arbitrary one, which need not be heavy
+        for h in (
+            choose_heavy(tree, w),
+            {v: rng.choice(tree.children[v]) for v in tree.internal_nodes()},
+        ):
+            assert light_child_sum(tree, w, h) == brute_light_child_sum(tree, w, h)
+            assert lpath_weighted_leaf_sum(tree, w, h) == brute_lpath_leaf_sum(tree, w, h)
+            assert lpath_length_bound_check(tree, w, h) == brute_lpath_length_bound(tree, w, h)
 
 
 # -- general_edge_sum ----------------------------------------------------------
