@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import sys
+from typing import NoReturn
+
 import click
 
 from .coalgebra import Coalgebra
@@ -37,20 +39,27 @@ def main():
     """Minimize finite state systems modulo bisimilarity."""
 
 
+def _fail(e, code: int = 2) -> NoReturn:
+    click.echo(f"error: {e}", err=True)
+    sys.exit(code)
+
+
 def _load(path: str, fmt: str) -> Coalgebra:
     try:
         return load_coalgebra(path, fmt)
     except (FormatError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as e:
+        _fail(e)
 
 
 def _stats_obj(result: RefineResult) -> dict:
@@ -65,11 +74,9 @@ def _audit(tree: WeightedTree, weights, heavy):
     try:
         return audit_tree(tree, weights, heavy)
     except MalformedTreeError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e, 1)
 
 
 @main.command()
@@ -117,8 +124,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         _write_text(dest, tree_to_json(tree))
         report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
         if not report.all_ok():
-            click.echo("error: refinement tree failed its audit", err=True)
-            sys.exit(1)
+            _fail("refinement tree failed its audit", 1)
         click.echo(
             f"audit ok: light sum {report.light_sum} <= bound {report.bound_float:.4f}",
             err=True,
@@ -157,8 +163,7 @@ def audit_tree_cmd(tree_path):
         with open(tree_path, "r", encoding="utf-8") as f:
             tree, weights, heavy = tree_from_json(f.read())
     except (FormatError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
     report = _audit(tree, weights, heavy)
     if not report.valid:
         click.echo("weight law: VIOLATED")
@@ -193,8 +198,7 @@ def gen_cmd(family, n_states, alphabet, branching, seed, out):
         spec = GenSpec(family, n_states, alphabet, branching, seed)
         coalg = generate(spec)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _fail(e)
     _write_text(out, dump_coalgebra(coalg))
 
 
@@ -212,6 +216,9 @@ def bench(families, sizes, instances, seed_base, algos, weights, out):
     try:
         fams = [f.strip() for f in families.split(",") if f.strip()]
         ns = [int(s) for s in sizes.split(",") if s.strip()]
+        for n in ns:
+            if n < 1:
+                raise ValueError(f"size must be at least 1: {n}")
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
         weight_list = [w.strip() for w in weights.split(",") if w.strip()]
         for f in fams:
@@ -224,11 +231,13 @@ def bench(families, sizes, instances, seed_base, algos, weights, out):
             if w not in WEIGHT_KINDS:
                 raise ValueError(f"unknown weight {w!r}")
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-
-    with open(out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
+        _fail(e)
+    try:
+        stream = open(out, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        _fail(e)
+    with stream:
+        writer = csv.writer(stream)
         writer.writerow(("family", "n", "seed", "algo", "weight") + STATS_COLUMNS)
         for family in fams:
             for n in ns:

@@ -2,17 +2,15 @@
 
 Also houses the predecessor index (who can see whom in one step) and the
 signature evaluator used by the refinement algorithms.  The evaluator
-pre-compiles each state's value: for rigid functors (no powerset or
+walks each state's value once, recording its successor refs, from which
+the predecessor index is built.  For rigid functors (no powerset or
 distribution layer) a state's signature is a flat tuple of a shape id and
-block labels, otherwise a small prepared tree is interpreted with constant
-subtrees folded away.  The same walk records each state's successor refs,
-from which the predecessor index is built.
+block labels; otherwise it is :func:`values.signature_of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .functors import FunctorExpr, is_rigid, parse_functor, render_functor
@@ -26,6 +24,7 @@ from .values import (
     SetVal,
     StateRef,
     TupleVal,
+    signature_of,
     validate_value,
     value_from_obj,
     value_to_obj,
@@ -95,83 +94,25 @@ def build_pred_index(ev: SignatureEvaluator) -> PredIndex:
 
 # -- signature evaluation -------------------------------------------------------
 
-_CONST, _REF, _TUP, _INJ, _SET, _DIST = range(6)
 
-
-def _prepare(v: FValue, refs: list[int]):
-    """Compile a value into (has_refs, node); constant subtrees are folded.
-
-    Every state reference met on the way is appended to ``refs``.
-    """
-    if isinstance(v, StateRef):
-        refs.append(v.index)
-        return True, (_REF, v.index)
-    if isinstance(v, Label):
-        return False, (_CONST, v.name)
-    if isinstance(v, TupleVal):
-        parts = [_prepare(i, refs) for i in v.items]
-        if any(h for h, _ in parts):
-            return True, (_TUP, tuple(n for _, n in parts))
-        return False, (_CONST, tuple(n[1] for _, n in parts))
-    if isinstance(v, InjVal):
-        h, n = _prepare(v.value, refs)
-        if h:
-            return True, (_INJ, (v.tag, n))
-        return False, (_CONST, (v.tag, n[1]))
-    if isinstance(v, FunVal):
-        parts = [_prepare(x, refs) for _, x in v.entries]
-        if any(h for h, _ in parts):
-            return True, (_TUP, tuple(n for _, n in parts))
-        return False, (_CONST, tuple(n[1] for _, n in parts))
-    if isinstance(v, SetVal):
-        parts = [_prepare(m, refs) for m in v.members]
-        if any(h for h, _ in parts):
-            return True, (_SET, tuple(n for _, n in parts))
-        return False, (_CONST, tuple(sorted({n[1] for _, n in parts})))
-    if isinstance(v, DistVal):
-        parts = [(_prepare(x, refs), p) for x, p in v.entries]
-        if any(h for (h, _), _ in parts):
-            return True, (_DIST, tuple((n, p) for (_, n), p in parts))
-        acc: dict = {}
-        for (_, n), p in parts:
-            acc[n[1]] = acc.get(n[1], Fraction(0)) + p
-        return False, (_CONST, tuple(sorted(acc.items())))
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _eval_node(node, block_of):
-    tag, payload = node
-    if tag == _CONST:
-        return payload
-    if tag == _REF:
-        return block_of[payload]
-    if tag == _TUP:
-        return tuple(_eval_node(c, block_of) for c in payload)
-    if tag == _INJ:
-        return (payload[0], _eval_node(payload[1], block_of))
-    if tag == _SET:
-        return tuple(sorted({_eval_node(c, block_of) for c in payload}))
-    acc: dict = {}
-    for c, p in payload:
-        s = _eval_node(c, block_of)
-        acc[s] = acc.get(s, Fraction(0)) + p
-    return tuple(sorted(acc.items()))
-
-
-def _rigid_skeleton(v: FValue, refs: list[int]):
-    """Shape of a rigid value with state positions blanked, refs in order."""
+def _skeleton(v: FValue, refs: list[int]):
+    """Shape of a value with state positions blanked; refs appended in order."""
     if isinstance(v, StateRef):
         refs.append(v.index)
         return ("@",)
     if isinstance(v, Label):
         return v.name
     if isinstance(v, TupleVal):
-        return tuple(_rigid_skeleton(i, refs) for i in v.items)
+        return tuple(_skeleton(i, refs) for i in v.items)
     if isinstance(v, InjVal):
-        return (v.tag, _rigid_skeleton(v.value, refs))
+        return (v.tag, _skeleton(v.value, refs))
     if isinstance(v, FunVal):
-        return tuple(_rigid_skeleton(x, refs) for _, x in v.entries)
-    raise TypeError(f"value {v!r} is not rigid")
+        return tuple(_skeleton(x, refs) for _, x in v.entries)
+    if isinstance(v, SetVal):
+        return tuple(_skeleton(m, refs) for m in v.members)
+    if isinstance(v, DistVal):
+        return tuple((_skeleton(x, refs), p) for x, p in v.entries)
+    raise TypeError(f"not a value: {v!r}")
 
 
 class SignatureEvaluator:
@@ -184,34 +125,26 @@ class SignatureEvaluator:
     value, in value order, repeats kept.
     """
 
-    __slots__ = ("n_states", "refs", "_mode", "_skel", "_prep")
+    __slots__ = ("n_states", "refs", "_skel", "_values")
 
     def __init__(self, coalg: Coalgebra):
         self.n_states = coalg.n_states
         self.refs = []
-        if is_rigid(coalg.functor):
-            self._mode = "rigid"
-            intern: dict = {}
-            self._skel = []
-            for v in coalg.values:
-                refs: list[int] = []
-                sk = _rigid_skeleton(v, refs)
+        rigid = is_rigid(coalg.functor)
+        intern: dict = {}
+        self._skel = [] if rigid else None
+        self._values = None if rigid else coalg.values
+        for v in coalg.values:
+            refs: list[int] = []
+            sk = _skeleton(v, refs)
+            if rigid:
                 self._skel.append(intern.setdefault(sk, len(intern)))
-                self.refs.append(tuple(refs))
-            self._prep = None
-        else:
-            self._mode = "general"
-            self._prep = []
-            for v in coalg.values:
-                refs = []
-                self._prep.append(_prepare(v, refs)[1])
-                self.refs.append(tuple(refs))
-            self._skel = None
+            self.refs.append(tuple(refs))
 
     def signature(self, x: int, block_of):
-        if self._mode == "rigid":
+        if self._skel is not None:
             return (self._skel[x], *map(block_of.__getitem__, self.refs[x]))
-        return _eval_node(self._prep[x], block_of)
+        return signature_of(self._values[x], block_of)
 
 
 # -- JSON ------------------------------------------------------------------------

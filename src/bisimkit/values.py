@@ -238,36 +238,30 @@ def validate_value(expr: FunctorExpr, v: FValue, n_states: int) -> None:
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def signature_of(expr: FunctorExpr, v: FValue, block_of) -> object:
+def signature_of(v: FValue, block_of) -> object:
     """Canonical form of ``v`` with each state replaced by its block label.
 
     ``block_of`` maps state index -> block label (any sortable, hashable
     value); a sequence indexed by state works.  Signatures are nested tuples:
     equal signatures mean the two values are indistinguishable by one
-    observation step under the given block structure.  ``expr`` documents the
-    intended shape; the computation is value-directed.
+    observation step under the given block structure.
     """
-    del expr
-    return _sig(v, block_of)
-
-
-def _sig(v: FValue, block_of):
     if isinstance(v, StateRef):
         return block_of[v.index]
     if isinstance(v, Label):
         return v.name
     if isinstance(v, TupleVal):
-        return tuple(_sig(i, block_of) for i in v.items)
+        return tuple(signature_of(i, block_of) for i in v.items)
     if isinstance(v, InjVal):
-        return (v.tag, _sig(v.value, block_of))
+        return (v.tag, signature_of(v.value, block_of))
     if isinstance(v, FunVal):
-        return tuple(_sig(x, block_of) for _, x in v.entries)
+        return tuple(signature_of(x, block_of) for _, x in v.entries)
     if isinstance(v, SetVal):
-        return tuple(sorted({_sig(m, block_of) for m in v.members}))
+        return tuple(sorted({signature_of(m, block_of) for m in v.members}))
     if isinstance(v, DistVal):
         acc: dict = {}
         for x, p in v.entries:
-            s = _sig(x, block_of)
+            s = signature_of(x, block_of)
             acc[s] = acc.get(s, Fraction(0)) + p
         return tuple(sorted(acc.items()))
     raise TypeError(f"not a value: {v!r}")
@@ -326,7 +320,7 @@ def value_to_obj(v: FValue):
 
 
 def _parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise InvalidValueError(f"probability must be a 'num/den' string, got {text!r}")

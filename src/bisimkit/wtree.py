@@ -117,25 +117,20 @@ def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
             f"weight assignment covers {len(w)} nodes, tree has {tree.node_count}"
         )
     for v, x in enumerate(w):
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise MalformedTreeError(f"weight of node {v} is not a natural number: {x!r}")
 
 
 def validate_weight(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
     """Check the weight law (children sum <= parent) and tightness (equality)."""
     _check_weights_shape(tree, w)
-    valid = True
-    tight = True
-    for v in range(tree.node_count):
-        ch = tree.children[v]
-        if not ch:
-            continue
-        s = sum(w[u] for u in ch)
-        if s > w[v]:
-            valid = False
-        if s != w[v]:
-            tight = False
-    return WeightCheck(valid, valid and tight)
+    return _weight_law(tree, w)
+
+
+def _weight_law(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
+    sums = [(sum(w[u] for u in ch), w[v]) for v, ch in enumerate(tree.children) if ch]
+    valid = all(s <= x for s, x in sums)
+    return WeightCheck(valid, valid and all(s == x for s, x in sums))
 
 
 def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
@@ -144,17 +139,12 @@ def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
     Ties go to the smallest child position so runs are reproducible.
     """
     _check_weights_shape(tree, w)
-    h: dict[int, int] = {}
-    for v in range(tree.node_count):
-        ch = tree.children[v]
-        if not ch:
-            continue
-        best = ch[0]
-        for u in ch[1:]:
-            if w[u] > w[best]:
-                best = u
-        h[v] = best
-    return h
+    return _choose_heavy(tree, w)
+
+
+def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
+    # max keeps the first of equal weights, the smallest child position
+    return {v: max(ch, key=w.__getitem__) for v, ch in enumerate(tree.children) if ch}
 
 
 def _check_hcc(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> None:
@@ -176,14 +166,15 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int
     valid as a heavy-child choice.
     """
     _check_weights_shape(tree, w)
+    return _tighten(tree, w, h)
+
+
+def _tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int]:
     out = list(w)
     for v in tree._order:
         ch = tree.children[v]
-        if not ch:
-            continue
-        hv = h[v]
-        light_total = sum(w[u] for u in ch if u != hv)
-        out[hv] = out[v] - light_total
+        if ch:
+            out[h[v]] = out[v] - sum(w[u] for u in ch if u != h[v])
     return out
 
 
@@ -206,22 +197,24 @@ def _path_counts(tree: WeightedTree, kept: set[int]) -> list[int]:
     return counts
 
 
-def _edge_sums(tree: WeightedTree, w: Sequence[int], kept: set[int]) -> tuple[int, int]:
-    """Child weights over edges outside ``kept``, and the sum over leaves of
-    (root-path edges outside ``kept``) * leaf weight."""
-    counts = _path_counts(tree, kept)
-    lhs = sum(w[u] for u in tree._order[1:] if u not in kept)
-    return lhs, sum(counts[l] * w[l] for l in tree._leaves)
+def _outside_sum(tree: WeightedTree, w: Sequence[int], kept: set[int]) -> int:
+    """Child weights summed over the edges outside ``kept``."""
+    return sum(w[u] for u in tree._order[1:] if u not in kept)
+
+
+def _leaf_sum(tree: WeightedTree, w: Sequence[int], counts: Sequence[int]) -> int:
+    """Sum over leaves of ``counts[leaf]`` * leaf weight."""
+    return sum(counts[l] * w[l] for l in tree._leaves)
 
 
 def light_child_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
     """Total weight of all light children, summed over every internal node."""
-    return _edge_sums(tree, w, _heavy_children(tree, h))[0]
+    return _outside_sum(tree, w, _heavy_children(tree, h))
 
 
 def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
-    return _edge_sums(tree, w, _heavy_children(tree, h))[1]
+    return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(tree, h)))
 
 
 def general_edge_sum(
@@ -240,7 +233,7 @@ def general_edge_sum(
         if not (0 <= c < tree.node_count and c != p and tree.parent[c] == p):
             raise MalformedTreeError(f"edge {(p, c)} not in tree")
         kept.add(c)
-    return _edge_sums(tree, w, kept)
+    return _outside_sum(tree, w, kept), _leaf_sum(tree, w, _path_counts(tree, kept))
 
 
 def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> bool:
@@ -249,7 +242,10 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, 
     Equivalent to the log form  |lpath(r,v)| <= log2 w(r) - log2 w(v),
     but decided exactly in integers.
     """
-    depths = _path_counts(tree, _heavy_children(tree, h))
+    return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(tree, h)))
+
+
+def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int]) -> bool:
     wr = w[tree.root]
     return all(w[v] == 0 or (w[v] << depths[v]) <= wr for v in range(tree.node_count))
 
@@ -338,7 +334,10 @@ def hopcroft_bound_check(
     The verdict comes from an exact integer comparison; ``bound_float`` is
     reported for diagnostics only.
     """
-    lhs = light_child_sum(tree, w, h)
+    return _hopcroft_bound(tree, w, light_child_sum(tree, w, h))
+
+
+def _hopcroft_bound(tree: WeightedTree, w: Sequence[int], lhs: int) -> BoundCheck:
     leaf_ws = [w[l] for l in tree._leaves if w[l] != 0]
     wr = w[tree.root]
     ok = _product_log_le(lhs, leaf_ws, wr)
@@ -390,18 +389,20 @@ def audit_tree(
     valid, tight = validate_weight(tree, w)
     if not valid:
         return AuditReport(valid=False, tight=False)
-    h = choose_heavy(tree, w) if heavy is None else dict(heavy)
+    h = _choose_heavy(tree, w) if heavy is None else dict(heavy)
     _check_hcc(tree, w, h)
 
-    heavy_edges = _heavy_children(tree, h)
-    sums = [_edge_sums(tree, w, s) for s in (set(), heavy_edges, set(tree._order[1:]))]
+    # path counts depend on the tree and the edge set only, not on weights
+    kept_sets = (set(), _heavy_children(tree, h), set(tree._order[1:]))
+    counts = [_path_counts(tree, s) for s in kept_sets]
+    sums = [(_outside_sum(tree, w, s), _leaf_sum(tree, w, c)) for s, c in zip(kept_sets, counts)]
     lemma1_ok = all(lhs >= rhs and (not tight or lhs == rhs) for lhs, rhs in sums)
     light_sum, lpath_sum = sums[1]
     lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)
 
-    w2 = tighten(tree, w, h)
+    w2 = _tighten(tree, w, h)
     lemma3_ok = (
-        validate_weight(tree, w2) == WeightCheck(True, True)
+        _weight_law(tree, w2) == WeightCheck(True, True)
         and w2[tree.root] == w[tree.root]
         and all(w2[v] >= w[v] for v in range(tree.node_count))
     )
@@ -412,12 +413,11 @@ def audit_tree(
             lemma3_ok = False
         else:
             # after tightening, the inequality closes to an equality
-            light2, lpath2 = _edge_sums(tree, w2, heavy_edges)
-            lemma3_ok = light2 == lpath2
+            lemma3_ok = _outside_sum(tree, w2, kept_sets[1]) == _leaf_sum(tree, w2, counts[1])
 
-    lemma4_ok = lpath_length_bound_check(tree, w, h)
+    lemma4_ok = _lpath_lengths_ok(tree, w, counts[1])
 
-    ok, lhs, bound_float = hopcroft_bound_check(tree, w, h)
+    ok, lhs, bound_float = _hopcroft_bound(tree, w, light_sum)
     margin = FLOAT_BOUND_RELTOL * max(1.0, abs(bound_float))
     theorem1_ok = ok and lhs <= bound_float + margin
 

@@ -165,6 +165,7 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
 @pytest.mark.parametrize("doc, code", [
     ('{"parent":[0,0,0],"w":[2,1,"x"]}', 2),  # weight not a number
     ('{"parent":[0,0,0],"w":[2,1,-1]}', 2),  # weight negative
+    ('{"parent":[0,0,0],"w":[2,true,true]}', 2),  # booleans are not numbers
     ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[7,null,null]}', 2),  # no node 7
     ('{"parent":[0,0,0],"w":[2,1,1],"heavy":["a",null,null]}', 2),
     ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[null,null,null]}', 1),  # root has none
@@ -177,6 +178,23 @@ def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     p.write_text(doc, encoding="utf-8")
     res = run_cli("audit-tree", str(p))
     assert res.returncode == code, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["minimize", "{in}", "--out", "{missing}/p.json"],
+    ["minimize", "{in}", "--stats", "--stats-out", "{missing}/s.json"],
+    ["minimize", "{in}", "--audit", "--tree-out", "{missing}/t.json"],
+    ["gen", "--family", "mc", "--states", "3", "--out", "{missing}/g.json"],
+    ["bench", "--families", "mc", "--sizes", "3", "--instances", "1",
+     "--out", "{missing}/b.csv"],
+    ["bench", "--sizes", "0", "--out", "{tmp}/b.csv"],
+])
+def test_unwritable_output_or_bad_size_exit_2(tmp_path, args):
+    fields = {"in": coalg_file(tmp_path), "missing": tmp_path / "missing", "tmp": tmp_path}
+    res = run_cli(*(a.format(**fields) for a in args))
+    assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stdout + res.stderr
 

@@ -1,6 +1,7 @@
 """Coalgebra construction, predecessor index, signature evaluator."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +12,21 @@ from bisimkit.coalgebra import (
     coalgebra_from_obj,
     coalgebra_to_obj,
 )
-from bisimkit.functors import parse_functor
+from bisimkit.functors import (
+    ConstSet,
+    Coproduct,
+    Exponent,
+    Identity,
+    Powerset,
+    Product,
+    parse_functor,
+)
 from bisimkit.gen import GenSpec, generate
+from bisimkit.oracle import _lifted_related
 from bisimkit.values import (
     DistVal,
     FunVal,
+    InjVal,
     InvalidValueError,
     Label,
     SetVal,
@@ -148,9 +159,7 @@ def test_evaluator_fast_path_matches_generic(seed=17):
         for x in range(c.n_states):
             for y in range(c.n_states):
                 fast_eq = ev.signature(x, blocks) == ev.signature(y, blocks)
-                slow_eq = signature_of(c.functor, c.values[x], blocks) == signature_of(
-                    c.functor, c.values[y], blocks
-                )
+                slow_eq = signature_of(c.values[x], blocks) == signature_of(c.values[y], blocks)
                 assert fast_eq == slow_eq
 
 
@@ -161,4 +170,53 @@ def test_evaluator_general_path_matches_signature_of(seed=23):
         ev = SignatureEvaluator(c)
         blocks = [rng.randrange(3) for _ in range(c.n_states)]
         for x in range(c.n_states):
-            assert ev.signature(x, blocks) == signature_of(c.functor, c.values[x], blocks)
+            assert ev.signature(x, blocks) == signature_of(c.values[x], blocks)
+
+
+def random_value(expr, rng, n):
+    """A random value of ``expr`` over n states, drawn from small domains so
+    that equal observations are common."""
+    if isinstance(expr, Identity):
+        return StateRef(rng.randrange(n))
+    if isinstance(expr, ConstSet):
+        return Label(rng.choice(expr.labels))
+    if isinstance(expr, Product):
+        return TupleVal(tuple(random_value(f, rng, n) for f in expr.factors))
+    if isinstance(expr, Coproduct):
+        tag = rng.randrange(len(expr.summands))
+        return InjVal(tag, random_value(expr.summands[tag], rng, n))
+    if isinstance(expr, Exponent):
+        return FunVal(tuple((a, random_value(expr.base, rng, n)) for a in expr.labels))
+    if isinstance(expr, Powerset):
+        return SetVal(tuple(random_value(expr.inner, rng, n) for _ in range(rng.randrange(3))))
+    # a distribution: four quarters split among one to three entries
+    cuts = sorted(rng.sample(range(1, 4), rng.randrange(3)))
+    shares = [b - a for a, b in zip([0] + cuts, cuts + [4])]
+    return DistVal(tuple((random_value(expr.inner, rng, n), Fraction(q, 4)) for q in shares))
+
+
+@pytest.mark.parametrize("functor", [
+    "{0,1} * P ({a,b} * D (X + {stop}))",
+    "(X ^ {a}) + P X",
+    "D (X + {stop})",
+    "P D X",
+    "P ((X * X) + {z})",
+    "X + {stop}",
+])
+def test_evaluator_key_equality_matches_oracle_relatedness(functor, seed=41):
+    # the oracle decides one-step relatedness by direct matching, with no
+    # canonical form, so it checks both evaluator modes independently
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(8):
+        c = Coalgebra.make(expr, [random_value(expr, rng, 8) for _ in range(8)])
+        ev = SignatureEvaluator(c)
+        for _ in range(4):
+            blocks = [rng.randrange(3) for _ in range(c.n_states)]
+            for x in range(c.n_states):
+                for y in range(c.n_states):
+                    same = ev.signature(x, blocks) == ev.signature(y, blocks)
+                    assert same == _lifted_related(c.values[x], c.values[y], blocks)
+                    verdicts.add(same)
+    assert verdicts == {True, False}

@@ -191,7 +191,7 @@ def test_output_partition_is_a_signature_fixpoint():
     for fam in ("dfa", "lts", "mc"):
         c = generate(GenSpec(fam, 24, seed=31))
         part = refine_hopcroft(c, "card").partition
-        sigs = [signature_of(c.functor, c.values[x], part.block_of) for x in range(24)]
+        sigs = [signature_of(c.values[x], part.block_of) for x in range(24)]
         for x in range(24):
             for y in range(24):
                 same_block = part.block_of[x] == part.block_of[y]

@@ -115,23 +115,23 @@ def test_validate_injection():
 def test_signature_powerset_dedupes_blocks():
     blocks = {1: 0, 2: 0, 4: 2}
     v = SetVal((StateRef(1), StateRef(2), StateRef(4)))
-    assert signature_of(PX, v, blocks) == (0, 2)
+    assert signature_of(v, blocks) == (0, 2)
 
 
 def test_signature_distribution_merges_blocks():
     blocks = {1: 0, 2: 0, 4: 2}
     v = dist((1, "1/2"), (2, "1/4"), (4, "1/4"))
-    assert signature_of(DX, v, blocks) == ((0, Fraction(3, 4)), (2, Fraction(1, 4)))
+    assert signature_of(v, blocks) == ((0, Fraction(3, 4)), (2, Fraction(1, 4)))
 
 
 def test_signature_dfa_same_block_successors():
     blocks = [0, 1, 1]
     a = dfa_val("1", 1, 2)
     b = dfa_val("1", 2, 1)
-    assert signature_of(DFA, a, blocks) == ("1", (1, 1))
-    assert signature_of(DFA, a, blocks) == signature_of(DFA, b, blocks)
+    assert signature_of(a, blocks) == ("1", (1, 1))
+    assert signature_of(a, blocks) == signature_of(b, blocks)
     c = dfa_val("0", 1, 2)
-    assert signature_of(DFA, c, blocks) != signature_of(DFA, a, blocks)
+    assert signature_of(c, blocks) != signature_of(a, blocks)
 
 
 def test_signature_verdicts_survive_block_renaming():
@@ -142,8 +142,8 @@ def test_signature_verdicts_survive_block_renaming():
     b2 = [7, 7, 3]  # same kernel, different names
     for x in vs:
         for y in vs:
-            eq1 = signature_of(DFA, x, b1) == signature_of(DFA, y, b1)
-            eq2 = signature_of(DFA, x, b2) == signature_of(DFA, y, b2)
+            eq1 = signature_of(x, b1) == signature_of(y, b1)
+            eq2 = signature_of(x, b2) == signature_of(y, b2)
             assert eq1 == eq2
 
 
@@ -153,8 +153,8 @@ def test_signature_refinement_never_merges():
     vs = [SetVal((StateRef(0),)), SetVal((StateRef(1),)), SetVal((StateRef(0), StateRef(2)))]
     for x in vs:
         for y in vs:
-            if signature_of(PX, x, fine) == signature_of(PX, y, fine):
-                assert signature_of(PX, x, coarse) == signature_of(PX, y, coarse)
+            if signature_of(x, fine) == signature_of(y, fine):
+                assert signature_of(x, coarse) == signature_of(y, coarse)
 
 
 def test_signature_pure_distribution_all_equal():
@@ -162,15 +162,14 @@ def test_signature_pure_distribution_all_equal():
     one_block = [0, 0, 0]
     d1 = dist((0, "1/2"), (1, "1/2"))
     d2 = dist((2, 1))
-    assert signature_of(DX, d1, one_block) == signature_of(DX, d2, one_block)
+    assert signature_of(d1, one_block) == signature_of(d2, one_block)
 
 
 def test_constant_value_signature_is_block_independent():
     v = SetVal((TupleVal((Label("a"), StateRef(0))),))
     w = SetVal(())
-    f = parse_functor("P ({a} * X)")
-    assert signature_of(f, w, [0]) == signature_of(f, w, [99])
-    assert signature_of(f, v, [0]) != signature_of(f, v, [99])
+    assert signature_of(w, [0]) == signature_of(w, [99])
+    assert signature_of(v, [0]) != signature_of(v, [99])
 
 
 # -- JSON codec ------------------------------------------------------------------
@@ -213,6 +212,7 @@ def test_value_from_obj_rejects_junk():
     {"fun": [1, 2]},
     {"set": 3},
     {"dist": 5},
+    {"dist": [[{"x": 0}, True]]},
 ])
 def test_value_from_obj_rejects_malformed_fields(obj):
     with pytest.raises(InvalidValueError):
