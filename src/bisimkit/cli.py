@@ -1,4 +1,4 @@
-"""Command-line surface: minimize, compare, audit-tree, gen, bench.
+"""Command-line surface: minimize, compare, audit-tree, gen.
 
 Exit codes: 0 success, 1 semantic failure (kernel mismatch, audit
 failure), 2 configuration or parse errors.
@@ -6,8 +6,9 @@ failure), 2 configuration or parse errors.
 
 from __future__ import annotations
 
-import csv
+import json
 import sys
+from contextlib import ExitStack
 from typing import NoReturn
 
 import click
@@ -27,7 +28,7 @@ from .gen import FAMILIES, GenSpec, generate
 from .oracle import BRUTEFORCE_STATE_LIMIT, bisim_bruteforce, partitions_equal
 from .wtree import MalformedTreeError, WeightedTree, audit_tree
 
-# the run counters, then the wall time, in the order --stats and bench write them
+# the run counters, then the wall time, in the order --stats writes them
 STATS_COLUMNS = (
     "iterations", "splits", "dirty_markings", "markdirty_touches",
     "signatures_computed", "wall_ms",
@@ -51,13 +52,21 @@ def _load(path: str, fmt: str) -> Coalgebra:
         _fail(e)
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
+def _write_all(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text) pair in order, '-' meaning stdout.
+
+    Every path is opened, once, before any text is written, so a path that
+    cannot be opened exits 2 with nothing written.  Texts for one path
+    follow one another, as they do on stdout.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        with ExitStack() as stack:
+            streams = {"-": sys.stdout}
+            for path, _ in outputs:
+                if path not in streams:
+                    streams[path] = stack.enter_context(open(path, "w", encoding="utf-8"))
+            for path, text in outputs:
+                streams[path].write(text)
     except OSError as e:
         _fail(e)
 
@@ -107,21 +116,19 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         result = refine_naive(coalg)
     else:
         result = refine_hopcroft(coalg, weight or "card")
-    _write_text(out, partition_to_json(result.partition))
-
-    if want_stats:
-        import json as _json
-
-        text = _json.dumps(_stats_obj(result)) + "\n"
-        if stats_out:
-            _write_text(stats_out, text)
-        else:
-            sys.stderr.write(text)
+    outputs = [(out, partition_to_json(result.partition))]
+    stats_text = json.dumps(_stats_obj(result)) + "\n"
+    if want_stats and stats_out:
+        outputs.append((stats_out, stats_text))
+    if audit:
+        dest = tree_out or (out + ".tree.json" if out != "-" else "refinement-tree.json")
+        outputs.append((dest, tree_to_json(result.tree)))
+    _write_all(outputs)
+    if want_stats and not stats_out:
+        sys.stderr.write(stats_text)
 
     if audit:
         tree = result.tree
-        dest = tree_out or (out + ".tree.json" if out != "-" else "refinement-tree.json")
-        _write_text(dest, tree_to_json(tree))
         report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
         if not report.all_ok():
             _fail("refinement tree failed its audit", 1)
@@ -199,62 +206,7 @@ def gen_cmd(family, n_states, alphabet, branching, seed, out):
         coalg = generate(spec)
     except ValueError as e:
         _fail(e)
-    _write_text(out, dump_coalgebra(coalg))
-
-
-@main.command()
-@click.option("--families", default="dfa,nfa,lts,mc,mdp", show_default=True)
-@click.option("--sizes", default="10,20,50", show_default=True)
-@click.option("--instances", default=5, show_default=True,
-              help="Seeded instances per (family, size) cell.")
-@click.option("--seed-base", default=0, show_default=True, type=int)
-@click.option("--algos", default="naive,hopcroft", show_default=True)
-@click.option("--weights", default="card,pred,reach", show_default=True)
-@click.option("--out", required=True, help="CSV destination.")
-def bench(families, sizes, instances, seed_base, algos, weights, out):
-    """Run seeded sweeps and write one CSV row of counters per run."""
-    try:
-        fams = [f.strip() for f in families.split(",") if f.strip()]
-        ns = [int(s) for s in sizes.split(",") if s.strip()]
-        for n in ns:
-            if n < 1:
-                raise ValueError(f"size must be at least 1: {n}")
-        algo_list = [a.strip() for a in algos.split(",") if a.strip()]
-        weight_list = [w.strip() for w in weights.split(",") if w.strip()]
-        for f in fams:
-            if f not in FAMILIES:
-                raise ValueError(f"unknown family {f!r}")
-        for a in algo_list:
-            if a not in ("naive", "hopcroft"):
-                raise ValueError(f"unknown algorithm {a!r}")
-        for w in weight_list:
-            if w not in WEIGHT_KINDS:
-                raise ValueError(f"unknown weight {w!r}")
-    except ValueError as e:
-        _fail(e)
-    try:
-        stream = open(out, "w", encoding="utf-8", newline="")
-    except OSError as e:
-        _fail(e)
-    with stream:
-        writer = csv.writer(stream)
-        writer.writerow(("family", "n", "seed", "algo", "weight") + STATS_COLUMNS)
-        for family in fams:
-            for n in ns:
-                for i in range(instances):
-                    seed = seed_base + i
-                    coalg = generate(GenSpec(family, n, seed=seed))
-                    for algo in algo_list:
-                        if algo == "naive":
-                            cells = [("naive", "-", refine_naive(coalg))]
-                        else:
-                            cells = [
-                                ("hopcroft", w, refine_hopcroft(coalg, w))
-                                for w in weight_list
-                            ]
-                        for name, w, result in cells:
-                            writer.writerow([family, n, seed, name, w, *_stats_obj(result).values()])
-    click.echo(f"wrote {out}", err=True)
+    _write_all([(out, dump_coalgebra(coalg))])
 
 
 if __name__ == "__main__":

@@ -8,8 +8,19 @@ Input formats
               triples; becomes a labelled transition system
   mc-tsv      whitespace rows ``src dst num/den``; becomes a Markov chain
 
-Output documents are emitted in one canonical compact-JSON form so results
-are byte-for-byte reproducible.
+Output documents
+  partition   {"blocks": [[...], ...]}: sorted blocks, ordered by smallest
+              member
+  tree        {"parent": [...], "w": [...], "members": [...], "heavy": [...]}:
+              one entry per node of each array: the parent (the root is
+              its own), the weight, the sorted states of a leaf (null at
+              inner nodes) and the heavy child (null at leaves).  Reading a
+              tree takes ``parent``, ``w`` and ``heavy`` only, so documents
+              that list every node's ``states`` instead of ``members`` are
+              read the same way.
+
+Both are emitted in one canonical compact-JSON form so results are
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -118,11 +129,13 @@ def _load_dfa_text(stream: TextIO) -> Coalgebra:
         raise FormatError("state and letter counts must be positive", lineno)
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} state lines, found {len(lines) - 1}", lineno)
-    letters = default_letters(k)
-    values = []
+    # k comes from the header, so the lines must show it before it sizes anything
     for lineno, fields in lines[1:]:
         if len(fields) != k + 1:
             raise FormatError(f"expected accept bit and {k} successors", lineno)
+    letters = default_letters(k)
+    values = []
+    for lineno, fields in lines[1:]:
         if fields[0] not in ("0", "1"):
             raise FormatError(f"accept flag must be 0 or 1, got {fields[0]!r}", lineno)
         try:
@@ -205,6 +218,9 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
     if max_state < 0:
         raise FormatError("empty chain file")
     n = max_state + 1
+    # every state needs an outgoing row, so a large id must not size anything
+    if n > len(rows):
+        raise FormatError(f"{n} states but {len(rows)} rows: some state has no outgoing row")
     per_state: list[list] = [[] for _ in range(n)]
     for lineno, src, dst, prob in rows:
         per_state[src].append((StateRef(dst), prob))
@@ -250,34 +266,23 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def tree_to_json(tree: RefinementTree) -> str:
-    """The tree document; every node lists its states, ascending."""
+    """The tree document: per node its parent, weight, members and heavy child.
+
+    ``members`` holds each leaf's sorted states and null at inner nodes,
+    the mirror of ``heavy``'s null at leaves; an inner node's states are
+    the union of its leaves' members.
+    """
+    members: list = [None] * tree.node_count
+    for v, states in tree.leaf_members.items():
+        members[v] = states
     return _json_dumps(
         {
-            "parent": list(tree.parent),
-            "w": list(tree.weight),
-            "states": _node_states(tree),
-            "heavy": list(tree.heavy),
+            "parent": tree.parent,
+            "w": tree.weight,
+            "members": members,
+            "heavy": tree.heavy,
         }
     )
-
-
-def _node_states(tree: RefinementTree) -> list:
-    """Each node's sorted states, inner nodes derived from their children.
-
-    A child's id exceeds its parent's, so in reverse id order every node's
-    children are complete before the node itself is reached.
-    """
-    states: list = [None] * tree.node_count
-    below: list[list[int]] = [[] for _ in range(tree.node_count)]
-    for v in range(tree.node_count - 1, -1, -1):
-        members = tree.leaf_members.get(v)
-        if members is None:
-            members = below[v]
-            members.sort()
-        states[v] = members
-        if tree.parent[v] != v:
-            below[tree.parent[v]].extend(members)
-    return states
 
 
 def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[int, int]]]:

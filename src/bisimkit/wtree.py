@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import mpmath
-
 __all__ = [
     "MalformedTreeError",
     "WeightedTree",
@@ -283,45 +281,27 @@ def _products_equal(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
 def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
     """Exact verdict of  2^lhs * prod_{w in leaf_weights} w^w  <=  root_w^root_w.
 
-    ``leaf_weights`` must contain only nonzero entries.  Fast path is float64
-    with a rigorous error margin; ties fall back to an exact equality test on
-    prime exponents, then adaptive-precision logarithms, then full bignum
-    arithmetic.  Small instances are decided by bignum directly.
+    ``leaf_weights`` must contain only nonzero entries.  Small instances
+    are decided by bignum directly.  Otherwise float64 logarithms decide
+    when their difference clears a rigorous error margin; a near-tie goes to
+    an exact equality test on prime exponents, then to full bignum
+    arithmetic.
     """
     if root_w == 0:
         # weight law forces every weight to 0, so no nonzero leaves survive
         return lhs == 0 and not leaf_weights
-    if root_w <= _EXACT_DIRECT_WEIGHT and len(leaf_weights) + 1 <= _EXACT_DIRECT_NODES:
-        a = 1 << lhs
-        for x in leaf_weights:
-            a *= x**x
-        return a <= root_w**root_w
-
-    def diff_and_mag(log2):
-        pos = root_w * log2(root_w)
-        neg = lhs + sum(x * log2(x) for x in leaf_weights)
-        return pos - neg, pos + neg
-
-    d, mag = diff_and_mag(math.log2)
-    err = (len(leaf_weights) + 4) * float(mag) * 2.0**-50 + 1e-12
-    if d > err:
-        return True
-    if d < -err:
-        return False
-    if _products_equal(lhs, leaf_weights, root_w):
-        return True
-    prec = 100
-    while prec <= 6400:
-        with mpmath.workprec(prec):
-            d, mag = diff_and_mag(lambda x: mpmath.log(x, 2))
-            err = (len(leaf_weights) + 4) * mag * mpmath.mpf(2) ** (-prec + 8)
-            if abs(d) > err:
-                return d > 0
-        prec *= 2
-    a = 1 << lhs
-    for x in leaf_weights:
-        a *= x**x
-    return a <= root_w**root_w
+    if root_w > _EXACT_DIRECT_WEIGHT or len(leaf_weights) + 1 > _EXACT_DIRECT_NODES:
+        pos = root_w * math.log2(root_w)
+        neg = lhs + sum(x * math.log2(x) for x in leaf_weights)
+        d = pos - neg
+        err = (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12
+        if d > err:
+            return True
+        if d < -err:
+            return False
+        if _products_equal(lhs, leaf_weights, root_w):
+            return True
+    return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
 
 
 def hopcroft_bound_check(

@@ -1,13 +1,14 @@
 """Command-line behavior: subcommands, exit codes, output shapes."""
 
-import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from util import old_form_tree_document
 
 import bisimkit
 from bisimkit.cli import main
@@ -68,7 +69,7 @@ def test_minimize_audit_writes_tree(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     doc = json.loads(tree.read_text())
-    assert set(doc) == {"parent", "w", "states", "heavy"}
+    assert set(doc) == {"parent", "w", "members", "heavy"}
 
     res2 = runner.invoke(main, ["audit-tree", str(tree)])
     assert res2.exit_code == 0, res2.output
@@ -110,13 +111,37 @@ def test_minimize_audit_matches_audit_tree_on_written_file(runner, tmp_path):
         assert in_memory[3] == from_file[2]
 
 
-def run_cli(*args):
-    """The CLI in a child process, so a crash shows as it would to a user."""
+def test_audit_tree_reads_old_and_new_documents_alike(runner, tmp_path):
+    # the earlier document listed every node's states; audit-tree reads
+    # neither those nor the leaf members, so both forms audit the same
+    path = coalg_file(tmp_path, fam="lts", n=30, seed=3)
+    new = tmp_path / "new.tree.json"
+    res = runner.invoke(
+        main,
+        ["minimize", path, "--weight", "pred", "--out", str(tmp_path / "p.json"),
+         "--audit", "--tree-out", str(new)],
+    )
+    assert res.exit_code == 0, res.output
+    old = tmp_path / "old.tree.json"
+    old.write_text(old_form_tree_document(new.read_text()), encoding="utf-8")
+    res_old, res_new = (runner.invoke(main, ["audit-tree", str(p)]) for p in (old, new))
+    assert res_old.exit_code == res_new.exit_code == 0, (res_old.output, res_new.output)
+    assert res_old.output == res_new.output
+
+
+def run_cli(*args, limit_as=None):
+    """The CLI in a child process, so a crash shows as it would to a user;
+    ``limit_as`` caps the child's address space in bytes."""
     src = os.path.dirname(os.path.dirname(bisimkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
+
     return subprocess.run(
         [sys.executable, "-m", "bisimkit.cli", *args],
         capture_output=True, text=True, env=env,
+        preexec_fn=cap if limit_as else None,
     )
 
 
@@ -187,13 +212,27 @@ def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     ["minimize", "{in}", "--stats", "--stats-out", "{missing}/s.json"],
     ["minimize", "{in}", "--audit", "--tree-out", "{missing}/t.json"],
     ["gen", "--family", "mc", "--states", "3", "--out", "{missing}/g.json"],
-    ["bench", "--families", "mc", "--sizes", "3", "--instances", "1",
-     "--out", "{missing}/b.csv"],
-    ["bench", "--sizes", "0", "--out", "{tmp}/b.csv"],
 ])
 def test_unwritable_output_or_bad_size_exit_2(tmp_path, args):
-    fields = {"in": coalg_file(tmp_path), "missing": tmp_path / "missing", "tmp": tmp_path}
+    fields = {"in": coalg_file(tmp_path), "missing": tmp_path / "missing"}
     res = run_cli(*(a.format(**fields) for a in args))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    # every destination is opened before any is written, so the partition
+    # does not reach stdout ahead of the error
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name, text", [
+    ("big.dfa", "dfa 1 300000000\n1 0\n"),  # the letter count sizes the alphabet
+    ("big.tsv", "0 300000000 1\n"),  # the largest id sizes the state table
+])
+def test_loader_sizes_checked_before_allocating(tmp_path, name, text):
+    # under a 1 GB address-space limit either allocation fails outright
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    res = run_cli("minimize", str(p), limit_as=1 << 30)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stdout + res.stderr
@@ -247,25 +286,3 @@ def test_gen_roundtrips_through_minimize(runner, tmp_path):
 def test_gen_bad_family_exit_2(runner):
     res = runner.invoke(main, ["gen", "--family", "tape", "--states", "3"])
     assert res.exit_code == 2
-
-
-def test_bench_writes_fixed_columns(runner, tmp_path):
-    out = tmp_path / "bench.csv"
-    res = runner.invoke(
-        main,
-        [
-            "bench", "--families", "dfa,mc", "--sizes", "8,12", "--instances", "2",
-            "--out", str(out),
-        ],
-    )
-    assert res.exit_code == 0, res.output
-    with open(out, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == [
-        "family", "n", "seed", "algo", "weight", "iterations", "splits",
-        "dirty_markings", "markdirty_touches", "signatures_computed", "wall_ms",
-    ]
-    # 2 families x 2 sizes x 2 instances x (1 naive + 3 hopcroft) rows
-    assert len(rows) - 1 == 2 * 2 * 2 * 4
-    naive_rows = [r for r in rows[1:] if r[3] == "naive"]
-    assert all(r[4] == "-" for r in naive_rows)

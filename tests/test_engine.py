@@ -139,24 +139,24 @@ def test_pred_touches_equal_light_child_sum():
 def test_hopcroft_tree_structure():
     r = refine_hopcroft(chain3())
     t = r.tree
-    states = json.loads(tree_to_json(t))["states"]
+    members = json.loads(tree_to_json(t))["members"]
     shape = WeightedTree(t.parent)
     assert t.parent[0] == 0
-    assert states[0] == [0, 1, 2]
-    # leaves of the tree are exactly the final partition blocks
-    leaf_sets = sorted(states[v] for v in shape.leaves())
-    assert leaf_sets == [[0], [1], [2]]
+    # members are listed exactly at the leaves, and the leaves are exactly
+    # the final partition blocks
+    assert [v for v, m in enumerate(members) if m is not None] == shape.leaves()
+    assert sorted(members[v] for v in shape.leaves()) == [[0], [1], [2]]
     # the tree's leaf tuples are the partition's blocks, not copies
     leaves = sorted(t.leaf_members.values())
     assert [id(g) for g in leaves] == [id(g) for g in r.partition.blocks]
-    # children partition their parents
+    # every inner node has a heavy child, one of its heaviest children
     for v in range(t.node_count):
         ch = shape.children[v]
         if ch:
-            merged = sorted(x for u in ch for x in states[u])
-            assert merged == states[v]
             assert t.heavy[v] in ch
             assert t.weight[t.heavy[v]] == max(t.weight[u] for u in ch)
+        else:
+            assert t.heavy[v] is None
 
 
 def test_hopcroft_tree_keeps_no_per_split_states():
@@ -297,15 +297,25 @@ def _json_successors(c):
     return [walk(value_to_obj(v), set()) for v in c.values]
 
 
-def _node_states(r):
-    return json.loads(tree_to_json(r.tree))["states"]
+def _assert_node_weights(r, weigh):
+    """Each leaf weighs ``weigh`` of its members, and each inner node the sum
+    of its children: a split partitions a block and every weight is a sum
+    over states."""
+    doc = json.loads(tree_to_json(r.tree))
+    shape = WeightedTree(doc["parent"])
+    for v, members in enumerate(doc["members"]):
+        if members is None:
+            assert doc["w"][v] == sum(doc["w"][u] for u in shape.children[v]), v
+        else:
+            assert doc["w"][v] == weigh(members), v
+    assert doc["w"] == r.tree.weight
 
 
 def test_block_weight_card():
     c = generate(GenSpec("dfa", 30, seed=6))
     r = refine_hopcroft(c, "card")
     assert r.tree.node_count > 1
-    assert r.tree.weight == [len(s) for s in _node_states(r)]
+    _assert_node_weights(r, len)
 
 
 def test_block_weight_pred():
@@ -315,7 +325,7 @@ def test_block_weight_pred():
         succ = _json_successors(c)
         indeg = [sum(y in s for s in succ) for y in range(c.n_states)]
         r = refine_hopcroft(c, "pred")
-        assert r.tree.weight == [sum(indeg[x] for x in s) for s in _node_states(r)]
+        _assert_node_weights(r, lambda s: sum(indeg[x] for x in s))
 
 
 def test_block_weight_reach():
@@ -324,7 +334,7 @@ def test_block_weight_reach():
         c = generate(GenSpec(fam, 25, seed=6))
         reach = set().union(*_json_successors(c))
         r = refine_hopcroft(c, "reach")
-        assert r.tree.weight == [sum(x in reach for x in s) for s in _node_states(r)]
+        _assert_node_weights(r, lambda s: sum(x in reach for x in s))
 
 
 def test_zero_weight_children_under_pred():

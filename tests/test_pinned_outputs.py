@@ -3,7 +3,9 @@
 Each digest is the sha256 over the outputs of a few seeded instances of
 one family under one weight kind.  Any change to the engine or the output
 formats that alters a single byte of a partition or tree document, or a
-single counter, changes a digest here.
+single counter, changes a digest here.  The tree is pinned twice: as
+written, and rebuilt in the earlier form that listed every node's states,
+whose digests were recorded before the tree document went leaf-only.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from util import old_form_tree_document
 
 from bisimkit.coalgebra import Coalgebra
 from bisimkit.engine import refine_hopcroft
@@ -48,8 +51,8 @@ INSTANCES = {
     "lmc": lambda seed: labelled_mc(60, seed),
 }
 
-# (partition, tree, counters) digests, recorded before the refinement tree
-# stopped storing per-node states
+# (partition, old-form tree, counters) digests, recorded before the
+# refinement tree stopped storing per-node states
 PINNED = {
     ("chain", "card"): ("f8a96cafaed0819c", "ce264b9015807d28", "00093fe557cbe6c1"),
     ("chain", "pred"): ("f8a96cafaed0819c", "64626bdec1a6a712", "1a1004bfb247887a"),
@@ -66,17 +69,38 @@ PINNED = {
 }
 
 
+# digests of the tree documents as written: parent, w, leaf members, heavy
+PINNED_TREE = {
+    ("chain", "card"): "b20eaade15788c69",
+    ("chain", "pred"): "664ae634b820e529",
+    ("chain", "reach"): "e4c23196e1d5be5c",
+    ("dfa", "card"): "5ba0c4470bde6b36",
+    ("dfa", "pred"): "f6a612390b279d21",
+    ("dfa", "reach"): "6037d5a625cf330b",
+    ("lmc", "card"): "9349a45375f780e0",
+    ("lmc", "pred"): "c4e2ad7ae1efdc85",
+    ("lmc", "reach"): "e3a37c3fda92ea62",
+    ("lts", "card"): "683b8c4b2cc295f2",
+    ("lts", "pred"): "3baefd6cfc1cab3c",
+    ("lts", "reach"): "d8ec7b54e61aa81b",
+}
+
+
 def digests(family, weight):
-    part, tree, stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    part, old, stats, tree = (hashlib.sha256() for _ in range(4))
     for seed in SEEDS:
         r = refine_hopcroft(INSTANCES[family](seed), weight)
         part.update(partition_to_json(r.partition).encode())
-        tree.update(tree_to_json(r.tree).encode())
+        doc = tree_to_json(r.tree)
+        old.update(old_form_tree_document(doc).encode())
         stats.update(json.dumps([getattr(r.stats, k) for k in COUNTERS]).encode())
-    return part.hexdigest()[:16], tree.hexdigest()[:16], stats.hexdigest()[:16]
+        tree.update(doc.encode())
+    return tuple(h.hexdigest()[:16] for h in (part, old, stats, tree))
 
 
 @pytest.mark.parametrize("family", sorted(INSTANCES))
 @pytest.mark.parametrize("weight", ("card", "pred", "reach"))
 def test_outputs_match_pinned_digests(family, weight):
-    assert digests(family, weight) == PINNED[family, weight]
+    *pinned, tree = digests(family, weight)
+    assert tuple(pinned) == PINNED[family, weight]
+    assert tree == PINNED_TREE[family, weight]

@@ -6,6 +6,7 @@ import random
 import pytest
 from util import random_weighted_tree
 
+from bisimkit import wtree
 from bisimkit.wtree import (
     AuditReport,
     MalformedTreeError,
@@ -356,6 +357,37 @@ def test_bound_check_large_weights_fast():
         tree, w = random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6)
         h = choose_heavy(tree, w)
         assert hopcroft_bound_check(tree, w, h).ok is True
+
+
+# (light sum, leaf weights besides the ones, count of weight-1 leaves, root
+# weight, verdict): 2^lhs * prod w^w lies within the float margin of
+# root^root without equalling it.  Found by a search over random leaf
+# weights (random.Random(2024), 5000-30000 ones plus up to five leaves of
+# 2-49, root weight their sum plus 0-2, lhs the floor or ceiling of the
+# float bound).
+NEAR_TIES = [
+    (270651, [36, 14], 19002, 19053, True),
+    (437465, [46], 29433, 29481, True),
+    (392642, [41, 31], 26653, 26725, False),
+    (448124, [49, 48, 44, 34, 3], 29998, 30178, False),
+]
+
+
+@pytest.mark.parametrize("lhs, parts, ones, root_w, verdict", NEAR_TIES)
+def test_product_log_le_near_tie_matches_bignum(monkeypatch, lhs, parts, ones, root_w, verdict):
+    # the float margin must not decide these, so the prime-exponent test runs
+    # and finds the products unequal; the verdict must be the bignum one
+    leaves = parts + [1] * ones
+    real, seen = wtree._products_equal, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(wtree, "_products_equal", spy)
+    ok = wtree._product_log_le(lhs, leaves, root_w)
+    assert seen == [False]
+    assert ok == (math.prod(x**x for x in parts) << lhs <= root_w**root_w) == verdict
 
 
 # -- audit ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Shared test helpers: seeded random weighted trees."""
+"""Shared test helpers: seeded random weighted trees, old-form tree documents."""
+
+import json
 
 from bisimkit.wtree import WeightedTree, validate_weight
 
@@ -28,3 +30,23 @@ def random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6):
             budget -= part
     assert validate_weight(tree, w).valid
     return tree, w
+
+
+def old_form_tree_document(text):
+    """The tree document in its earlier form, rebuilt from the current one.
+
+    The earlier form listed every node's sorted ``states`` where the current
+    one lists ``members`` at leaves only.  A child's id exceeds its parent's,
+    so in reverse id order every node's children are complete before the
+    node itself is reached.
+    """
+    doc = json.loads(text)
+    parent, members = doc["parent"], doc["members"]
+    states = [None] * len(parent)
+    below = [[] for _ in parent]
+    for v in range(len(parent) - 1, -1, -1):
+        states[v] = members[v] if members[v] is not None else sorted(below[v])
+        if parent[v] != v:
+            below[parent[v]].extend(states[v])
+    old = {"parent": parent, "w": doc["w"], "states": states, "heavy": doc["heavy"]}
+    return json.dumps(old, separators=(",", ":")) + "\n"
