@@ -28,7 +28,8 @@ from .gen import FAMILIES, GenSpec, generate
 from .oracle import BRUTEFORCE_STATE_LIMIT, bisim_bruteforce, partitions_equal
 from .wtree import MalformedTreeError, WeightedTree, audit_tree
 
-# the run counters, then the wall time, in the order --stats writes them
+# the run counters, then the wall time, in the order --stats writes them;
+# the run's phase timings follow as one "phases" object
 STATS_COLUMNS = (
     "iterations", "splits", "dirty_markings", "markdirty_touches",
     "signatures_computed", "wall_ms",
@@ -74,7 +75,9 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
 def _stats_obj(result: RefineResult) -> dict:
     s = result.stats
     values = [getattr(s, k) for k in STATS_COLUMNS[:-1]] + [round(s.wall_time * 1000.0, 3)]
-    return dict(zip(STATS_COLUMNS, values))
+    obj = dict(zip(STATS_COLUMNS, values))
+    obj["phases"] = {k: round(v, 6) for k, v in s.phases.items()}
+    return obj
 
 
 def _audit(tree: WeightedTree, weights, heavy):
@@ -133,7 +136,8 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         if not report.all_ok():
             _fail("refinement tree failed its audit", 1)
         click.echo(
-            f"audit ok: light sum {report.light_sum} <= bound {report.bound_float:.4f}",
+            f"audit ok: light sum {report.light_sum} <= bound {report.bound_float:.4f} "
+            f"(margin {report.margin:.4f})",
             err=True,
         )
 
@@ -187,7 +191,8 @@ def audit_tree_cmd(tree_path):
     click.echo(f"light-path length bound: {'ok' if report.lemma4_ok else 'FAILED'}")
     click.echo(
         f"weight bound: {report.light_sum} <= {report.bound_float:.4f} "
-        f"(exact check {'ok' if report.bound_exact_ok else 'FAILED'})"
+        f"(exact check {'ok' if report.bound_exact_ok else 'FAILED'}) "
+        f"(margin {report.margin:.4f})"
     )
     sys.exit(0 if report.all_ok() else 1)
 

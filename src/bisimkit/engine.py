@@ -9,13 +9,20 @@ only predecessors of the *non-heavy* children are re-dirtied.  The heavy
 child is the one maximizing the selected block weight, which keeps the
 total re-dirtying work within the light-children weight budget certified
 by :mod:`bisimkit.wtree`.
+
+The leaves live in a :class:`RefinablePartition` (Valmari 2009): slices of
+one element array with a dirty prefix each, so marking a state is a swap
+and a split is a cut.  The heavy child keeps its parent's leaf id and what
+remains of its slice; only light children's states are relabelled.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .coalgebra import Coalgebra, PredIndex, SignatureEvaluator, build_pred_index
@@ -29,6 +36,7 @@ __all__ = [
     "RefinementTree",
     "RunStats",
     "RefineResult",
+    "RefinablePartition",
     "split_leaf",
     "mark_dirty",
     "refine_naive",
@@ -116,11 +124,12 @@ class RefinementTree:
     heavy: list[Optional[int]] = field(default_factory=list)
     leaf_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def add_node(self, parent: int, weight: int) -> int:
+    def add_children(self, parent: int, weights: Sequence[int]) -> int:
+        """Append one child of ``parent`` per weight; returns the first's id."""
         node = len(self.parent)
-        self.parent.append(parent if parent >= 0 else node)
-        self.weight.append(weight)
-        self.heavy.append(None)
+        self.parent.extend([parent] * len(weights))
+        self.weight.extend(weights)
+        self.heavy.extend([None] * len(weights))
         return node
 
     @property
@@ -133,7 +142,13 @@ class RefinementTree:
 
 @dataclass
 class RunStats:
-    """Counters exposed as part of a refinement result."""
+    """Counters exposed as part of a refinement result.
+
+    ``phases`` holds seconds per phase of the run, named after the layers
+    the benchmark times: ``coalgebra.evaluator_s`` and (hopcroft only)
+    ``coalgebra.pred_index_s`` compile, ``engine.main_loop_s`` refines,
+    ``engine.canonicalize_s`` builds the canonical partition.
+    """
 
     iterations: int = 0
     splits: int = 0
@@ -141,6 +156,7 @@ class RunStats:
     markdirty_touches: int = 0
     signatures_computed: int = 0
     wall_time: float = 0.0
+    phases: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -160,61 +176,146 @@ def _weight_vector(kind: str, pidx: PredIndex) -> list[int]:
     raise ConfigurationError(f"unknown weight kind {kind!r}")
 
 
+class RefinablePartition:
+    """Leaves as slices of one element array (Valmari's refinable partition).
+
+    Leaf ``b`` holds the states ``elems[first[b]:end[b]]``, and its dirty
+    states are the prefix ``elems[first[b]:mid[b]]``.  ``pos`` inverts
+    ``elems`` and ``leaf_of`` maps each state to its leaf.  A new partition
+    has one leaf, 0, holding every state, all of them dirty.
+    """
+
+    __slots__ = ("elems", "pos", "leaf_of", "first", "mid", "end")
+
+    def __init__(self, n: int):
+        self.elems = list(range(n))
+        self.pos = list(range(n))
+        self.leaf_of = [0] * n
+        self.first = [0]
+        self.mid = [n]
+        self.end = [n]
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.first)
+
+    def members(self, leaf: int) -> list[int]:
+        return self.elems[self.first[leaf]:self.end[leaf]]
+
+    def dirty(self, leaf: int) -> list[int]:
+        return self.elems[self.first[leaf]:self.mid[leaf]]
+
+    def add_leaf(self, start: int, stop: int) -> None:
+        """Make ``elems[start:stop]`` a new clean leaf and relabel its states."""
+        leaf = len(self.first)
+        self.first.append(start)
+        self.mid.append(start)
+        self.end.append(stop)
+        leaf_of = self.leaf_of
+        for x in self.elems[start:stop]:
+            leaf_of[x] = leaf
+
+    def check(self, dirty_sets: Mapping[int, set[int]]) -> None:
+        """Raise EngineInvariantError unless ``elems`` and ``pos`` are inverse,
+        the slices tile the array, each slice holds exactly its leaf's states
+        and each dirty prefix holds exactly ``dirty_sets[leaf]``."""
+        n = len(self.elems)
+        if sorted(self.elems) != list(range(n)) or any(
+            self.pos[x] != i for i, x in enumerate(self.elems)
+        ):
+            raise EngineInvariantError("elems and pos are not inverse permutations")
+        at = 0
+        for leaf in sorted(range(self.n_leaves), key=self.first.__getitem__):
+            lo, m, hi = self.first[leaf], self.mid[leaf], self.end[leaf]
+            if not (lo == at and lo <= m <= hi and lo < hi):
+                raise EngineInvariantError(f"leaf {leaf}'s slice does not tile the array")
+            at = hi
+            if any(self.leaf_of[x] != leaf for x in self.members(leaf)):
+                raise EngineInvariantError(f"leaf {leaf}'s slice holds another leaf's state")
+            if set(self.dirty(leaf)) != dirty_sets.get(leaf, set()):
+                raise EngineInvariantError(f"leaf {leaf}'s dirty prefix is not its dirty set")
+        if at != n:
+            raise EngineInvariantError("the slices do not cover the array")
+
+
 def split_leaf(
-    states: set[int],
-    dirty: set[int],
+    part: RefinablePartition,
+    leaf: int,
     ev: SignatureEvaluator,
-    block_of: Sequence[int],
 ) -> tuple[list[list[int]], int]:
     """Group a leaf's dirty states by signature against its clean mass.
 
-    ``dirty`` is a nonempty subset of ``states``.  Signatures are computed
-    for the dirty states plus one clean representative, if any; the dirty
-    states whose signature matches the representative's rejoin the clean
-    mass and are dropped.  Returns the remaining groups, ordered by smallest
-    member with members ascending, and the number of signatures computed.
-    The leaf splits into ``len(groups) + has_clean`` children, so fewer
-    than two means the trivial split.
+    The leaf's dirty prefix is consumed: the leaf is left clean.  Signatures
+    are computed for the dirty states plus one clean representative, if
+    any; the dirty states whose signature matches the representative's
+    rejoin the clean mass and are dropped.  The remaining groups, ordered by
+    smallest member with members ascending, are moved to the front of the
+    leaf's slice in that order, so the clean mass is the slice's tail.
+    Returns the groups and the number of signatures computed.  The leaf
+    splits into ``len(groups) + has_clean`` children, so fewer than two
+    means the trivial split.
     """
-    groups: dict = {}
-    for x in sorted(dirty):
-        groups.setdefault(ev.signature(x, block_of), []).append(x)
-    nsigs = len(dirty)
-    if len(dirty) < len(states):
-        rep = next(s for s in states if s not in dirty)
-        groups.pop(ev.signature(rep, block_of), None)
+    elems, pos, block_of = part.elems, part.pos, part.leaf_of
+    lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
+    part.mid[leaf] = lo
+    dirty = elems[lo:m]
+    dirty.sort()
+    signature = ev.signature
+    by_sig: dict = {}
+    for x in dirty:
+        by_sig.setdefault(signature(x, block_of), []).append(x)
+    nsigs = m - lo
+    rejoined: list[int] = []
+    if m < hi:
+        rejoined = by_sig.pop(signature(elems[m], block_of), rejoined)
         nsigs += 1
-    return sorted(groups.values(), key=lambda g: g[0]), nsigs
+    groups = sorted(by_sig.values(), key=itemgetter(0))
+    # rewrite the prefix: the groups in order, then the states that rejoined
+    order = [x for g in groups for x in g]
+    order += rejoined
+    elems[lo:m] = order
+    for p, x in enumerate(order, lo):
+        pos[x] = p
+    return groups, nsigs
 
 
 def mark_dirty(
     light: Sequence[Sequence[int]],
     pred_index: PredIndex,
-    leaf_of: Sequence[int],
-    dirty_sets: Mapping[int, set[int]],
-) -> tuple[list[tuple[int, int]], int]:
+    part: RefinablePartition,
+    worklist: deque,
+) -> tuple[int, int]:
     """Mark predecessors of the light children's states as dirty.
 
-    ``light`` holds each light child's members, ``leaf_of`` maps a state to
-    its current leaf id and ``dirty_sets`` holds each leaf's dirty states
-    (mutated in place).  Returns the markings actually performed (a state
-    already dirty is not re-marked) and the number of (successor,
+    ``light`` holds each light child's members.  Marking a clean state
+    swaps it into its leaf's dirty prefix; a leaf whose prefix was empty is
+    appended to ``worklist``.  Returns the number of markings performed (a
+    state already dirty is not re-marked) and the number of (successor,
     predecessor) pairs visited.
     """
     preds = pred_index.preds
-    markings: list[tuple[int, int]] = []
-    touches = 0
+    elems, pos, leaf_of = part.elems, part.pos, part.leaf_of
+    first, mid = part.first, part.mid
+    marked = touches = 0
     for members in light:
         for y in members:
             ps = preds[y]
             touches += len(ps)
             for x in ps:
                 leaf = leaf_of[x]
-                dset = dirty_sets[leaf]
-                if x not in dset:
-                    dset.add(x)
-                    markings.append((leaf, x))
-    return markings, touches
+                p = mid[leaf]
+                q = pos[x]
+                if q >= p:
+                    if p == first[leaf]:
+                        worklist.append(leaf)
+                    z = elems[p]
+                    elems[p] = x
+                    pos[x] = p
+                    elems[q] = z
+                    pos[z] = q
+                    mid[leaf] = p + 1
+                    marked += 1
+    return marked, touches
 
 
 def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineResult:
@@ -222,9 +323,10 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
     start = time.perf_counter()
     n = coalg.n_states
     ev = SignatureEvaluator(coalg)
+    stats = RunStats()
+    compiled = time.perf_counter()
     block_of: list[int] = [0] * n
     n_blocks = 1
-    stats = RunStats()
     while True:
         if snapshots is not None:
             snapshots.append(Partition.from_block_of(block_of))
@@ -244,8 +346,15 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
         stats.splits += sum(1 for parts in old_blocks.values() if len(parts) > 1)
         block_of = new_block_of
         n_blocks = len(groups)
+    looped = time.perf_counter()
     partition = Partition.from_block_of(block_of)
-    stats.wall_time = time.perf_counter() - start
+    finished = time.perf_counter()
+    stats.wall_time = finished - start
+    stats.phases = {
+        "coalgebra.evaluator_s": compiled - start,
+        "engine.main_loop_s": looped - compiled,
+        "engine.canonicalize_s": finished - looped,
+    }
     if snapshots is not None:
         snapshots.append(partition)
     return RefineResult(partition, stats)
@@ -261,107 +370,119 @@ def refine_hopcroft(
     Returns the same partition as :func:`refine_naive`, plus the refinement
     tree (weights under ``weight``, heavy children marked) and counters.
     When ``snapshots`` is a list, the leaf partition is appended at every
-    main-loop boundary.
+    main-loop boundary, after the leaf layout's invariants are checked
+    (:meth:`RefinablePartition.check`).
     """
     if weight not in WEIGHT_KINDS:
         raise ConfigurationError(f"unknown weight kind {weight!r}")
     start = time.perf_counter()
     n = coalg.n_states
     ev = SignatureEvaluator(coalg)
+    evaluated = time.perf_counter()
     pidx = build_pred_index(ev)
+    compiled = time.perf_counter()
     wvec = _weight_vector(weight, pidx)
-    stats = RunStats()
 
-    block_of: list[int] = [0] * n
-    leaf_states: dict[int, set[int]] = {0: set(range(n))}
-    leaf_min: dict[int, int] = {0: 0}
-    dirty: dict[int, set[int]] = {0: set(range(n))}
-    next_leaf = 1
+    part = RefinablePartition(n)
+    elems, pos, first, mid, end = part.elems, part.pos, part.first, part.mid, part.end
+    leaf_min = [0]
 
-    tree = RefinementTree()
-    tree.add_node(-1, sum(wvec))
-    node_of: dict[int, int] = {0: 0}
+    tree = RefinementTree([0], [sum(wvec)], [None])
+    node_of = [0]  # leaf id -> tree node
 
     queue: deque[int] = deque([0])
-    in_queue: set[int] = {0}
-
-    def snapshot():
-        if snapshots is not None:
-            snapshots.append(
-                Partition.from_blocks(
-                    (sorted(s) for s in leaf_states.values()), n
-                )
-            )
+    # with snapshots on, every leaf's dirty set is also kept as a set, built
+    # from the predecessor index apart from mark_dirty, as the reference the
+    # invariant check compares the prefixes with
+    dirty_sets = {0: set(range(n))} if snapshots is not None else None
+    iterations = splits = signatures = markings = touches = 0
 
     while queue:
         rho = queue.popleft()
-        in_queue.discard(rho)
-        drt = dirty[rho]
-        snapshot()
-        stats.iterations += 1
-        dirty[rho] = set()  # the leaf, or each child it splits into, starts clean
-        states = leaf_states[rho]
-        if len(states) == 1:
+        if dirty_sets is not None:
+            part.check(dirty_sets)
+            dirty_sets.pop(rho, None)
+            snapshots.append(
+                Partition.from_blocks(
+                    (sorted(part.members(b)) for b in range(part.n_leaves)), n
+                )
+            )
+        iterations += 1
+        lo, hi = first[rho], end[rho]
+        if hi - lo == 1:
+            mid[rho] = lo
             continue  # a singleton can never split
 
-        groups, nsigs = split_leaf(states, drt, ev, block_of)
-        stats.signatures_computed += nsigs
-        has_clean = len(drt) < len(states)
+        groups, nsigs = split_leaf(part, rho, ev)
+        signatures += nsigs
+        # the groups now open the slice; the clean mass is its tail
+        tail = lo + sum(map(len, groups))
+        has_clean = tail < hi
         if len(groups) + has_clean < 2:
             continue  # trivial split
-        stats.splits += 1
+        splits += 1
         parent_node = node_of[rho]
 
-        # children as (min, weight, members); the clean-mass child (all clean
-        # states plus the dirty ones matching the representative) is known
-        # only implicitly, members None, until materialized
-        children = [(g[0], sum(wvec[x] for x in g), g) for g in groups]
+        # children as (min, weight, slice start, members) in order of min; the
+        # clean mass's members are None until it is known to be light
+        children = []
+        at = lo
+        for g in groups:
+            children.append((g[0], sum(map(wvec.__getitem__, g)), at, g))
+            at += len(g)
         if has_clean:
-            moved = {x for g in groups for x in g}
-            implicit_min = leaf_min[rho]
-            if implicit_min in moved:
-                implicit_min = min(s for s in states if s not in moved)
-            implicit_weight = tree.weight[parent_node] - sum(c[1] for c in children)
-            children.append((implicit_min, implicit_weight, None))
-            children.sort(key=lambda c: c[0])
-        heavy_idx = max(range(len(children)), key=lambda i: children[i][1])
+            clean_min = leaf_min[rho]
+            if pos[clean_min] < tail:  # the least state left: scan the rest
+                clean_min = min(elems[tail:hi])
+            clean_weight = tree.weight[parent_node] - sum(c[1] for c in children)
+            insort(children, (clean_min, clean_weight, tail, None), key=itemgetter(0))
+        weights = [c[1] for c in children]
+        heavy = weights.index(max(weights))
+        node = tree.add_children(parent_node, weights)
+        tree.heavy[parent_node] = node + heavy
 
-        # the heavy child inherits rho's leaf id and what remains of its state
-        # set, so only light children's states get relabeled
+        # the heavy child inherits rho's leaf id and its part of the slice, so
+        # only light children's states get relabelled
         light = []
-        for i, (cmin, cweight, members) in enumerate(children):
-            node = tree.add_node(parent_node, cweight)
-            if i == heavy_idx:
-                tree.heavy[parent_node] = node
-                node_of[rho] = node
+        for i, (cmin, _, at, members) in enumerate(children):
+            stop = hi if members is None else at + len(members)
+            if i == heavy:
+                node_of[rho] = node + i
                 leaf_min[rho] = cmin
+                first[rho] = mid[rho] = at
+                end[rho] = stop
                 continue
             if members is None:
-                members = sorted(s for s in states if s not in moved)
-            lid = next_leaf
-            next_leaf += 1
-            node_of[lid] = node
-            for x in members:
-                block_of[x] = lid
-                states.discard(x)
-            leaf_states[lid] = set(members)
-            leaf_min[lid] = cmin
-            dirty[lid] = set()
+                members = sorted(elems[at:stop])
+            part.add_leaf(at, stop)
+            node_of.append(node + i)
+            leaf_min.append(cmin)
             light.append(members)
 
-        markings, touches = mark_dirty(light, pidx, block_of, dirty)
-        stats.markdirty_touches += touches
-        stats.dirty_markings += len(markings)
-        for leaf, _ in markings:
-            if leaf not in in_queue:
-                in_queue.add(leaf)
-                queue.append(leaf)
+        nm, nt = mark_dirty(light, pidx, part, queue)
+        markings += nm
+        touches += nt
+        if dirty_sets is not None:
+            for members in light:
+                for y in members:
+                    for x in pidx.preds[y]:
+                        dirty_sets.setdefault(part.leaf_of[x], set()).add(x)
 
+    looped = time.perf_counter()
+    stats = RunStats(iterations, splits, markings, touches, signatures)
     tree.leaf_members = {
-        node_of[leaf]: tuple(sorted(s)) for leaf, s in leaf_states.items()
+        node_of[leaf]: tuple(sorted(elems[first[leaf]:end[leaf]]))
+        for leaf in range(part.n_leaves)
     }
     partition = Partition.from_blocks(tree.leaf_members.values(), n)
-    stats.wall_time = time.perf_counter() - start
+    finished = time.perf_counter()
+    stats.wall_time = finished - start
+    stats.phases = {
+        "coalgebra.evaluator_s": evaluated - start,
+        "coalgebra.pred_index_s": compiled - evaluated,
+        "engine.main_loop_s": looped - compiled,
+        "engine.canonicalize_s": finished - looped,
+    }
     if snapshots is not None:
         snapshots.append(partition)
     return RefineResult(partition, stats, tree)

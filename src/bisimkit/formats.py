@@ -3,9 +3,11 @@
 Input formats
   coalg-json  {"functor": "...", "states": n, "c": [...]}  (native)
   dfa-text    header ``dfa n k``; one line per state: accept bit then k
-              successor ids, one per letter a, b, ...
+              successor ids, one per letter a, b, ...; loads into the
+              compiled rigid form, without building values
   aut         Aldebaran: ``des (first, m, n)`` then ``(src, "label", dst)``
-              triples; becomes a labelled transition system
+              triples; becomes a labelled transition system; at most
+              ``AUT_MAX_STATES`` states
   mc-tsv      whitespace rows ``src dst num/den``; becomes a Markov chain
 
 Output documents
@@ -30,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .coalgebra import Coalgebra, coalgebra_from_obj, coalgebra_to_obj
+from .coalgebra import Coalgebra, RigidForm, coalgebra_from_obj, coalgebra_to_obj
 from .engine import Partition, RefinementTree
 from .functors import (
     ConstSet,
@@ -44,7 +46,6 @@ from .functors import (
 )
 from .values import (
     DistVal,
-    FunVal,
     InvalidValueError,
     Label,
     SetVal,
@@ -55,6 +56,7 @@ from .wtree import WeightedTree
 
 __all__ = [
     "FORMATS",
+    "AUT_MAX_STATES",
     "FormatError",
     "detect_format",
     "load_coalgebra",
@@ -65,6 +67,12 @@ __all__ = [
 ]
 
 FORMATS = ("coalg-json", "dfa-text", "aut", "mc-tsv")
+
+# An .aut header may declare states that no transition mentions, so its
+# state count cannot be checked against the lines read; a count above this
+# cap is rejected before anything is sized by it.  Ten times the largest
+# input of the performance corpus, a 100k-state DFA.
+AUT_MAX_STATES = 1_000_000
 
 _EXTENSIONS = {
     ".json": "coalg-json",
@@ -133,22 +141,31 @@ def _load_dfa_text(stream: TextIO) -> Coalgebra:
     for lineno, fields in lines[1:]:
         if len(fields) != k + 1:
             raise FormatError(f"expected accept bit and {k} successors", lineno)
+    # each state compiles to an accept-bit shape and its successors taken in
+    # the value's letter order, which sorts the names (s26 before t)
     letters = default_letters(k)
-    values = []
+    order = sorted(range(k), key=letters.__getitem__)
+    in_order = order == list(range(k))
+    blanks = (("@",),) * k
+    bits: dict[str, int] = {}
+    shape: list[int] = []
+    refs: list[tuple[int, ...]] = []
     for lineno, fields in lines[1:]:
-        if fields[0] not in ("0", "1"):
-            raise FormatError(f"accept flag must be 0 or 1, got {fields[0]!r}", lineno)
+        bit = fields[0]
+        if bit not in ("0", "1"):
+            raise FormatError(f"accept flag must be 0 or 1, got {bit!r}", lineno)
         try:
-            succs = [int(f) for f in fields[1:]]
+            succs = tuple(map(int, fields[1:]))
         except ValueError:
             raise FormatError("successors must be integers", lineno) from None
-        for s in succs:
-            if not 0 <= s < n:
-                raise FormatError(f"successor {s} out of range", lineno)
-        fun = FunVal(tuple((a, StateRef(s)) for a, s in zip(letters, succs)))
-        values.append(TupleVal((Label(fields[0]), fun)))
+        if min(succs) < 0 or max(succs) >= n:
+            s = next(s for s in succs if not 0 <= s < n)
+            raise FormatError(f"successor {s} out of range", lineno)
+        shape.append(bits.setdefault(bit, len(bits)))
+        refs.append(succs if in_order else tuple(succs[i] for i in order))
     functor = Product((ConstSet(("0", "1")), Exponent(Identity(), letters)))
-    return Coalgebra.make(functor, values)
+    skeletons = tuple((bit, blanks) for bit in bits)
+    return Coalgebra.from_rigid(functor, RigidForm(shape, refs, skeletons))
 
 
 _AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
@@ -166,6 +183,8 @@ def _load_aut(stream: TextIO) -> Coalgebra:
     n_edges, n = int(m.group(2)), int(m.group(3))
     if n < 1:
         raise FormatError("state count must be positive", lineno)
+    if n > AUT_MAX_STATES:
+        raise FormatError(f"{n} states exceed the limit of {AUT_MAX_STATES}", lineno)
     if len(lines) - 1 != n_edges:
         raise FormatError(
             f"header promises {n_edges} transitions, found {len(lines) - 1}", lineno

@@ -346,6 +346,11 @@ class AuditReport:
     bound_exact_ok: bool = False
     bound_float: float = 0.0
 
+    @property
+    def margin(self) -> float:
+        """How far the light sum stays below the bound: bound minus light sum."""
+        return self.bound_float - self.light_sum
+
     def all_ok(self) -> bool:
         return (
             self.valid

@@ -84,6 +84,19 @@ def test_minimize_stats(runner, tmp_path):
     assert res.exit_code == 0
     stats = json.loads(stats_path.read_text())
     assert {"iterations", "splits", "signatures_computed"} <= set(stats)
+    phases = stats["phases"]
+    assert set(phases) == {"coalgebra.evaluator_s", "coalgebra.pred_index_s",
+                           "engine.main_loop_s", "engine.canonicalize_s"}
+    assert all(v >= 0 for v in phases.values())
+    assert sum(phases.values()) <= stats["wall_ms"] / 1000.0 + 1e-5
+
+
+def test_minimize_naive_stats_phases(runner, tmp_path):
+    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--algo", "naive", "--stats"])
+    assert res.exit_code == 0
+    stats = json.loads(res.stderr.strip().splitlines()[-1])
+    assert set(stats["phases"]) == {"coalgebra.evaluator_s", "engine.main_loop_s",
+                                    "engine.canonicalize_s"}
 
 
 def test_minimize_parse_error_exit_2(runner, tmp_path):
@@ -104,11 +117,15 @@ def test_minimize_audit_matches_audit_tree_on_written_file(runner, tmp_path):
         )
         res2 = runner.invoke(main, ["audit-tree", str(tree)])
         assert res.exit_code == res2.exit_code == 0, (res.output, res2.output)
-        # "audit ok: light sum S <= bound B" against "weight bound: S <= B (...)"
+        # "audit ok: light sum S <= bound B (margin M)" against
+        # "weight bound: S <= B (exact check ok) (margin M)"
         in_memory = res.stderr.split("light sum ")[1].split()
         from_file = res2.output.split("weight bound: ")[1].split()
         assert in_memory[0] == from_file[0]
         assert in_memory[3] == from_file[2]
+        assert in_memory[-2:] == from_file[-2:]
+        margin = float(in_memory[-1].rstrip(")"))
+        assert margin == pytest.approx(float(in_memory[3]) - int(in_memory[0]), abs=1e-3)
 
 
 def test_audit_tree_reads_old_and_new_documents_alike(runner, tmp_path):
@@ -227,6 +244,7 @@ def test_unwritable_output_or_bad_size_exit_2(tmp_path, args):
 @pytest.mark.parametrize("name, text", [
     ("big.dfa", "dfa 1 300000000\n1 0\n"),  # the letter count sizes the alphabet
     ("big.tsv", "0 300000000 1\n"),  # the largest id sizes the state table
+    ("big.aut", 'des (0, 1, 300000000)\n(0, "a", 1)\n'),  # the header sizes per-state lists
 ])
 def test_loader_sizes_checked_before_allocating(tmp_path, name, text):
     # under a 1 GB address-space limit either allocation fails outright

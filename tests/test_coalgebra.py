@@ -101,6 +101,28 @@ def _json_refs(value):
     return out
 
 
+def _ordered_json_refs(obj, out):
+    if isinstance(obj, dict):
+        if isinstance(obj.get("x"), int):
+            out.append(obj["x"])
+        for v in obj.values():
+            _ordered_json_refs(v, out)
+    elif isinstance(obj, list):
+        for v in obj:
+            _ordered_json_refs(v, out)
+    return out
+
+
+@pytest.mark.parametrize("fam", ["dfa", "nfa", "lts", "mc", "mdp", "chain"])
+def test_evaluator_refs_list_every_occurrence_in_value_order(fam):
+    # both modes: the compiled rigid form and the general walk over values
+    c = generate(GenSpec(fam, 40, seed=8))
+    ev = SignatureEvaluator(c)
+    assert ev.refs == [
+        tuple(_ordered_json_refs(value_to_obj(v), [])) for v in c.values
+    ]
+
+
 def test_pred_index_empty_set_has_no_refs():
     c = kripke([], [0])
     assert build_pred_index(SignatureEvaluator(c)).preds == ((1,), ())
@@ -220,3 +242,23 @@ def test_evaluator_key_equality_matches_oracle_relatedness(functor, seed=41):
                     assert same == _lifted_related(c.values[x], c.values[y], blocks)
                     verdicts.add(same)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("functor", [
+    "X + {stop}",
+    "(X * X) + {z}",
+    "{0,1} * (X ^ {a,b,c})",
+    "(X ^ {b,a}) * {p,q}",
+    "{a,b}",
+])
+def test_rigid_form_decodes_to_the_values_it_was_compiled_from(functor, seed=5):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    made = Coalgebra.make(expr, [random_value(expr, rng, 9) for _ in range(9)])
+    flat = Coalgebra.from_rigid(expr, made.rigid)
+    assert flat.values == made.values
+    assert flat == made
+
+
+def test_general_functors_have_no_rigid_form():
+    assert generate(GenSpec("nfa", 5, seed=1)).rigid is None

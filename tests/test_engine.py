@@ -1,14 +1,17 @@
 """Refinement engine: both algorithms, split/mark primitives, quotients."""
 
 import json
+from collections import deque
 
 import pytest
+from util import labelled_mc
 
 from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
 from bisimkit.engine import (
     ConfigurationError,
     EngineInvariantError,
     Partition,
+    RefinablePartition,
     mark_dirty,
     quotient,
     refine_hopcroft,
@@ -210,31 +213,55 @@ def test_hopcroft_stats_counters_consistent():
 # -- split_leaf ------------------------------------------------------------------
 
 
+def layout(n, *leaves):
+    """A RefinablePartition whose leaf i is (dirty states, clean states)
+    ``leaves[i]``, laid out in that order; the leaves must cover range(n)."""
+    part = RefinablePartition(n)
+    part.elems, part.first, part.mid, part.end = [], [], [], []
+    for leaf, (dirty, clean) in enumerate(leaves):
+        part.first.append(len(part.elems))
+        part.elems += dirty
+        part.mid.append(len(part.elems))
+        part.elems += clean
+        part.end.append(len(part.elems))
+        for x in dirty + clean:
+            part.leaf_of[x] = leaf
+    for i, x in enumerate(part.elems):
+        part.pos[x] = i
+    part.check({leaf: set(dirty) for leaf, (dirty, _) in enumerate(leaves)})
+    return part
+
+
 def test_split_leaf_clean_mass_joins_matching_representative():
-    # 6-state one-letter DFA; leaf {1,2,3,5} with clean {1,2}: states 1,2,3
-    # all map into block B0 with the same acceptance, state 5 maps elsewhere
+    # 6-state one-letter DFA; leaf 1 = {1,2,3,5} with clean {1,2}: states
+    # 1,2,3 all map into leaf 0 with the same acceptance, 5 maps elsewhere
     c = dfa1(("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 4))
     ev = SignatureEvaluator(c)
-    block_of = [0, 1, 1, 1, 2, 1]
-    groups, nsigs = split_leaf({1, 2, 3, 5}, {3, 5}, ev, block_of)
+    part = layout(6, ([], [0]), ([3, 5], [1, 2]), ([], [4]))
+    groups, nsigs = split_leaf(part, 1, ev)
     # dirty 3 matches the clean representative, so only {5} leaves the mass
     assert groups == [[5]]
     assert nsigs == 3
+    # the group opens the slice, the clean mass follows, the prefix is consumed
+    assert part.members(1)[0] == 5 and sorted(part.members(1)) == [1, 2, 3, 5]
+    part.check({})
     # cross-check: with nothing clean the same kernel comes back explicitly
-    full, _ = split_leaf({1, 2, 3, 5}, {1, 2, 3, 5}, ev, block_of)
+    part = layout(6, ([], [0]), ([1, 2, 3, 5], []), ([], [4]))
+    full, _ = split_leaf(part, 1, ev)
     assert full == [[1, 2, 3], [5]]
+    assert part.members(1) == [1, 2, 3, 5]
 
 
 def test_split_leaf_all_dirty_equal_signatures():
     c = dfa1(("0", 0), ("0", 1), ("0", 2))
-    groups, nsigs = split_leaf({0, 1, 2}, {0, 1, 2}, SignatureEvaluator(c), [0, 0, 0])
+    groups, nsigs = split_leaf(layout(3, ([0, 1, 2], [])), 0, SignatureEvaluator(c))
     assert groups == [[0, 1, 2]]  # one child and no clean mass: trivial
     assert nsigs == 3
 
 
 def test_split_leaf_counts_one_clean_representative():
     c = dfa1(("0", 0), ("0", 0), ("1", 0))
-    groups, nsigs = split_leaf({0, 1, 2}, {2}, SignatureEvaluator(c), [0, 0, 0])
+    groups, nsigs = split_leaf(layout(3, ([2], [0, 1])), 0, SignatureEvaluator(c))
     assert groups == [[2]]
     assert nsigs == 2  # one dirty state plus the representative
 
@@ -245,11 +272,13 @@ def test_split_leaf_counts_one_clean_representative():
 def test_mark_dirty_no_predecessors():
     c = dfa1(("0", 1), ("0", 1))
     pidx = build_pred_index(SignatureEvaluator(c))
-    dirty = {0: set(), 1: set()}
-    markings, touches = mark_dirty([[0]], pidx, [1, 0], dirty)
+    part = layout(2, ([], [1]), ([], [0]))
+    queue = deque()
+    marked, touches = mark_dirty([[0]], pidx, part, queue)
     # light child is [0]; state 0 has no predecessors
-    assert markings == [] and touches == 0
-    assert dirty == {0: set(), 1: set()}
+    assert marked == 0 and touches == 0
+    assert not queue
+    part.check({})
 
 
 def test_mark_dirty_double_touch_single_marking():
@@ -259,21 +288,72 @@ def test_mark_dirty_double_touch_single_marking():
         [SetVal((StateRef(1), StateRef(2))), SetVal(()), SetVal(())],
     )
     pidx = build_pred_index(SignatureEvaluator(c))
-    dirty = {7: set(), 8: set()}
-    leaf_of = [7, 8, 8]
-    markings, touches = mark_dirty([[1, 2]], pidx, leaf_of, dirty)
+    part = layout(3, ([], [0]), ([], [1, 2]))
+    queue = deque()
+    marked, touches = mark_dirty([[1, 2]], pidx, part, queue)
     assert touches == 2
-    assert markings == [(7, 0)]
-    assert dirty[7] == {0}
+    assert marked == 1 and part.dirty(0) == [0]
+    assert list(queue) == [0]
+    part.check({0: {0}})
 
 
 def test_mark_dirty_touch_bound():
     c = generate(GenSpec("nfa", 30, seed=12))
     pidx = build_pred_index(SignatureEvaluator(c))
-    dirty = {0: set()}
     light = list(range(10, 20))
-    _, touches = mark_dirty([light], pidx, [0] * 30, dirty)
+    _, touches = mark_dirty([light], pidx, layout(30, ([], list(range(30)))), deque())
     assert touches <= pidx.max_indegree * len(light)
+
+
+def test_mark_dirty_swaps_into_the_prefix_and_queues_a_leaf_once():
+    # 0 -> 2 and 1 -> 2; leaf 0 = {0, 1, 3} already has 3 dirty, so it is
+    # queued already and marking 0 and 1 must not queue it again
+    c = Coalgebra.make(
+        parse_functor("P X"),
+        [SetVal((StateRef(2),)), SetVal((StateRef(2),)), SetVal(()), SetVal(())],
+    )
+    pidx = build_pred_index(SignatureEvaluator(c))
+    part = layout(4, ([3], [0, 1]), ([], [2]))
+    queue = deque()
+    marked, touches = mark_dirty([[2]], pidx, part, queue)
+    assert touches == 2 and marked == 2
+    assert not queue
+    assert part.dirty(0) == [3, 0, 1]
+    part.check({0: {0, 1, 3}})
+
+
+# -- the leaf layout's invariants ------------------------------------------------
+
+
+def test_layout_invariants_hold_at_every_snapshot(monkeypatch):
+    # refine_hopcroft checks the layout at every main-loop boundary when
+    # asked for snapshots; count the checks so a silent skip shows
+    checks = []
+    check = RefinablePartition.check
+
+    def counted(self, dirty_sets):
+        checks.append(1)
+        check(self, dirty_sets)
+
+    monkeypatch.setattr(RefinablePartition, "check", counted)
+    for fam in ("dfa", "nfa", "lts", "chain", "lmc"):
+        for seed in range(4):
+            n = 10 + 7 * seed
+            c = labelled_mc(n, seed) if fam == "lmc" else generate(GenSpec(fam, n, seed=seed))
+            for weight in ("card", "pred", "reach"):
+                snaps = []
+                before = len(checks)
+                r = refine_hopcroft(c, weight, snapshots=snaps)
+                assert len(checks) - before == r.stats.iterations == len(snaps) - 1
+
+
+def test_layout_check_catches_a_stale_dirty_prefix():
+    part = layout(4, ([1], [0]), ([], [2, 3]))
+    with pytest.raises(EngineInvariantError):
+        part.check({0: {1}, 1: {2}})
+    part.pos[0], part.pos[1] = part.pos[1], part.pos[0]
+    with pytest.raises(EngineInvariantError):
+        part.check({0: {1}})
 
 
 # -- block weights ---------------------------------------------------------------

@@ -3,7 +3,12 @@
 import json
 
 import pytest
+from click.testing import CliRunner
+from util import dfa_text
 
+import bisimkit.coalgebra
+from bisimkit.cli import main
+from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
 from bisimkit.engine import refine_hopcroft, refine_naive
 from bisimkit.formats import (
     FormatError,
@@ -54,6 +59,64 @@ def test_dfa_text_wrong_field_count(tmp_path):
     path = write(tmp_path, "m.dfa", "dfa 1 2\n1 0\n")
     with pytest.raises(FormatError):
         load_coalgebra(path, "dfa-text")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1 0 1\n0 1\n", "line 2: expected accept bit and 1 successors"),
+    ("2 0\n0 1\n", "line 2: accept flag must be 0 or 1, got '2'"),
+    ("1 0\n0 x\n", "line 3: successors must be integers"),
+    ("1 -1\n0 1\n", "line 2: successor -1 out of range"),
+    ("1 0\n0 2\n", "line 3: successor 2 out of range"),
+])
+def test_dfa_text_line_errors_name_line_and_fault(tmp_path, body, message):
+    path = write(tmp_path, "m.dfa", "dfa 2 1\n" + body)
+    with pytest.raises(FormatError) as e:
+        load_coalgebra(path, "dfa-text")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 27, 30])
+def test_dfa_text_loads_what_make_builds(tmp_path, k):
+    # past 26 letters the names (s26, s27, ...) sort apart from letter order
+    for seed in range(3):
+        made = generate(GenSpec("dfa", 25, alphabet_size=k, seed=seed))
+        path = write(tmp_path, f"m{seed}.dfa", dfa_text(made))
+        flat = load_coalgebra(path)
+        # the compiled form, and what the evaluator reads from it
+        assert flat.rigid == made.rigid
+        ev_flat, ev_made = SignatureEvaluator(flat), SignatureEvaluator(made)
+        assert ev_flat.refs == ev_made.refs
+        assert build_pred_index(ev_flat) == build_pred_index(ev_made)
+        # the values decoded from it, and equality of the coalgebras
+        assert flat.values == made.values
+        assert flat == made and hash(flat) == hash(made)
+
+
+def test_minimize_dfa_text_never_decodes_values(tmp_path, monkeypatch):
+    decoded = []
+    decode = bisimkit.coalgebra._decode
+
+    def spy(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(bisimkit.coalgebra, "_decode", spy)
+    path = write(tmp_path, "m.dfa", dfa_text(generate(GenSpec("dfa", 40, seed=6))))
+    res = CliRunner().invoke(main, ["minimize", path, "--audit", "--tree-out", "-"])
+    assert res.exit_code == 0, res.output
+    assert decoded == []
+    # the oracle reads values, so compare decodes them: the spy sees it
+    res = CliRunner().invoke(main, ["compare", path])
+    assert res.exit_code == 0, res.output
+    assert decoded
+
+
+def test_coalgebra_needs_values_or_compiled_form():
+    made = generate(GenSpec("dfa", 3, seed=1))
+    with pytest.raises(ValueError):
+        Coalgebra(made.functor, 3)
+    with pytest.raises(ValueError):
+        Coalgebra(made.functor, 4, made.values)
 
 
 # -- aut -------------------------------------------------------------------------

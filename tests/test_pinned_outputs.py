@@ -5,43 +5,24 @@ one family under one weight kind.  Any change to the engine or the output
 formats that alters a single byte of a partition or tree document, or a
 single counter, changes a digest here.  The tree is pinned twice: as
 written, and rebuilt in the earlier form that listed every node's states,
-whose digests were recorded before the tree document went leaf-only.
+whose digests were recorded before the tree document went leaf-only.  The
+DFA and chain instances are also written as dfa-text and loaded back, which
+builds their compiled form without values; the digests stay the same.
 """
 
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
-from util import old_form_tree_document
+from util import dfa_text, labelled_mc, old_form_tree_document
 
-from bisimkit.coalgebra import Coalgebra
 from bisimkit.engine import refine_hopcroft
-from bisimkit.formats import partition_to_json, tree_to_json
-from bisimkit.functors import parse_functor
-from bisimkit.gen import GenSpec, SplitMix64, generate
-from bisimkit.values import DistVal, Label, StateRef, TupleVal
+from bisimkit.formats import load_coalgebra, partition_to_json, tree_to_json
+from bisimkit.gen import GenSpec, generate
 
 COUNTERS = ("iterations", "splits", "dirty_markings", "markdirty_touches",
             "signatures_computed")
 SEEDS = (3, 11, 42)
-
-
-def labelled_mc(n, seed):
-    """``{0,1} * D X``: an output bit and a distribution in quarters."""
-    rng = SplitMix64(seed)
-    values = []
-    for _ in range(n):
-        bit = Label(str(rng.below(2)))
-        if rng.below(2) == 0:
-            dist = ((rng.below(n), 4),)
-        else:
-            p = 1 + rng.below(3)
-            dist = ((rng.below(n), p), (rng.below(n), 4 - p))
-        values.append(
-            TupleVal((bit, DistVal(tuple((StateRef(y), Fraction(q, 4)) for y, q in dist))))
-        )
-    return Coalgebra.make(parse_functor("{0,1} * D X"), values)
 
 
 INSTANCES = {
@@ -86,10 +67,10 @@ PINNED_TREE = {
 }
 
 
-def digests(family, weight):
+def digests(instance, weight):
     part, old, stats, tree = (hashlib.sha256() for _ in range(4))
     for seed in SEEDS:
-        r = refine_hopcroft(INSTANCES[family](seed), weight)
+        r = refine_hopcroft(instance(seed), weight)
         part.update(partition_to_json(r.partition).encode())
         doc = tree_to_json(r.tree)
         old.update(old_form_tree_document(doc).encode())
@@ -101,6 +82,19 @@ def digests(family, weight):
 @pytest.mark.parametrize("family", sorted(INSTANCES))
 @pytest.mark.parametrize("weight", ("card", "pred", "reach"))
 def test_outputs_match_pinned_digests(family, weight):
-    *pinned, tree = digests(family, weight)
+    *pinned, tree = digests(INSTANCES[family], weight)
+    assert tuple(pinned) == PINNED[family, weight]
+    assert tree == PINNED_TREE[family, weight]
+
+
+@pytest.mark.parametrize("family", ("chain", "dfa"))
+@pytest.mark.parametrize("weight", ("card", "pred", "reach"))
+def test_dfa_text_inputs_match_pinned_digests(family, weight, tmp_path):
+    def loaded(seed):
+        path = tmp_path / f"{family}-{seed}.dfa"
+        path.write_text(dfa_text(INSTANCES[family](seed)), encoding="utf-8")
+        return load_coalgebra(str(path))
+
+    *pinned, tree = digests(loaded, weight)
     assert tuple(pinned) == PINNED[family, weight]
     assert tree == PINNED_TREE[family, weight]

@@ -1,7 +1,13 @@
-"""Shared test helpers: seeded random weighted trees, old-form tree documents."""
+"""Shared test helpers: seeded random weighted trees, old-form tree documents,
+a labelled Markov chain family, DFAs written as dfa-text."""
 
 import json
+from fractions import Fraction
 
+from bisimkit.coalgebra import Coalgebra
+from bisimkit.functors import default_letters, parse_functor
+from bisimkit.gen import SplitMix64
+from bisimkit.values import DistVal, Label, StateRef, TupleVal
 from bisimkit.wtree import WeightedTree, validate_weight
 
 
@@ -50,3 +56,31 @@ def old_form_tree_document(text):
             below[parent[v]].extend(states[v])
     old = {"parent": parent, "w": doc["w"], "states": states, "heavy": doc["heavy"]}
     return json.dumps(old, separators=(",", ":")) + "\n"
+
+
+def labelled_mc(n, seed):
+    """``{0,1} * D X``: an output bit and a distribution in quarters."""
+    rng = SplitMix64(seed)
+    values = []
+    for _ in range(n):
+        bit = Label(str(rng.below(2)))
+        if rng.below(2) == 0:
+            dist = ((rng.below(n), 4),)
+        else:
+            p = 1 + rng.below(3)
+            dist = ((rng.below(n), p), (rng.below(n), 4 - p))
+        values.append(
+            TupleVal((bit, DistVal(tuple((StateRef(y), Fraction(q, 4)) for y, q in dist))))
+        )
+    return Coalgebra.make(parse_functor("{0,1} * D X"), values)
+
+
+def dfa_text(coalg):
+    """A ``{0,1} * (X ^ letters)`` coalgebra written in the dfa-text format."""
+    k = len(coalg.values[0].items[1].entries)
+    lines = [f"dfa {coalg.n_states} {k}"]
+    for v in coalg.values:
+        bit, fun = v.items
+        succs = (fun.get(a).index for a in default_letters(k))
+        lines.append(" ".join([bit.name, *map(str, succs)]))
+    return "\n".join(lines) + "\n"
