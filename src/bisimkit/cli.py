@@ -25,7 +25,7 @@ from .formats import (
     tree_to_json,
 )
 from .gen import FAMILIES, GenSpec, generate
-from .oracle import BRUTEFORCE_STATE_LIMIT, bisim_bruteforce, partitions_equal
+from .oracle import bisim_bruteforce, partitions_equal
 from .wtree import MalformedTreeError, WeightedTree, audit_tree
 
 # the run counters, then the wall time, in the order --stats writes them;
@@ -34,6 +34,9 @@ STATS_COLUMNS = (
     "iterations", "splits", "dirty_markings", "markdirty_touches",
     "signatures_computed", "wall_ms",
 )
+
+# compare runs the brute-force oracle on inputs of at most this many states
+COMPARE_ORACLE_STATES = 1000
 
 
 @click.group()
@@ -104,16 +107,21 @@ def _audit(tree: WeightedTree, weights, heavy):
 @click.option("--audit", is_flag=True,
               help="Emit the refinement tree and verify its weight bounds.")
 @click.option("--tree-out", default=None,
-              help="Refinement tree destination [default: OUT.tree.json].")
+              help="Refinement tree destination, with --audit "
+                   "[default: OUT.tree.json; ./refinement-tree.json when OUT is '-'].")
 @click.option("--stats", "want_stats", is_flag=True, help="Emit run counters.")
 @click.option("--stats-out", default=None,
-              help="Counters destination [default: stderr].")
+              help="Counters destination, with --stats [default: stderr].")
 def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, stats_out):
     """Minimize INPUT and write the partition as JSON."""
     if algo == "naive" and weight is not None:
         raise click.UsageError("--weight only applies to --algo hopcroft")
     if algo == "naive" and audit:
         raise click.UsageError("--audit needs the tree built by --algo hopcroft")
+    if tree_out is not None and not audit:
+        raise click.UsageError("--tree-out only applies with --audit")
+    if stats_out is not None and not want_stats:
+        raise click.UsageError("--stats-out only applies with --stats")
     coalg = _load(input_path, fmt)
     if algo == "naive":
         result = refine_naive(coalg)
@@ -121,7 +129,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         result = refine_hopcroft(coalg, weight or "card")
     outputs = [(out, partition_to_json(result.partition))]
     stats_text = json.dumps(_stats_obj(result)) + "\n"
-    if want_stats and stats_out:
+    if stats_out:
         outputs.append((stats_out, stats_text))
     if audit:
         dest = tree_out or (out + ".tree.json" if out != "-" else "refinement-tree.json")
@@ -146,15 +154,14 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
 @click.argument("input_path", metavar="INPUT")
 @click.option("--format", "fmt", default="auto", show_default=True,
               type=click.Choice(("auto",) + FORMATS))
-@click.option("--oracle-limit", default=1000, show_default=True,
-              help="Skip the brute-force cross-check above this state count.")
-def compare(input_path, fmt, oracle_limit):
-    """Run every algorithm on INPUT and check all results agree."""
+def compare(input_path, fmt):
+    """Run every algorithm on INPUT and check all results agree; the
+    brute-force oracle joins on inputs of at most 1000 states."""
     coalg = _load(input_path, fmt)
     runs = [("naive", refine_naive(coalg).partition)]
     for w in WEIGHT_KINDS:
         runs.append((f"hopcroft/{w}", refine_hopcroft(coalg, w).partition))
-    if coalg.n_states <= min(oracle_limit, BRUTEFORCE_STATE_LIMIT):
+    if coalg.n_states <= COMPARE_ORACLE_STATES:
         runs.append(("bruteforce", bisim_bruteforce(coalg)))
     base_name, base = runs[0]
     ok = True

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -63,39 +64,35 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_block_of(cls, block_of: Sequence[int]) -> "Partition":
-        groups: dict = {}
-        for x, b in enumerate(block_of):
-            groups.setdefault(b, []).append(x)
-        return cls.from_blocks(groups.values(), len(block_of))
+    def from_block_of(cls, block_of: Sequence) -> "Partition":
+        """Canonical partition of a labelling of the states by any hashable
+        labels: scanning the states in order, each label is numbered at its
+        first occurrence, so blocks ascend by smallest member."""
+        number: dict = {}
+        canon = [number.setdefault(b, len(number)) for b in block_of]
+        # a stable sort by block lists each block's members in ascending
+        # order, so every block is one slice, and only the blocks' tuples
+        # outlive the call; blocks first occur in id order, so do their counts
+        order = sorted(range(len(canon)), key=canon.__getitem__)
+        bounds = accumulate(Counter(canon).values(), initial=0)
+        return cls(tuple(canon), tuple(tuple(order[i:j]) for i, j in pairwise(bounds)))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n_states: int) -> "Partition":
-        """Canonical partition of ``blocks``; ascending tuples are kept as given."""
+        """Canonical partition of ``blocks``, which must tile ``range(n_states)``;
+        empty blocks are dropped."""
         block_of = [-1] * n_states
-        canon = []
-        for g in blocks:
-            g = tuple(g)
-            prev = -1
-            ascending = True
+        for i, g in enumerate(blocks):
             for x in g:
                 if not 0 <= x < n_states:
                     raise ValueError(f"state {x} out of range")
                 if block_of[x] != -1:
                     raise ValueError(f"state {x} appears in two blocks")
-                block_of[x] = 0
-                ascending = ascending and prev < x
-                prev = x
-            if g:
-                canon.append(g if ascending else tuple(sorted(g)))
-        if any(b == -1 for b in block_of):
+                block_of[x] = i
+        if -1 in block_of:
             missing = [x for x, b in enumerate(block_of) if b == -1]
             raise ValueError(f"states not covered by any block: {missing[:5]}")
-        canon.sort(key=lambda g: g[0])
-        for i, g in enumerate(canon):
-            for x in g:
-                block_of[x] = i
-        return cls(tuple(block_of), tuple(canon))
+        return cls.from_block_of(block_of)
 
     @property
     def n_states(self) -> int:
@@ -325,27 +322,27 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
     ev = SignatureEvaluator(coalg)
     stats = RunStats()
     compiled = time.perf_counter()
+    signature = ev.signature
     block_of: list[int] = [0] * n
     n_blocks = 1
     while True:
         if snapshots is not None:
             snapshots.append(Partition.from_block_of(block_of))
         stats.iterations += 1
-        groups: dict = {}
-        for x in range(n):
-            groups.setdefault((block_of[x], ev.signature(x, block_of)), []).append(x)
+        # the next labelling numbers each (block, signature) key at its first
+        # occurrence, which is also the canonical numbering
+        keys: dict = {}
+        new_block_of = [
+            keys.setdefault((block_of[x], signature(x, block_of)), len(keys))
+            for x in range(n)
+        ]
         stats.signatures_computed += n
-        if len(groups) == n_blocks:
+        if len(keys) == n_blocks:
             break
-        old_blocks: dict = {}
-        new_block_of = [0] * n
-        for i, g in enumerate(groups.values()):
-            old_blocks.setdefault(block_of[g[0]], []).append(i)
-            for x in g:
-                new_block_of[x] = i
-        stats.splits += sum(1 for parts in old_blocks.values() if len(parts) > 1)
+        keys_per_block = Counter(b for b, _ in keys)
+        stats.splits += sum(1 for c in keys_per_block.values() if c > 1)
         block_of = new_block_of
-        n_blocks = len(groups)
+        n_blocks = len(keys)
     looped = time.perf_counter()
     partition = Partition.from_block_of(block_of)
     finished = time.perf_counter()
@@ -402,11 +399,7 @@ def refine_hopcroft(
         if dirty_sets is not None:
             part.check(dirty_sets)
             dirty_sets.pop(rho, None)
-            snapshots.append(
-                Partition.from_blocks(
-                    (sorted(part.members(b)) for b in range(part.n_leaves)), n
-                )
-            )
+            snapshots.append(Partition.from_block_of(part.leaf_of))
         iterations += 1
         lo, hi = first[rho], end[rho]
         if hi - lo == 1:
@@ -470,11 +463,8 @@ def refine_hopcroft(
 
     looped = time.perf_counter()
     stats = RunStats(iterations, splits, markings, touches, signatures)
-    tree.leaf_members = {
-        node_of[leaf]: tuple(sorted(elems[first[leaf]:end[leaf]]))
-        for leaf in range(part.n_leaves)
-    }
-    partition = Partition.from_blocks(tree.leaf_members.values(), n)
+    partition = Partition.from_block_of(part.leaf_of)
+    tree.leaf_members = {node_of[part.leaf_of[b[0]]]: b for b in partition.blocks}
     finished = time.perf_counter()
     stats.wall_time = finished - start
     stats.phases = {

@@ -11,7 +11,9 @@ from click.testing import CliRunner
 from util import old_form_tree_document
 
 import bisimkit
+import bisimkit.cli as cli
 from bisimkit.cli import main
+from bisimkit.engine import refine_naive
 from bisimkit.formats import dump_coalgebra
 from bisimkit.gen import GenSpec, generate
 
@@ -97,6 +99,21 @@ def test_minimize_naive_stats_phases(runner, tmp_path):
     stats = json.loads(res.stderr.strip().splitlines()[-1])
     assert set(stats["phases"]) == {"coalgebra.evaluator_s", "engine.main_loop_s",
                                     "engine.canonicalize_s"}
+
+
+@pytest.mark.parametrize("option, flag", [("--stats-out", "--stats"), ("--tree-out", "--audit")])
+def test_minimize_destination_without_its_output_exit_2(runner, tmp_path, option, flag):
+    # a destination for an output that is not asked for would be silently ignored
+    dest, out = tmp_path / "dest.json", tmp_path / "part.json"
+    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--out", str(out),
+                               option, str(dest)])
+    assert res.exit_code == 2
+    assert f"{option} only applies with {flag}" in res.output
+    assert not dest.exists() and not out.exists()
+    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--out", str(out),
+                               option, str(dest), flag])
+    assert res.exit_code == 0, res.output
+    assert json.loads(dest.read_text())
 
 
 def test_minimize_parse_error_exit_2(runner, tmp_path):
@@ -262,6 +279,21 @@ def test_compare_agrees(runner, tmp_path):
         res = runner.invoke(main, ["compare", path])
         assert res.exit_code == 0, res.output
         assert "MISMATCH" not in res.output
+
+
+@pytest.mark.parametrize("n, oracle", [(1000, True), (1001, False)])
+def test_compare_runs_oracle_up_to_1000_states(runner, tmp_path, monkeypatch, n, oracle):
+    calls = []
+
+    def bruteforce(coalg):  # a stand-in: the real oracle is slow at this size
+        calls.append(coalg.n_states)
+        return refine_naive(coalg).partition
+
+    monkeypatch.setattr(cli, "bisim_bruteforce", bruteforce)
+    res = runner.invoke(main, ["compare", coalg_file(tmp_path, n=n)])
+    assert res.exit_code == 0, res.output
+    assert calls == ([n] if oracle else [])
+    assert ("bruteforce: " in res.output) == oracle
 
 
 def test_audit_tree_tight_example(runner, tmp_path):

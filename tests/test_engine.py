@@ -1,6 +1,7 @@
 """Refinement engine: both algorithms, split/mark primitives, quotients."""
 
 import json
+import random
 from collections import deque
 
 import pytest
@@ -500,7 +501,52 @@ def test_partition_canonical_ordering():
 
 
 def test_partition_from_blocks_rejects_overlap_and_gaps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two blocks"):
         Partition.from_blocks([[0, 1], [1, 2]], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not covered"):
         Partition.from_blocks([[0], [2]], 3)
+
+
+def test_partition_from_blocks_rejects_states_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        Partition.from_blocks([[0, 1], [2, 3]], 3)
+    with pytest.raises(ValueError, match="out of range"):
+        Partition.from_blocks([[0, 1, -1], [2]], 3)
+
+
+def sorted_canonical(labels):
+    """The canonical form by sorting: blocks as ascending tuples, in order of
+    smallest member; an independent reference for Partition's numbering."""
+    groups = {}
+    for x, b in enumerate(labels):
+        groups.setdefault(b, set()).add(x)
+    blocks = sorted(tuple(sorted(g)) for g in groups.values())
+    block_of = [None] * len(labels)
+    for i, g in enumerate(blocks):
+        for x in g:
+            block_of[x] = i
+    return tuple(block_of), tuple(blocks)
+
+
+def test_partition_canonical_form_matches_sorting():
+    rng = random.Random(8)
+    label_kinds = (
+        lambda k: k,
+        lambda k: -7 * k,  # negative, not in order of first occurrence
+        lambda k: f"b{k}",
+        lambda k: (k % 3, str(k)),
+    )
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        kind = rng.choice(label_kinds)
+        labels = [kind(rng.randrange(rng.randint(1, n))) for _ in range(n)]
+        expected = sorted_canonical(labels)
+        p = Partition.from_block_of(labels)
+        assert (p.block_of, p.blocks) == expected
+        # the same blocks, each shuffled, in shuffled order, with empty blocks
+        blocks = [list(g) for g in expected[1]] + [[] for _ in range(rng.randint(0, 2))]
+        for g in blocks:
+            rng.shuffle(g)
+        rng.shuffle(blocks)
+        q = Partition.from_blocks(blocks, n)
+        assert (q.block_of, q.blocks) == expected

@@ -8,6 +8,7 @@ written, and rebuilt in the earlier form that listed every node's states,
 whose digests were recorded before the tree document went leaf-only.  The
 DFA and chain instances are also written as dfa-text and loaded back, which
 builds their compiled form without values; the digests stay the same.
+The naive sweep and both engines' main-loop snapshots are pinned as well.
 """
 
 import hashlib
@@ -16,12 +17,13 @@ import json
 import pytest
 from util import dfa_text, labelled_mc, old_form_tree_document
 
-from bisimkit.engine import refine_hopcroft
+from bisimkit.engine import refine_hopcroft, refine_naive
 from bisimkit.formats import load_coalgebra, partition_to_json, tree_to_json
 from bisimkit.gen import GenSpec, generate
 
 COUNTERS = ("iterations", "splits", "dirty_markings", "markdirty_touches",
             "signatures_computed")
+NAIVE_COUNTERS = ("iterations", "splits", "signatures_computed")
 SEEDS = (3, 11, 42)
 
 
@@ -98,3 +100,64 @@ def test_dfa_text_inputs_match_pinned_digests(family, weight, tmp_path):
     *pinned, tree = digests(loaded, weight)
     assert tuple(pinned) == PINNED[family, weight]
     assert tree == PINNED_TREE[family, weight]
+
+
+# (partition, counters, snapshots) digests of refine_naive, recorded while
+# each sweep still grouped states into per-group lists
+PINNED_NAIVE = {
+    "chain": ("f8a96cafaed0819c", "2bee322e2b64b67c", "9b313ce7f65e4230"),
+    "dfa": ("03c7a114db6457aa", "4ad14bd431100e2c", "550b2eb4435657d3"),
+    "lmc": ("95657545a220b45f", "51cd19aeadad3cae", "85a4df7e352323cb"),
+    "lts": ("2825abb6faf6d1da", "0d63fcacaf969ef9", "0822267f161e7bfe"),
+}
+
+# digests of refine_hopcroft's main-loop snapshots, recorded while the
+# snapshots were built from sorted leaf slices
+PINNED_SNAPSHOTS = {
+    ("chain", "card"): "42d41b50914addf4",
+    ("chain", "pred"): "d246a6c1d89e316e",
+    ("chain", "reach"): "d246a6c1d89e316e",
+    ("dfa", "card"): "0a244bf9456e0910",
+    ("dfa", "pred"): "c28e897834540201",
+    ("dfa", "reach"): "632af9212e32938c",
+    ("lmc", "card"): "79db938bc3e6a6d1",
+    ("lmc", "pred"): "0d7f5c94bbf36f1b",
+    ("lmc", "reach"): "14b8dbc16065c22c",
+    ("lts", "card"): "871e4f9112f0a142",
+    ("lts", "pred"): "83d9fab25cf052ba",
+    ("lts", "reach"): "716d14b0c9fb102e",
+}
+
+
+def snapshot_bytes(snaps):
+    return json.dumps([p.blocks for p in snaps]).encode()
+
+
+def naive_digests(instance):
+    part, stats, snapshots = (hashlib.sha256() for _ in range(3))
+    for seed in SEEDS:
+        snaps = []
+        r = refine_naive(instance(seed), snapshots=snaps)
+        part.update(partition_to_json(r.partition).encode())
+        stats.update(json.dumps([getattr(r.stats, k) for k in NAIVE_COUNTERS]).encode())
+        snapshots.update(snapshot_bytes(snaps))
+    return tuple(h.hexdigest()[:16] for h in (part, stats, snapshots))
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+def test_naive_outputs_match_pinned_digests(family):
+    pinned = naive_digests(INSTANCES[family])
+    assert pinned == PINNED_NAIVE[family]
+    # the naive sweep ends in the same partition as the worklist run
+    assert pinned[0] == PINNED[family, "card"][0]
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+@pytest.mark.parametrize("weight", ("card", "pred", "reach"))
+def test_hopcroft_snapshots_match_pinned_digests(family, weight):
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        snaps = []
+        refine_hopcroft(INSTANCES[family](seed), weight, snapshots=snaps)
+        h.update(snapshot_bytes(snaps))
+    assert h.hexdigest()[:16] == PINNED_SNAPSHOTS[family, weight]
