@@ -115,13 +115,13 @@ def _audit(tree: WeightedTree, weights, heavy):
 def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, stats_out):
     """Minimize INPUT and write the partition as JSON."""
     if algo == "naive" and weight is not None:
-        raise click.UsageError("--weight only applies to --algo hopcroft")
+        _fail("--weight only applies to --algo hopcroft")
     if algo == "naive" and audit:
-        raise click.UsageError("--audit needs the tree built by --algo hopcroft")
+        _fail("--audit needs the tree built by --algo hopcroft")
     if tree_out is not None and not audit:
-        raise click.UsageError("--tree-out only applies with --audit")
+        _fail("--tree-out only applies with --audit")
     if stats_out is not None and not want_stats:
-        raise click.UsageError("--stats-out only applies with --stats")
+        _fail("--stats-out only applies with --stats")
     coalg = _load(input_path, fmt)
     if algo == "naive":
         result = refine_naive(coalg)

@@ -1,16 +1,18 @@
 """Finite coalgebras: a functor expression plus one observation per state.
 
-A coalgebra of a rigid functor (no powerset or distribution layer) also
-has a compiled form, :class:`RigidForm`: per state a shape id and the
-states at its ``X`` positions.  A loader may build only that form; the
+Every coalgebra has one compiled form, :class:`CompiledForm`, built by
+one walk over its values on first read and kept: per state the states its
+value refers to, in value order, and, when the functor is rigid (no
+powerset or distribution layer), a shape id.  A shape id numbers the flat
+tuple of the value's labels and injection tags in value order; the functor
+supplies the nesting, so a shape key and the refs decode back to the
+value.  A loader of a rigid functor may build only the compiled form; the
 values are then decoded from it on first read.
 
 Also houses the predecessor index (who can see whom in one step) and the
-signature evaluator used by the refinement algorithms.  The evaluator
-takes each state's successor refs from the compiled form, or from one walk
-over the values of a general functor; the predecessor index is built from
-those refs.  For rigid functors a state's signature is a flat tuple of a
-shape id and block labels; otherwise it is :func:`values.signature_of`.
+signature evaluator used by the refinement algorithms; both read the
+compiled form.  For rigid functors a state's signature is a flat tuple of
+a shape id and block labels; otherwise it is :func:`values.signature_of`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .values import (
 
 __all__ = [
     "Coalgebra",
-    "RigidForm",
+    "CompiledForm",
     "PredIndex",
     "build_pred_index",
     "SignatureEvaluator",
@@ -58,42 +60,45 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RigidForm:
-    """A rigid coalgebra compiled: one shape id and one refs tuple per state.
+class CompiledForm:
+    """A coalgebra compiled: successor refs per state, shape ids if rigid.
 
-    ``skeletons[shape[x]]`` is state x's value with its state references
-    blanked (:func:`_skeleton`), and ``refs[x]`` lists those references in
-    value order.  Shape ids are numbered in order of first occurrence.
+    ``refs[x]`` lists the states occurring in x's value, in value order,
+    repeats kept.  For a rigid functor ``keys[shape[x]]`` is the flat tuple
+    of x's labels and injection tags in value order (:func:`_walk`), and
+    shape ids are numbered in order of first occurrence; for a functor with
+    a ``P`` or ``D`` layer ``shape`` is None.
     """
 
-    shape: Sequence[int]
     refs: Sequence[tuple[int, ...]]
-    skeletons: tuple
+    shape: Optional[Sequence[int]] = None
+    keys: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
 class Coalgebra:
     """A finite state space with one value per state.
 
-    It holds its values, its :class:`RigidForm`, or both; ``values`` and
-    ``rigid`` derive a missing one on first read and keep it.  Equality
+    It holds its values, its :class:`CompiledForm`, or both; ``values``
+    and ``form`` derive a missing one on first read and keep it.  Only a
+    rigid form (one with shapes) can stand in for the values.  Equality
     compares the functor and the values.
     """
 
     functor: FunctorExpr
     n_states: int
     _values: Optional[tuple[FValue, ...]] = field(default=None, repr=False)
-    _rigid: Optional[RigidForm] = field(default=None, repr=False)
+    _form: Optional[CompiledForm] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_states < 1:
             raise InvalidValueError("a coalgebra needs at least one state")
         if self._values is not None:
             have = len(self._values)
-        elif self._rigid is not None:
-            have = len(self._rigid.shape)
+        elif self._form is not None and self._form.shape is not None:
+            have = len(self._form.shape)
         else:
-            raise InvalidValueError("a coalgebra needs its values or its compiled form")
+            raise InvalidValueError("a coalgebra needs its values or a rigid compiled form")
         if have != self.n_states:
             raise InvalidValueError(f"{have} values for {self.n_states} states")
 
@@ -109,31 +114,31 @@ class Coalgebra:
         return c
 
     @classmethod
-    def from_rigid(cls, functor: FunctorExpr, form: RigidForm) -> "Coalgebra":
+    def from_form(cls, functor: FunctorExpr, form: CompiledForm) -> "Coalgebra":
         """A coalgebra of the rigid ``functor`` given by its compiled form.
 
-        Nothing is validated: the caller has checked that every skeleton
+        Nothing is validated: the caller has checked that every shape key
         fits the functor and every ref lies below the state count.
         """
-        return cls(functor, len(form.shape), None, form)
+        return cls(functor, len(form.refs), None, form)
 
     @property
     def values(self) -> tuple[FValue, ...]:
         if self._values is None:
-            form = self._rigid
+            form = self._form
             values = tuple(
-                _decode(self.functor, form.skeletons[sh], iter(refs))
+                _decode(self.functor, iter(form.keys[sh]), iter(refs))
                 for sh, refs in zip(form.shape, form.refs)
             )
             object.__setattr__(self, "_values", values)
         return self._values
 
     @property
-    def rigid(self) -> Optional[RigidForm]:
-        """The compiled form; None when the functor is not rigid."""
-        if self._rigid is None and is_rigid(self.functor):
-            object.__setattr__(self, "_rigid", _compile_rigid(self._values))
-        return self._rigid
+    def form(self) -> CompiledForm:
+        """The compiled form, built from the values on first read and kept."""
+        if self._form is None:
+            object.__setattr__(self, "_form", _compile(self._values, is_rigid(self.functor)))
+        return self._form
 
     def __eq__(self, other):
         if not isinstance(other, Coalgebra):
@@ -172,71 +177,67 @@ def build_pred_index(ev: SignatureEvaluator) -> PredIndex:
 # -- signature evaluation -------------------------------------------------------
 
 
-def _skeleton(v: FValue, refs: list[int]):
-    """Shape of a value with state positions blanked; refs appended in order."""
-    if isinstance(v, StateRef):
+def _walk(v: FValue, refs: list[int], key: list) -> None:
+    """Append the state references of ``v`` to ``refs`` and its labels and
+    injection tags to ``key``, both in value order."""
+    # one type() call and identity tests: values are never subclassed, and
+    # this walk is most of a general coalgebra's compile time
+    t = type(v)
+    if t is StateRef:
         refs.append(v.index)
-        return ("@",)
-    if isinstance(v, Label):
-        return v.name
-    if isinstance(v, TupleVal):
-        return tuple(_skeleton(i, refs) for i in v.items)
-    if isinstance(v, InjVal):
-        return (v.tag, _skeleton(v.value, refs))
-    if isinstance(v, FunVal):
-        return tuple(_skeleton(x, refs) for _, x in v.entries)
-    raise TypeError(f"not a rigid value: {v!r}")
+    elif t is TupleVal:
+        for i in v.items:
+            _walk(i, refs, key)
+    elif t is Label:
+        key.append(v.name)
+    elif t is SetVal:
+        for m in v.members:
+            _walk(m, refs, key)
+    elif t is DistVal:
+        for x, _ in v.entries:
+            _walk(x, refs, key)
+    elif t is FunVal:
+        for _, x in v.entries:
+            _walk(x, refs, key)
+    elif t is InjVal:
+        key.append(v.tag)
+        _walk(v.value, refs, key)
+    else:
+        raise TypeError(f"not a value: {v!r}")
 
 
-def _decode(expr: FunctorExpr, skel, refs: Iterator[int]) -> FValue:
-    """The value of rigid ``expr`` whose skeleton is ``skel`` and whose state
-    references are read from ``refs``: the inverse of :func:`_skeleton`."""
-    if isinstance(expr, Identity):
-        return StateRef(next(refs))
-    if isinstance(expr, ConstSet):
-        return Label(skel)
-    if isinstance(expr, Product):
-        return TupleVal(tuple(_decode(f, s, refs) for f, s in zip(expr.factors, skel)))
-    if isinstance(expr, Coproduct):
-        tag, inner = skel
-        return InjVal(tag, _decode(expr.summands[tag], inner, refs))
-    if isinstance(expr, Exponent):
-        items = [_decode(expr.base, s, refs) for s in skel]
-        return FunVal(tuple(zip(sorted(expr.labels), items)))
-    raise TypeError(f"not a rigid functor expression: {expr!r}")
-
-
-def _compile_rigid(values: Sequence[FValue]) -> RigidForm:
-    shape: list[int] = []
+def _compile(values: Sequence[FValue], rigid: bool) -> CompiledForm:
+    """The compiled form of ``values``: one walk per value, shape ids interned
+    from the walk's keys when the functor is rigid."""
     refs: list[tuple[int, ...]] = []
+    shape: list[int] = []
     intern: dict = {}
     for v in values:
         r: list[int] = []
-        shape.append(intern.setdefault(_skeleton(v, r), len(intern)))
+        k: list = []
+        _walk(v, r, k)
         refs.append(tuple(r))
-    return RigidForm(shape, refs, tuple(intern))
+        if rigid:
+            shape.append(intern.setdefault(tuple(k), len(intern)))
+    return CompiledForm(refs, shape if rigid else None, tuple(intern))
 
 
-def _collect_refs(v: FValue, refs: list[int]) -> None:
-    """Append the state references of ``v`` in value order."""
-    if isinstance(v, StateRef):
-        refs.append(v.index)
-    elif isinstance(v, TupleVal):
-        for i in v.items:
-            _collect_refs(i, refs)
-    elif isinstance(v, SetVal):
-        for m in v.members:
-            _collect_refs(m, refs)
-    elif isinstance(v, InjVal):
-        _collect_refs(v.value, refs)
-    elif isinstance(v, FunVal):
-        for _, x in v.entries:
-            _collect_refs(x, refs)
-    elif isinstance(v, DistVal):
-        for x, _ in v.entries:
-            _collect_refs(x, refs)
-    elif not isinstance(v, Label):
-        raise TypeError(f"not a value: {v!r}")
+def _decode(expr: FunctorExpr, key: Iterator, refs: Iterator[int]) -> FValue:
+    """The value of rigid ``expr`` whose labels and injection tags are read
+    from ``key`` and whose state references from ``refs``: the inverse of
+    :func:`_walk`."""
+    if isinstance(expr, Identity):
+        return StateRef(next(refs))
+    if isinstance(expr, ConstSet):
+        return Label(next(key))
+    if isinstance(expr, Product):
+        return TupleVal(tuple(_decode(f, key, refs) for f in expr.factors))
+    if isinstance(expr, Coproduct):
+        tag = next(key)
+        return InjVal(tag, _decode(expr.summands[tag], key, refs))
+    if isinstance(expr, Exponent):
+        return FunVal(tuple((a, _decode(expr.base, key, refs)) for a in sorted(expr.labels)))
+    raise TypeError(f"not a rigid functor expression: {expr!r}")
 
 
 def _no_labels(block_of) -> tuple:
@@ -256,23 +257,17 @@ class SignatureEvaluator:
     __slots__ = ("n_states", "refs", "_shape", "_labels", "_values")
 
     def __init__(self, coalg: Coalgebra):
+        form = coalg.form
         self.n_states = coalg.n_states
-        form = coalg.rigid
-        if form is not None:
-            self._shape = form.shape
-            self._values = None
-            self.refs = form.refs
-            # per state, a getter of its successors' block labels; a shape
-            # fixes the number of refs, so equal shapes give keys of one form
-            self._labels = [itemgetter(*r) if r else _no_labels for r in form.refs]
+        self.refs = form.refs
+        self._shape = form.shape
+        if form.shape is None:
+            self._values = coalg.values
             return
-        self._shape = None
-        self._values = coalg.values
-        self.refs = []
-        for v in self._values:
-            refs: list[int] = []
-            _collect_refs(v, refs)
-            self.refs.append(tuple(refs))
+        self._values = None
+        # per state, a getter of its successors' block labels; a shape
+        # fixes the number of refs, so equal shapes give keys of one form
+        self._labels = [itemgetter(*r) if r else _no_labels for r in form.refs]
 
     def signature(self, x: int, block_of):
         if self._shape is not None:

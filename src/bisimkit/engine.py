@@ -266,7 +266,7 @@ def split_leaf(
     if m < hi:
         rejoined = by_sig.pop(signature(elems[m], block_of), rejoined)
         nsigs += 1
-    groups = sorted(by_sig.values(), key=itemgetter(0))
+    groups = list(by_sig.values())  # dirty is sorted, so groups ascend by min
     # rewrite the prefix: the groups in order, then the states that rejoined
     order = [x for g in groups for x in g]
     order += rejoined
@@ -416,41 +416,38 @@ def refine_hopcroft(
         splits += 1
         parent_node = node_of[rho]
 
-        # children as (min, weight, slice start, members) in order of min; the
-        # clean mass's members are None until it is known to be light
+        # children as (min, weight, slice start, slice stop) in order of min
         children = []
         at = lo
         for g in groups:
-            children.append((g[0], sum(map(wvec.__getitem__, g)), at, g))
+            children.append((g[0], sum(map(wvec.__getitem__, g)), at, at + len(g)))
             at += len(g)
         if has_clean:
             clean_min = leaf_min[rho]
             if pos[clean_min] < tail:  # the least state left: scan the rest
                 clean_min = min(elems[tail:hi])
             clean_weight = tree.weight[parent_node] - sum(c[1] for c in children)
-            insort(children, (clean_min, clean_weight, tail, None), key=itemgetter(0))
+            insort(children, (clean_min, clean_weight, tail, hi), key=itemgetter(0))
         weights = [c[1] for c in children]
         heavy = weights.index(max(weights))
         node = tree.add_children(parent_node, weights)
         tree.heavy[parent_node] = node + heavy
 
         # the heavy child inherits rho's leaf id and its part of the slice, so
-        # only light children's states get relabelled
+        # only light children's states get relabelled; a group's slice is
+        # already ascending, so sorting a light group's members is linear
         light = []
-        for i, (cmin, _, at, members) in enumerate(children):
-            stop = hi if members is None else at + len(members)
+        for i, (cmin, _, at, stop) in enumerate(children):
             if i == heavy:
                 node_of[rho] = node + i
                 leaf_min[rho] = cmin
                 first[rho] = mid[rho] = at
                 end[rho] = stop
                 continue
-            if members is None:
-                members = sorted(elems[at:stop])
             part.add_leaf(at, stop)
             node_of.append(node + i)
             leaf_min.append(cmin)
-            light.append(members)
+            light.append(sorted(elems[at:stop]))
 
         nm, nt = mark_dirty(light, pidx, part, queue)
         markings += nm

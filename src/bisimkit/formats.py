@@ -4,7 +4,7 @@ Input formats
   coalg-json  {"functor": "...", "states": n, "c": [...]}  (native)
   dfa-text    header ``dfa n k``; one line per state: accept bit then k
               successor ids, one per letter a, b, ...; loads into the
-              compiled rigid form, without building values
+              compiled form, without building values
   aut         Aldebaran: ``des (first, m, n)`` then ``(src, "label", dst)``
               triples; becomes a labelled transition system; at most
               ``AUT_MAX_STATES`` states
@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .coalgebra import Coalgebra, RigidForm, coalgebra_from_obj, coalgebra_to_obj
+from .coalgebra import Coalgebra, CompiledForm, coalgebra_from_obj, coalgebra_to_obj
 from .engine import Partition, RefinementTree
 from .functors import (
     ConstSet,
@@ -141,12 +141,12 @@ def _load_dfa_text(stream: TextIO) -> Coalgebra:
     for lineno, fields in lines[1:]:
         if len(fields) != k + 1:
             raise FormatError(f"expected accept bit and {k} successors", lineno)
-    # each state compiles to an accept-bit shape and its successors taken in
-    # the value's letter order, which sorts the names (s26 before t)
+    # each state compiles to the shape key (bit,), its value's one label, and
+    # its successors taken in the value's letter order, which sorts the
+    # names (s26 before t)
     letters = default_letters(k)
     order = sorted(range(k), key=letters.__getitem__)
     in_order = order == list(range(k))
-    blanks = (("@",),) * k
     bits: dict[str, int] = {}
     shape: list[int] = []
     refs: list[tuple[int, ...]] = []
@@ -164,8 +164,7 @@ def _load_dfa_text(stream: TextIO) -> Coalgebra:
         shape.append(bits.setdefault(bit, len(bits)))
         refs.append(succs if in_order else tuple(succs[i] for i in order))
     functor = Product((ConstSet(("0", "1")), Exponent(Identity(), letters)))
-    skeletons = tuple((bit, blanks) for bit in bits)
-    return Coalgebra.from_rigid(functor, RigidForm(shape, refs, skeletons))
+    return Coalgebra.from_form(functor, CompiledForm(refs, shape, tuple((b,) for b in bits)))
 
 
 _AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")

@@ -43,6 +43,21 @@ def test_minimize_naive_weight_contradiction(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--algo", "naive", "--weight", "card"],
+    ["--algo", "naive", "--audit"],
+    ["--stats-out", "stats.json"],
+    ["--tree-out", "tree.json"],
+])
+def test_minimize_option_conflict_prints_one_error_line(runner, tmp_path, args):
+    # like every other exit-2 path: one error: line, no usage text, no output
+    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), *args])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and "Usage:" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
 def test_minimize_naive_ok(runner, tmp_path):
     path = coalg_file(tmp_path)
     res = runner.invoke(main, ["minimize", path, "--algo", "naive"])

@@ -1,12 +1,15 @@
 """Coalgebra construction, predecessor index, signature evaluator."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import bisimkit.coalgebra
 from bisimkit.coalgebra import (
     Coalgebra,
+    CompiledForm,
     SignatureEvaluator,
     build_pred_index,
     coalgebra_from_obj,
@@ -21,6 +24,7 @@ from bisimkit.functors import (
     Product,
     parse_functor,
 )
+from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import _lifted_related
 from bisimkit.values import (
@@ -115,7 +119,7 @@ def _ordered_json_refs(obj, out):
 
 @pytest.mark.parametrize("fam", ["dfa", "nfa", "lts", "mc", "mdp", "chain"])
 def test_evaluator_refs_list_every_occurrence_in_value_order(fam):
-    # both modes: the compiled rigid form and the general walk over values
+    # both kinds of compiled form: rigid (with shapes) and general (refs only)
     c = generate(GenSpec(fam, 40, seed=8))
     ev = SignatureEvaluator(c)
     assert ev.refs == [
@@ -250,15 +254,59 @@ def test_evaluator_key_equality_matches_oracle_relatedness(functor, seed=41):
     "{0,1} * (X ^ {a,b,c})",
     "(X ^ {b,a}) * {p,q}",
     "{a,b}",
+    "({a,b} * X) + ({p} * X * X)",
 ])
 def test_rigid_form_decodes_to_the_values_it_was_compiled_from(functor, seed=5):
     expr = parse_functor(functor)
     rng = random.Random(seed)
     made = Coalgebra.make(expr, [random_value(expr, rng, 9) for _ in range(9)])
-    flat = Coalgebra.from_rigid(expr, made.rigid)
+    flat = Coalgebra.from_form(expr, made.form)
     assert flat.values == made.values
     assert flat == made
 
 
+def test_shape_key_is_labels_and_tags_in_value_order():
+    # the functor supplies the nesting, so the key is flat
+    expr = parse_functor("({a,b} * X) + ({p} * X * X)")
+    values = [
+        InjVal(1, TupleVal((Label("p"), StateRef(2), StateRef(0)))),
+        InjVal(0, TupleVal((Label("b"), StateRef(1)))),
+        InjVal(1, TupleVal((Label("p"), StateRef(1), StateRef(1)))),
+    ]
+    form = Coalgebra.make(expr, values).form
+    assert form == CompiledForm([(2, 0), (1,), (1, 1)], [0, 1, 0], ((1, "p"), (0, "b")))
+    assert Coalgebra.from_form(expr, form).values == tuple(values)
+
+
 def test_general_functors_have_no_rigid_form():
-    assert generate(GenSpec("nfa", 5, seed=1)).rigid is None
+    c = generate(GenSpec("nfa", 5, seed=1))
+    assert c.form.shape is None and c.form.keys == ()
+    assert len(c.form.refs) == 5
+    # refs alone cannot stand in for the values
+    with pytest.raises(InvalidValueError):
+        Coalgebra.from_form(c.functor, c.form)
+
+
+@pytest.mark.parametrize("fam", ["nfa", "lts", "mdp"])
+def test_engines_walk_each_value_once_in_total(fam, monkeypatch):
+    walked, compiled = [], []
+    walk, compile_ = bisimkit.coalgebra._walk, bisimkit.coalgebra._compile
+
+    def walk_spy(v, refs, key):
+        walked.append(v)
+        walk(v, refs, key)
+
+    def compile_spy(*args):
+        compiled.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(bisimkit.coalgebra, "_walk", walk_spy)
+    monkeypatch.setattr(bisimkit.coalgebra, "_compile", compile_spy)
+    c = generate(GenSpec(fam, 30, seed=4))
+    refine_naive(c)
+    for w in WEIGHT_KINDS:
+        refine_hopcroft(c, w)
+    # the walk recurses through the spy, so count the calls on whole values
+    states = Counter(map(id, c.values))
+    assert Counter(id(v) for v in walked if id(v) in states) == states
+    assert len(compiled) == 1

@@ -8,7 +8,7 @@ from util import dfa_text
 
 import bisimkit.coalgebra
 from bisimkit.cli import main
-from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
+from bisimkit.coalgebra import Coalgebra, CompiledForm, SignatureEvaluator, build_pred_index
 from bisimkit.engine import refine_hopcroft, refine_naive
 from bisimkit.formats import (
     FormatError,
@@ -83,7 +83,8 @@ def test_dfa_text_loads_what_make_builds(tmp_path, k):
         path = write(tmp_path, f"m{seed}.dfa", dfa_text(made))
         flat = load_coalgebra(path)
         # the compiled form, and what the evaluator reads from it
-        assert flat.rigid == made.rigid
+        assert flat.form == made.form
+        assert set(flat.form.keys) <= {("0",), ("1",)}
         ev_flat, ev_made = SignatureEvaluator(flat), SignatureEvaluator(made)
         assert ev_flat.refs == ev_made.refs
         assert build_pred_index(ev_flat) == build_pred_index(ev_made)
@@ -117,6 +118,10 @@ def test_coalgebra_needs_values_or_compiled_form():
         Coalgebra(made.functor, 3)
     with pytest.raises(ValueError):
         Coalgebra(made.functor, 4, made.values)
+    # a form without shapes holds no labels, so it cannot stand in for values
+    with pytest.raises(ValueError):
+        Coalgebra(made.functor, 3, None, CompiledForm(made.form.refs))
+    assert Coalgebra(made.functor, 3, None, made.form) == made
 
 
 # -- aut -------------------------------------------------------------------------
