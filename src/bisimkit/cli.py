@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from contextlib import ExitStack
 from typing import NoReturn
 
@@ -29,7 +30,7 @@ from .oracle import bisim_bruteforce, partitions_equal
 from .wtree import MalformedTreeError, WeightedTree, audit_tree
 
 # the run counters, then the wall time, in the order --stats writes them;
-# the run's phase timings follow as one "phases" object
+# the phase timings, the audit's too under --audit, follow as "phases"
 STATS_COLUMNS = (
     "iterations", "splits", "dirty_markings", "markdirty_touches",
     "signatures_computed", "wall_ms",
@@ -127,6 +128,12 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         result = refine_naive(coalg)
     else:
         result = refine_hopcroft(coalg, weight or "card")
+    if audit:
+        # audited before anything is written, so --stats can time it
+        tree = result.tree
+        started = time.perf_counter()
+        report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
+        result.stats.phases["wtree.audit_s"] = time.perf_counter() - started
     outputs = [(out, partition_to_json(result.partition))]
     stats_text = json.dumps(_stats_obj(result)) + "\n"
     if stats_out:
@@ -139,8 +146,6 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         sys.stderr.write(stats_text)
 
     if audit:
-        tree = result.tree
-        report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
         if not report.all_ok():
             _fail("refinement tree failed its audit", 1)
         click.echo(

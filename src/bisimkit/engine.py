@@ -47,6 +47,8 @@ __all__ = [
 
 WEIGHT_KINDS = ("card", "pred", "reach")
 
+_WEIGHT = itemgetter(1)  # of a child (min, weight, slice start, slice stop)
+
 
 class ConfigurationError(ValueError):
     """A run was requested with missing or contradictory parameters."""
@@ -121,14 +123,6 @@ class RefinementTree:
     heavy: list[Optional[int]] = field(default_factory=list)
     leaf_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def add_children(self, parent: int, weights: Sequence[int]) -> int:
-        """Append one child of ``parent`` per weight; returns the first's id."""
-        node = len(self.parent)
-        self.parent.extend([parent] * len(weights))
-        self.weight.extend(weights)
-        self.heavy.extend([None] * len(weights))
-        return node
-
     @property
     def node_count(self) -> int:
         return len(self.parent)
@@ -201,16 +195,6 @@ class RefinablePartition:
 
     def dirty(self, leaf: int) -> list[int]:
         return self.elems[self.first[leaf]:self.mid[leaf]]
-
-    def add_leaf(self, start: int, stop: int) -> None:
-        """Make ``elems[start:stop]`` a new clean leaf and relabel its states."""
-        leaf = len(self.first)
-        self.first.append(start)
-        self.mid.append(start)
-        self.end.append(stop)
-        leaf_of = self.leaf_of
-        for x in self.elems[start:stop]:
-            leaf_of[x] = leaf
 
     def check(self, dirty_sets: Mapping[int, set[int]]) -> None:
         """Raise EngineInvariantError unless ``elems`` and ``pos`` are inverse,
@@ -381,10 +365,13 @@ def refine_hopcroft(
     wvec = _weight_vector(weight, pidx)
 
     part = RefinablePartition(n)
-    elems, pos, first, mid, end = part.elems, part.pos, part.first, part.mid, part.end
+    elems, pos, leaf_of = part.elems, part.pos, part.leaf_of
+    first, mid, end = part.first, part.mid, part.end
     leaf_min = [0]
+    card, wget = weight == "card", wvec.__getitem__  # under card a weight is a size
 
     tree = RefinementTree([0], [sum(wvec)], [None])
+    tree_parent, tree_weight, tree_heavy = tree.parent, tree.weight, tree.heavy
     node_of = [0]  # leaf id -> tree node
 
     queue: deque[int] = deque([0])
@@ -399,7 +386,7 @@ def refine_hopcroft(
         if dirty_sets is not None:
             part.check(dirty_sets)
             dirty_sets.pop(rho, None)
-            snapshots.append(Partition.from_block_of(part.leaf_of))
+            snapshots.append(Partition.from_block_of(leaf_of))
         iterations += 1
         lo, hi = first[rho], end[rho]
         if hi - lo == 1:
@@ -408,46 +395,54 @@ def refine_hopcroft(
 
         groups, nsigs = split_leaf(part, rho, ev)
         signatures += nsigs
-        # the groups now open the slice; the clean mass is its tail
-        tail = lo + sum(map(len, groups))
-        has_clean = tail < hi
-        if len(groups) + has_clean < 2:
+        # the groups now open the slice and the clean mass is its tail, so
+        # the leaf stays whole when no group or one group that fills it
+        if not groups or len(groups[0]) == hi - lo:
             continue  # trivial split
         splits += 1
         parent_node = node_of[rho]
 
         # children as (min, weight, slice start, slice stop) in order of min
         children = []
-        at = lo
+        at, total = lo, 0
         for g in groups:
-            children.append((g[0], sum(map(wvec.__getitem__, g)), at, at + len(g)))
-            at += len(g)
-        if has_clean:
+            size = len(g)
+            gw = size if card else sum(map(wget, g))
+            total += gw
+            children.append((g[0], gw, at, at + size))
+            at += size
+        if at < hi:
             clean_min = leaf_min[rho]
-            if pos[clean_min] < tail:  # the least state left: scan the rest
-                clean_min = min(elems[tail:hi])
-            clean_weight = tree.weight[parent_node] - sum(c[1] for c in children)
-            insort(children, (clean_min, clean_weight, tail, hi), key=itemgetter(0))
-        weights = [c[1] for c in children]
-        heavy = weights.index(max(weights))
-        node = tree.add_children(parent_node, weights)
-        tree.heavy[parent_node] = node + heavy
+            if pos[clean_min] < at:  # the least state left: scan the rest
+                clean_min = min(elems[at:hi])
+            clean_weight = tree_weight[parent_node] - total
+            insort(children, (clean_min, clean_weight, at, hi))  # mins are distinct
+        heavy_min = max(children, key=_WEIGHT)[0]  # the first of the heaviest
 
         # the heavy child inherits rho's leaf id and its part of the slice, so
         # only light children's states get relabelled; a group's slice is
-        # already ascending, so sorting a light group's members is linear
+        # already ascending, so sorting a light child's members is linear
         light = []
-        for i, (cmin, _, at, stop) in enumerate(children):
-            if i == heavy:
-                node_of[rho] = node + i
+        for node, (cmin, cw, at, stop) in enumerate(children, len(tree_parent)):
+            tree_parent.append(parent_node)
+            tree_weight.append(cw)
+            tree_heavy.append(None)
+            if cmin == heavy_min:
+                tree_heavy[parent_node] = node_of[rho] = node
                 leaf_min[rho] = cmin
                 first[rho] = mid[rho] = at
                 end[rho] = stop
                 continue
-            part.add_leaf(at, stop)
-            node_of.append(node + i)
+            leaf = len(first)
+            first.append(at)
+            mid.append(at)
+            end.append(stop)
+            node_of.append(node)
             leaf_min.append(cmin)
-            light.append(sorted(elems[at:stop]))
+            members = sorted(elems[at:stop])
+            for x in members:
+                leaf_of[x] = leaf
+            light.append(members)
 
         nm, nt = mark_dirty(light, pidx, part, queue)
         markings += nm
@@ -456,12 +451,12 @@ def refine_hopcroft(
             for members in light:
                 for y in members:
                     for x in pidx.preds[y]:
-                        dirty_sets.setdefault(part.leaf_of[x], set()).add(x)
+                        dirty_sets.setdefault(leaf_of[x], set()).add(x)
 
     looped = time.perf_counter()
     stats = RunStats(iterations, splits, markings, touches, signatures)
-    partition = Partition.from_block_of(part.leaf_of)
-    tree.leaf_members = {node_of[part.leaf_of[b[0]]]: b for b in partition.blocks}
+    partition = Partition.from_block_of(leaf_of)
+    tree.leaf_members = {node_of[leaf_of[b[0]]]: b for b in partition.blocks}
     finished = time.perf_counter()
     stats.wall_time = finished - start
     stats.phases = {

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ge, le, lshift, mul, not_
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -78,17 +80,14 @@ class WeightedTree:
             raise MalformedTreeError("parent links contain a cycle")
         self.node_count = n
         self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(map(tuple, children))
         self.root = root
         self._order = tuple(order)
-        self._leaves = tuple(v for v in range(n) if not children[v])
+        self._leaves = tuple(compress(range(n), map(not_, children)))
 
     def leaves(self) -> list[int]:
         """Childless nodes in ascending id."""
         return list(self._leaves)
-
-    def internal_nodes(self) -> list[int]:
-        return [v for v in range(self.node_count) if self.children[v]]
 
     def topo_order(self) -> list[int]:
         """Nodes in root-first order (every parent before its children)."""
@@ -122,13 +121,25 @@ def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
 def validate_weight(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
     """Check the weight law (children sum <= parent) and tightness (equality)."""
     _check_weights_shape(tree, w)
-    return _weight_law(tree, w)
+    return _weight_pass(tree, w)[0]
 
 
-def _weight_law(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
-    sums = [(sum(w[u] for u in ch), w[v]) for v, ch in enumerate(tree.children) if ch]
-    valid = all(s <= x for s, x in sums)
-    return WeightCheck(valid, valid and all(s == x for s, x in sums))
+def _weight_pass(tree: WeightedTree, w: Sequence[int]) -> tuple[WeightCheck, list[int], list[int]]:
+    """The weight law, and per node its children's weight sum and its
+    heaviest child's weight (-1 at a leaf), from one pass over the parent links."""
+    sums = [0] * tree.node_count
+    tops = [-1] * tree.node_count
+    for u, p in enumerate(tree.parent):
+        if u != p:
+            x = w[u]
+            sums[p] += x
+            if x > tops[p]:
+                tops[p] = x
+    # a leaf's children sum to 0, below any natural weight; the internal nodes'
+    # slacks add up to the root's weight minus the leaves', so tight means 0
+    valid = all(map(le, sums, w))
+    tight = valid and w[tree.root] == sum(map(w.__getitem__, tree._leaves))
+    return WeightCheck(valid, tight), sums, tops
 
 
 def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
@@ -145,14 +156,19 @@ def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
     return {v: max(ch, key=w.__getitem__) for v, ch in enumerate(tree.children) if ch}
 
 
-def _check_hcc(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> None:
-    for v in tree.internal_nodes():
+def _check_hcc(tree: WeightedTree, w: Sequence[int], h: dict[int, int], tops: Sequence[int]):
+    """Raise ValueError unless ``h`` names a child of maximal weight ``tops[v]``
+    at every internal node ``v`` and names nothing at a leaf."""
+    parent, n = tree.parent, tree.node_count
+    for v, top in enumerate(tops):
         if v not in h:
+            if top < 0:
+                continue
             raise ValueError(f"heavy choice missing for internal node {v}")
         u = h[v]
-        if u not in tree.children[v]:
+        if top < 0 or u == v or not 0 <= u < n or parent[u] != v:
             raise ValueError(f"heavy child {u} is not a child of {v}")
-        if w[u] != max(w[c] for c in tree.children[v]):
+        if w[u] != top:
             raise ValueError(f"heavy child {u} of {v} is not of maximal weight")
 
 
@@ -164,15 +180,16 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int
     valid as a heavy-child choice.
     """
     _check_weights_shape(tree, w)
-    return _tighten(tree, w, h)
+    return _tighten(tree, w, h, _weight_pass(tree, w)[1])
 
 
-def _tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int]:
+def _tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int], sums: Sequence[int]):
+    # the heavy child takes its parent's new weight minus its siblings' weights
     out = list(w)
     for v in tree._order:
-        ch = tree.children[v]
-        if ch:
-            out[h[v]] = out[v] - sum(w[u] for u in ch if u != h[v])
+        if v in h:
+            u = h[v]
+            out[u] = out[v] - sums[v] + w[u]
     return out
 
 
@@ -196,13 +213,13 @@ def _path_counts(tree: WeightedTree, kept: set[int]) -> list[int]:
 
 
 def _outside_sum(tree: WeightedTree, w: Sequence[int], kept: set[int]) -> int:
-    """Child weights summed over the edges outside ``kept``."""
-    return sum(w[u] for u in tree._order[1:] if u not in kept)
+    """Child weights summed over the edges outside ``kept`` (non-root nodes)."""
+    return sum(w) - w[tree.root] - sum(map(w.__getitem__, kept))
 
 
 def _leaf_sum(tree: WeightedTree, w: Sequence[int], counts: Sequence[int]) -> int:
     """Sum over leaves of ``counts[leaf]`` * leaf weight."""
-    return sum(counts[l] * w[l] for l in tree._leaves)
+    return sum(map(mul, map(counts.__getitem__, tree._leaves), map(w.__getitem__, tree._leaves)))
 
 
 def light_child_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
@@ -244,8 +261,8 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, 
 
 
 def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int]) -> bool:
-    wr = w[tree.root]
-    return all(w[v] == 0 or (w[v] << depths[v]) <= wr for v in range(tree.node_count))
+    # a zero weight shifts to 0, which no root weight is below
+    return all(map(le, map(lshift, w, depths), repeat(w[tree.root])))
 
 
 # -- exact decision for  2^lhs * prod w^w <= root^root ------------------------
@@ -292,7 +309,7 @@ def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
         return lhs == 0 and not leaf_weights
     if root_w > _EXACT_DIRECT_WEIGHT or len(leaf_weights) + 1 > _EXACT_DIRECT_NODES:
         pos = root_w * math.log2(root_w)
-        neg = lhs + sum(x * math.log2(x) for x in leaf_weights)
+        neg = lhs + sum(map(mul, leaf_weights, map(math.log2, leaf_weights)))
         d = pos - neg
         err = (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12
         if d > err:
@@ -318,12 +335,12 @@ def hopcroft_bound_check(
 
 
 def _hopcroft_bound(tree: WeightedTree, w: Sequence[int], lhs: int) -> BoundCheck:
-    leaf_ws = [w[l] for l in tree._leaves if w[l] != 0]
+    leaf_ws = list(filter(None, map(w.__getitem__, tree._leaves)))
     wr = w[tree.root]
     ok = _product_log_le(lhs, leaf_ws, wr)
     bound_float = 0.0
     if wr > 0:
-        bound_float = wr * math.log2(wr) - sum(x * math.log2(x) for x in leaf_ws)
+        bound_float = wr * math.log2(wr) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
     return BoundCheck(ok, lhs, bound_float)
 
 
@@ -371,11 +388,12 @@ def audit_tree(
     one a refinement run actually made); it is validated against the weights.
     If the weight law fails, all remaining checks are skipped.
     """
-    valid, tight = validate_weight(tree, w)
+    _check_weights_shape(tree, w)
+    (valid, tight), child_sums, tops = _weight_pass(tree, w)
     if not valid:
         return AuditReport(valid=False, tight=False)
     h = _choose_heavy(tree, w) if heavy is None else dict(heavy)
-    _check_hcc(tree, w, h)
+    _check_hcc(tree, w, h, tops)
 
     # path counts depend on the tree and the edge set only, not on weights
     kept_sets = (set(), _heavy_children(tree, h), set(tree._order[1:]))
@@ -385,15 +403,16 @@ def audit_tree(
     light_sum, lpath_sum = sums[1]
     lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)
 
-    w2 = _tighten(tree, w, h)
+    w2 = _tighten(tree, w, h, child_sums)
+    law2, _, tops2 = _weight_pass(tree, w2)
     lemma3_ok = (
-        _weight_law(tree, w2) == WeightCheck(True, True)
+        law2 == WeightCheck(True, True)
         and w2[tree.root] == w[tree.root]
-        and all(w2[v] >= w[v] for v in range(tree.node_count))
+        and all(map(ge, w2, w))
     )
     if lemma3_ok:
         try:
-            _check_hcc(tree, w2, h)
+            _check_hcc(tree, w2, h, tops2)
         except ValueError:
             lemma3_ok = False
         else:

@@ -106,6 +106,16 @@ def test_minimize_stats(runner, tmp_path):
                            "engine.main_loop_s", "engine.canonicalize_s"}
     assert all(v >= 0 for v in phases.values())
     assert sum(phases.values()) <= stats["wall_ms"] / 1000.0 + 1e-5
+    # --audit adds the tree audit, timed before any output is written
+    res = runner.invoke(main, ["minimize", path, "--stats", "--audit", "--tree-out", "-"])
+    assert res.exit_code == 0, res.output
+    lines = res.stderr.splitlines()
+    assert lines[-1].startswith("audit ok: ")
+    audited = json.loads(lines[-2])
+    assert set(audited["phases"]) == set(phases) | {"wtree.audit_s"}
+    assert audited["phases"]["wtree.audit_s"] >= 0
+    counters = cli.STATS_COLUMNS[:-1]
+    assert {k: audited[k] for k in counters} == {k: stats[k] for k in counters}
 
 
 def test_minimize_naive_stats_phases(runner, tmp_path):
@@ -246,6 +256,8 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
     ('{"parent":[0,0,"z"],"w":[2,1,1]}', 2),
     ('{"parent":[0,0,1.5],"w":[2,1,1]}', 2),
     ('{"parent":[0,0,0],"w":[3,2,1],"heavy":[2,null,null]}', 1),  # 2 is the lighter
+    ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[1,2,null]}', 1),  # leaf 1 names its sibling
+    ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[1,0,null]}', 1),  # leaf 1 names its parent
 ])
 def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     p = tmp_path / "tree.json"

@@ -1,12 +1,15 @@
 """Weighted-tree checks against hand-verified micro examples and brute force."""
 
+import dataclasses
 import math
 import random
 
 import pytest
-from util import random_weighted_tree
+from test_pinned_outputs import INSTANCES, SEEDS
+from util import random_weighted_tree, reference_audit
 
 from bisimkit import wtree
+from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
 from bisimkit.wtree import (
     AuditReport,
     MalformedTreeError,
@@ -234,7 +237,7 @@ def test_sums_match_brute_force_on_random_trees(seed=17):
         # a true heavy choice and an arbitrary one, which need not be heavy
         for h in (
             choose_heavy(tree, w),
-            {v: rng.choice(tree.children[v]) for v in tree.internal_nodes()},
+            {v: rng.choice(ch) for v, ch in enumerate(tree.children) if ch},
         ):
             assert light_child_sum(tree, w, h) == brute_light_child_sum(tree, w, h)
             assert lpath_weighted_leaf_sum(tree, w, h) == brute_lpath_leaf_sum(tree, w, h)
@@ -437,3 +440,80 @@ def test_corollary_total_cost_bounded(seed=13):
             assert total <= wr * math.log2(wr) + 1e-6
         else:
             assert total == 0
+
+
+# -- the audit against its per-node definitions ---------------------------------
+
+
+def audit_outcome(audit, tree, w, heavy):
+    """The report as a tuple, bound_float bit for bit, or the error raised."""
+    try:
+        report = audit(tree, w, heavy)
+    except ValueError as e:  # MalformedTreeError included
+        return type(e), str(e)
+    return dataclasses.astuple(report), report.bound_float.hex()
+
+
+def relabelled(rng, tree, w):
+    """The same weighted tree under a random renumbering of its nodes: the
+    root need not be node 0, and children may be numbered below their parent."""
+    n = tree.node_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    parent, w2 = [0] * n, [0] * n
+    for v in range(n):
+        parent[perm[v]] = perm[tree.parent[v]]
+        w2[perm[v]] = w[v]
+    return WeightedTree(parent), w2
+
+
+def heavy_choices(rng, tree, w):
+    """No choice, the true one, an arbitrary one, and one fault of each kind:
+    an internal node skipped, a non-child, a lighter child, an entry at a leaf."""
+    n = tree.node_count
+    internal = [v for v, ch in enumerate(tree.children) if ch]
+    true = choose_heavy(tree, w)
+    yield None
+    yield true
+    yield {v: rng.choice(tree.children[v]) for v in internal}
+    if not internal:
+        return
+    v = rng.choice(internal)
+    yield {u: c for u, c in true.items() if u != v}
+    outsiders = [u for u in range(-1, n + 1) if u not in tree.children[v]]
+    yield {**true, v: rng.choice(outsiders)}
+    lighter = [(v, u) for v in internal for u in tree.children[v] if w[u] < w[true[v]]]
+    if lighter:
+        v, u = rng.choice(lighter)
+        yield {**true, v: u}
+    yield {**true, rng.choice(tree.leaves()): rng.randrange(n)}
+
+
+def test_audit_matches_per_node_definitions_on_random_trees(seed=29):
+    rng = random.Random(seed)
+    cases = 0
+    for i in range(1000):
+        tree, w = random_weighted_tree(rng, max_nodes=60, max_root_weight=rng.choice((50, 10**6)))
+        if i % 2:
+            tree, w = relabelled(rng, tree, w)
+        overfull = list(w)
+        u = rng.choice([v for v in range(tree.node_count) if v != tree.root] or [tree.root])
+        overfull[u] += w[tree.parent[u]] + 1
+        for weights in (w, overfull):
+            for heavy in heavy_choices(rng, tree, weights):
+                expected = audit_outcome(reference_audit, tree, weights, heavy)
+                assert audit_outcome(audit_tree, tree, weights, heavy) == expected
+                cases += 1
+    assert cases > 10_000
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+def test_audit_matches_per_node_definitions_on_pinned_trees(family):
+    for weight in WEIGHT_KINDS:
+        for seed in SEEDS:
+            t = refine_hopcroft(INSTANCES[family](seed), weight).tree
+            tree = WeightedTree(t.parent)
+            for heavy in (None, t.heavy_choice()):
+                expected = audit_outcome(reference_audit, tree, t.weight, heavy)
+                assert expected[0][0] is True  # a valid weight law, reported
+                assert audit_outcome(audit_tree, tree, t.weight, heavy) == expected

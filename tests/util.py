@@ -1,14 +1,23 @@
-"""Shared test helpers: seeded random weighted trees, old-form tree documents,
-a labelled Markov chain family, DFAs written as dfa-text."""
+"""Shared test helpers: seeded random weighted trees, a reference tree audit,
+old-form tree documents, a labelled Markov chain family, DFAs written as
+dfa-text."""
 
 import json
+import math
 from fractions import Fraction
 
 from bisimkit.coalgebra import Coalgebra
 from bisimkit.functors import default_letters, parse_functor
 from bisimkit.gen import SplitMix64
 from bisimkit.values import DistVal, Label, StateRef, TupleVal
-from bisimkit.wtree import WeightedTree, validate_weight
+from bisimkit.wtree import (
+    FLOAT_BOUND_RELTOL,
+    AuditReport,
+    MalformedTreeError,
+    WeightedTree,
+    _products_equal,
+    validate_weight,
+)
 
 
 def random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6):
@@ -36,6 +45,131 @@ def random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6):
             budget -= part
     assert validate_weight(tree, w).valid
     return tree, w
+
+
+# -- a reference audit: the per-node definitions, one scan or sum per node -------
+
+
+def ref_check_weights_shape(tree, w):
+    if len(w) != tree.node_count:
+        raise MalformedTreeError(
+            f"weight assignment covers {len(w)} nodes, tree has {tree.node_count}"
+        )
+    for v, x in enumerate(w):
+        if type(x) is not int or x < 0:
+            raise MalformedTreeError(f"weight of node {v} is not a natural number: {x!r}")
+
+
+def ref_weight_law(tree, w):
+    sums = [(sum(w[u] for u in ch), w[v]) for v, ch in enumerate(tree.children) if ch]
+    valid = all(s <= x for s, x in sums)
+    return valid, valid and all(s == x for s, x in sums)
+
+
+def ref_check_hcc(tree, w, h):
+    """Every internal node names a child of maximal weight; a leaf names none."""
+    for v, ch in enumerate(tree.children):
+        if not ch:
+            if v in h:
+                raise ValueError(f"heavy child {h[v]} is not a child of {v}")
+            continue
+        if v not in h:
+            raise ValueError(f"heavy choice missing for internal node {v}")
+        u = h[v]
+        if u not in ch:
+            raise ValueError(f"heavy child {u} is not a child of {v}")
+        if w[u] != max(w[c] for c in ch):
+            raise ValueError(f"heavy child {u} of {v} is not of maximal weight")
+
+
+def ref_tighten(tree, w, h):
+    out = list(w)
+    for v in tree.topo_order():
+        ch = tree.children[v]
+        if ch:
+            out[h[v]] = out[v] - sum(w[u] for u in ch if u != h[v])
+    return out
+
+
+def ref_path_counts(tree, kept):
+    counts = [0] * tree.node_count
+    for u in tree.topo_order()[1:]:
+        counts[u] = counts[tree.parent[u]] + (u not in kept)
+    return counts
+
+
+def ref_outside_sum(tree, w, kept):
+    return sum(w[u] for u in tree.topo_order()[1:] if u not in kept)
+
+
+def ref_leaf_sum(tree, w, counts):
+    return sum(counts[l] * w[l] for l in tree.leaves())
+
+
+def ref_product_log_le(lhs, leaf_weights, root_w):
+    if root_w == 0:
+        return lhs == 0 and not leaf_weights
+    if root_w > 1000 or len(leaf_weights) + 1 > 1000:
+        pos = root_w * math.log2(root_w)
+        neg = lhs + sum(x * math.log2(x) for x in leaf_weights)
+        d = pos - neg
+        err = (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12
+        if d > err:
+            return True
+        if d < -err:
+            return False
+        if _products_equal(lhs, leaf_weights, root_w):
+            return True
+    return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
+
+
+def reference_audit(tree, w, heavy=None):
+    """``wtree.audit_tree`` as the per-node definitions state it."""
+    ref_check_weights_shape(tree, w)
+    valid, tight = ref_weight_law(tree, w)
+    if not valid:
+        return AuditReport(valid=False, tight=False)
+    if heavy is None:
+        h = {v: max(ch, key=w.__getitem__) for v, ch in enumerate(tree.children) if ch}
+    else:
+        h = dict(heavy)
+    ref_check_hcc(tree, w, h)
+    below_root = tree.topo_order()[1:]
+    kept_sets = (set(), {u for u in below_root if h[tree.parent[u]] == u}, set(below_root))
+    counts = [ref_path_counts(tree, s) for s in kept_sets]
+    sums = [(ref_outside_sum(tree, w, s), ref_leaf_sum(tree, w, c))
+            for s, c in zip(kept_sets, counts)]
+    lemma1_ok = all(lhs >= rhs and (not tight or lhs == rhs) for lhs, rhs in sums)
+    light_sum, lpath_sum = sums[1]
+    lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)
+    w2 = ref_tighten(tree, w, h)
+    lemma3_ok = (
+        ref_weight_law(tree, w2) == (True, True)
+        and w2[tree.root] == w[tree.root]
+        and all(w2[v] >= w[v] for v in range(tree.node_count))
+    )
+    if lemma3_ok:
+        try:
+            ref_check_hcc(tree, w2, h)
+        except ValueError:
+            lemma3_ok = False
+        else:
+            lemma3_ok = ref_outside_sum(tree, w2, kept_sets[1]) == ref_leaf_sum(tree, w2, counts[1])
+    wr = w[tree.root]
+    lemma4_ok = all(w[v] == 0 or (w[v] << counts[1][v]) <= wr for v in range(tree.node_count))
+    leaf_ws = [w[l] for l in tree.leaves() if w[l] != 0]
+    ok = ref_product_log_le(light_sum, leaf_ws, wr)
+    bound_float = 0.0
+    if wr > 0:
+        bound_float = wr * math.log2(wr) - sum(x * math.log2(x) for x in leaf_ws)
+    margin = FLOAT_BOUND_RELTOL * max(1.0, abs(bound_float))
+    return AuditReport(
+        valid=True, tight=tight, lemma1_ok=lemma1_ok, lemma2_ok=lemma2_ok,
+        lemma3_ok=lemma3_ok, lemma4_ok=lemma4_ok,
+        theorem1_ok=ok and light_sum <= bound_float + margin,
+        light_sum=light_sum, lpath_sum=lpath_sum, bound_exact_ok=ok,
+        bound_float=bound_float,
+    )
 
 
 def old_form_tree_document(text):
