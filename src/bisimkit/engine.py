@@ -396,7 +396,7 @@ def refine_hopcroft(
         groups, nsigs = split_leaf(part, rho, ev)
         signatures += nsigs
         # the groups now open the slice and the clean mass is its tail, so
-        # the leaf stays whole when no group or one group that fills it
+        # the leaf stays whole when there is no group or one fills the slice
         if not groups or len(groups[0]) == hi - lo:
             continue  # trivial split
         splits += 1
