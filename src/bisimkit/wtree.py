@@ -93,9 +93,6 @@ class WeightedTree:
         """Nodes in root-first order (every parent before its children)."""
         return list(self._order)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(p, c) for p in range(self.node_count) for c in self.children[p]]
-
 
 class WeightCheck(NamedTuple):
     valid: bool
@@ -395,10 +392,12 @@ def audit_tree(
     h = _choose_heavy(tree, w) if heavy is None else dict(heavy)
     _check_hcc(tree, w, h, tops)
 
-    # path counts depend on the tree and the edge set only, not on weights
-    kept_sets = (set(), _heavy_children(tree, h), set(tree._order[1:]))
+    # path counts depend on the tree and the edge set only, not on weights;
+    # with every edge kept no edge lies outside, so both sides are 0
+    kept_sets = (set(), _heavy_children(tree, h))
     counts = [_path_counts(tree, s) for s in kept_sets]
     sums = [(_outside_sum(tree, w, s), _leaf_sum(tree, w, c)) for s, c in zip(kept_sets, counts)]
+    sums.append((0, 0))
     lemma1_ok = all(lhs >= rhs and (not tight or lhs == rhs) for lhs, rhs in sums)
     light_sum, lpath_sum = sums[1]
     lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)

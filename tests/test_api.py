@@ -14,7 +14,7 @@ from bisimkit.cli import main
 
 MODULES = ["cli", "coalgebra", "engine", "formats", "functors", "gen", "oracle", "values", "wtree"]
 
-DELETED = ["block_weight", "reachable_targets", "occurring_states", "RigidForm"]
+DELETED = ["block_weight", "reachable_targets", "occurring_states", "RigidForm", "edges"]
 
 
 def test_package_exports_resolve():
@@ -35,6 +35,36 @@ def test_deleted_names_not_exported(mod):
     for name in DELETED:
         assert name not in getattr(m, "__all__", ()), (mod, name)
         assert not hasattr(m, name), (mod, name)
+
+
+def test_deleted_tree_methods_stay_gone():
+    assert not hasattr(bisimkit.WeightedTree, "edges")
+
+
+def test_oracle_stays_independent_of_the_engine():
+    # the oracle shares no code with refinement: from the engine it takes
+    # only the Partition it answers with, from coalgebra only the type it
+    # reads, and it never reads the compiled form
+    path = os.path.join(os.path.dirname(bisimkit.__file__), "oracle.py")
+    with open(path, encoding="utf-8") as f:
+        module = ast.parse(f.read())
+    from_engine, from_coalgebra = set(), set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bisimkit") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a whole-module import such as "from . import engine" would
+            # get round the name checks below
+            assert node.module not in (None, "bisimkit"), ast.unparse(node)
+            names = {a.name for a in node.names}
+            if node.module.endswith("engine"):
+                from_engine |= names
+            elif node.module.endswith("coalgebra"):
+                from_coalgebra |= names
+    assert from_engine == {"Partition"}
+    assert from_coalgebra <= {"Coalgebra"}
+    reads = {n.attr for n in ast.walk(module) if isinstance(n, ast.Attribute)}
+    assert "form" not in reads
 
 
 def _layer_of_span():

@@ -2,9 +2,9 @@
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
+from util import random_value
 
 import bisimkit.coalgebra
 from bisimkit.coalgebra import (
@@ -15,18 +15,10 @@ from bisimkit.coalgebra import (
     coalgebra_from_obj,
     coalgebra_to_obj,
 )
-from bisimkit.functors import (
-    ConstSet,
-    Coproduct,
-    Exponent,
-    Identity,
-    Powerset,
-    Product,
-    parse_functor,
-)
+from bisimkit.functors import parse_functor
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
 from bisimkit.gen import GenSpec, generate
-from bisimkit.oracle import _lifted_related
+from bisimkit.oracle import related
 from bisimkit.values import (
     DistVal,
     FunVal,
@@ -199,28 +191,6 @@ def test_evaluator_general_path_matches_signature_of(seed=23):
             assert ev.signature(x, blocks) == signature_of(c.values[x], blocks)
 
 
-def random_value(expr, rng, n):
-    """A random value of ``expr`` over n states, drawn from small domains so
-    that equal observations are common."""
-    if isinstance(expr, Identity):
-        return StateRef(rng.randrange(n))
-    if isinstance(expr, ConstSet):
-        return Label(rng.choice(expr.labels))
-    if isinstance(expr, Product):
-        return TupleVal(tuple(random_value(f, rng, n) for f in expr.factors))
-    if isinstance(expr, Coproduct):
-        tag = rng.randrange(len(expr.summands))
-        return InjVal(tag, random_value(expr.summands[tag], rng, n))
-    if isinstance(expr, Exponent):
-        return FunVal(tuple((a, random_value(expr.base, rng, n)) for a in expr.labels))
-    if isinstance(expr, Powerset):
-        return SetVal(tuple(random_value(expr.inner, rng, n) for _ in range(rng.randrange(3))))
-    # a distribution: four quarters split among one to three entries
-    cuts = sorted(rng.sample(range(1, 4), rng.randrange(3)))
-    shares = [b - a for a, b in zip([0] + cuts, cuts + [4])]
-    return DistVal(tuple((random_value(expr.inner, rng, n), Fraction(q, 4)) for q in shares))
-
-
 @pytest.mark.parametrize("functor", [
     "{0,1} * P ({a,b} * D (X + {stop}))",
     "(X ^ {a}) + P X",
@@ -243,7 +213,7 @@ def test_evaluator_key_equality_matches_oracle_relatedness(functor, seed=41):
             for x in range(c.n_states):
                 for y in range(c.n_states):
                     same = ev.signature(x, blocks) == ev.signature(y, blocks)
-                    assert same == _lifted_related(c.values[x], c.values[y], blocks)
+                    assert same == related(c.values[x], c.values[y], blocks)
                     verdicts.add(same)
     assert verdicts == {True, False}
 

@@ -1,17 +1,23 @@
 """Brute-force oracle and partition validity checks."""
 
+import random
+from fractions import Fraction
+
 import pytest
+from util import labelled_mc, random_value, ref_lifted_related, reference_bruteforce
 
 from bisimkit.coalgebra import Coalgebra
 from bisimkit.engine import Partition
 from bisimkit.functors import parse_functor
+from bisimkit.gen import FAMILIES, GenSpec, generate
 from bisimkit.oracle import (
     PairRelation,
     bisim_bruteforce,
     check_r_partitioning,
     partitions_equal,
+    related,
 )
-from bisimkit.values import DistVal, FunVal, Label, StateRef, TupleVal
+from bisimkit.values import DistVal, FunVal, InjVal, Label, SetVal, StateRef, TupleVal
 
 
 def dfa1(*rows):
@@ -48,6 +54,102 @@ def test_bruteforce_size_cap():
                 [DistVal(((StateRef(0), 1),))] * (10**4 + 1),
             )
         )
+
+
+# -- against the reference oracle, which rechecks every pair every round ---------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bruteforce_matches_reference_on_generated_families(family):
+    for n in range(1, 41):
+        c = generate(GenSpec(family, n, seed=7000 + n))
+        assert bisim_bruteforce(c) == reference_bruteforce(c), (family, n)
+
+
+def test_bruteforce_matches_reference_on_labelled_chains():
+    blocks = set()
+    for seed in range(8):
+        c = labelled_mc(60, seed)
+        p = bisim_bruteforce(c)
+        assert p == reference_bruteforce(c), seed
+        blocks.add(p.n_blocks)
+    assert any(1 < b < 60 for b in blocks)
+
+
+NESTED = ["P D X", "D (X + {stop})", "P (X ^ {a,b})", "{0,1} * P ({a,b} * D (X + {stop}))"]
+
+
+@pytest.mark.parametrize("functor", NESTED)
+def test_bruteforce_matches_reference_on_nested_values(functor, seed=17):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    joined = separated = False
+    for n in (2, 5, 9, 14) * 5:
+        c = Coalgebra.make(expr, [random_value(expr, rng, n) for _ in range(n)])
+        p = bisim_bruteforce(c)
+        assert p == reference_bruteforce(c), (functor, n)
+        joined |= p.n_blocks < n
+        separated |= p.n_blocks > 1
+    assert joined and separated
+
+
+@pytest.mark.parametrize("functor", NESTED)
+def test_related_matches_reference(functor, seed=3):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(6):
+        values = [random_value(expr, rng, 6) for _ in range(10)]
+        class_of = [rng.randrange(3) for _ in range(6)]
+        for a in values:
+            for b in values:
+                same = related(a, b, class_of)
+                assert same == ref_lifted_related(a, b, class_of)
+                verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+def dist(*entries):
+    return DistVal(tuple((v, Fraction(p)) for v, p in entries))
+
+
+def test_bruteforce_nested_hand_built():
+    # P D X: 0 and 1 offer the same two distributions up to 2 ~ 3; 4 offers
+    # only one of them
+    half = Fraction(1, 2)
+    pdx = Coalgebra.make(parse_functor("P D X"), [
+        SetVal((dist((StateRef(2), 1)), dist((StateRef(2), half), (StateRef(4), half)))),
+        SetVal((dist((StateRef(3), 1)), dist((StateRef(3), half), (StateRef(4), half)))),
+        SetVal(()),
+        SetVal(()),
+        SetVal((dist((StateRef(2), 1)),)),
+    ])
+    # D (X + {stop}): the stop mass separates 0 from 1; 2 and 3 loop
+    stop = InjVal(1, Label("stop"))
+    dxs = Coalgebra.make(parse_functor("D (X + {stop})"), [
+        dist((InjVal(0, StateRef(2)), half), (stop, half)),
+        dist((InjVal(0, StateRef(3)), 1)),
+        dist((InjVal(0, StateRef(2)), 1)),
+        dist((InjVal(0, StateRef(3)), 1)),
+    ])
+    # P (X ^ {a,b}): 0 and 1 step to 2 and 3, which differ only in their
+    # own successors
+    def fun(a, b):
+        return FunVal((("a", StateRef(a)), ("b", StateRef(b))))
+
+    pxa = Coalgebra.make(parse_functor("P (X ^ {a,b})"), [
+        SetVal((fun(2, 2),)),
+        SetVal((fun(3, 3),)),
+        SetVal((fun(2, 2),)),
+        SetVal(()),
+    ])
+    for c, blocks in [
+        (pdx, ((0, 1), (2, 3), (4,))),
+        (dxs, ((0,), (1, 2, 3))),
+        (pxa, ((0, 2), (1,), (3,))),
+    ]:
+        assert bisim_bruteforce(c).blocks == blocks
+        assert reference_bruteforce(c).blocks == blocks
 
 
 # -- partitions_equal ------------------------------------------------------------

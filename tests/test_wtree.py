@@ -249,7 +249,8 @@ def test_sums_match_brute_force_on_random_trees(seed=17):
 
 def test_general_edge_sum_all_edges_gives_zero():
     t = example_tree()
-    assert general_edge_sum(t, EX_W_TIGHT, set(t.edges())) == (0, 0)
+    all_edges = {(p, c) for p, ch in enumerate(t.children) for c in ch}
+    assert general_edge_sum(t, EX_W_TIGHT, all_edges) == (0, 0)
 
 
 def test_general_edge_sum_heavy_edges_specializes_to_light_sums():
@@ -275,7 +276,7 @@ def test_general_edge_sum_random_sets_obey_contract(seed=11):
     rng = random.Random(seed)
     for _ in range(150):
         tree, w = random_weighted_tree(rng, max_nodes=30, max_root_weight=500)
-        edges = tree.edges()
+        edges = [(p, c) for p, ch in enumerate(tree.children) for c in ch]
         s = {e for e in edges if rng.random() < 0.4}
         lhs, rhs = general_edge_sum(tree, w, s)
         assert (lhs, rhs) == brute_general_edge_sum(tree, w, s)

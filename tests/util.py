@@ -1,15 +1,36 @@
 """Shared test helpers: seeded random weighted trees, a reference tree audit,
-old-form tree documents, a labelled Markov chain family, DFAs written as
-dfa-text."""
+a reference brute-force oracle, old-form tree documents, a labelled Markov
+chain family, random values of any functor, DFAs written as dfa-text."""
 
 import json
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from bisimkit.coalgebra import Coalgebra
-from bisimkit.functors import default_letters, parse_functor
+from bisimkit.engine import Partition
+from bisimkit.functors import (
+    ConstSet,
+    Coproduct,
+    Exponent,
+    Identity,
+    Powerset,
+    Product,
+    default_letters,
+    parse_functor,
+)
 from bisimkit.gen import SplitMix64
-from bisimkit.values import DistVal, Label, StateRef, TupleVal
+from bisimkit.oracle import BRUTEFORCE_STATE_LIMIT, PairRelation
+from bisimkit.values import (
+    DistVal,
+    FunVal,
+    FValue,
+    InjVal,
+    Label,
+    SetVal,
+    StateRef,
+    TupleVal,
+)
 from bisimkit.wtree import (
     FLOAT_BOUND_RELTOL,
     AuditReport,
@@ -172,6 +193,114 @@ def reference_audit(tree, w, heavy=None):
     )
 
 
+# -- a reference oracle: pair elimination that rechecks every pair each round ----
+
+
+def ref_lifted_related(a: FValue, b: FValue, class_of: Sequence[int]) -> bool:
+    """One-step relatedness of two values under classes given by class_of."""
+    if isinstance(a, StateRef):
+        return isinstance(b, StateRef) and class_of[a.index] == class_of[b.index]
+    if isinstance(a, Label):
+        return isinstance(b, Label) and a.name == b.name
+    if isinstance(a, TupleVal):
+        return (
+            isinstance(b, TupleVal)
+            and len(a.items) == len(b.items)
+            and all(ref_lifted_related(x, y, class_of) for x, y in zip(a.items, b.items))
+        )
+    if isinstance(a, InjVal):
+        return (
+            isinstance(b, InjVal)
+            and a.tag == b.tag
+            and ref_lifted_related(a.value, b.value, class_of)
+        )
+    if isinstance(a, FunVal):
+        if not isinstance(b, FunVal) or len(a.entries) != len(b.entries):
+            return False
+        return all(
+            ka == kb and ref_lifted_related(x, y, class_of)
+            for (ka, x), (kb, y) in zip(a.entries, b.entries)
+        )
+    if isinstance(a, SetVal):
+        if not isinstance(b, SetVal):
+            return False
+        forth = all(
+            any(ref_lifted_related(x, y, class_of) for y in b.members) for x in a.members
+        )
+        back = all(
+            any(ref_lifted_related(x, y, class_of) for x in a.members) for y in b.members
+        )
+        return forth and back
+    if isinstance(a, DistVal):
+        if not isinstance(b, DistVal):
+            return False
+        # mass per target class must agree; nested values are matched by a
+        # representative-class key built from recursive relatedness
+        return ref_class_masses(a, b, class_of)
+    raise TypeError(f"not a value: {a!r}")
+
+
+def ref_class_masses(a: DistVal, b: DistVal, class_of) -> bool:
+    """Group both distributions' mass by relatedness and compare the sums."""
+    if all(isinstance(v, StateRef) for v, _ in a.entries) and all(
+        isinstance(v, StateRef) for v, _ in b.entries
+    ):
+        da: dict[int, Fraction] = {}
+        db: dict[int, Fraction] = {}
+        for v, p in a.entries:
+            k = class_of[v.index]
+            da[k] = da[k] + p if k in da else p
+        for v, p in b.entries:
+            k = class_of[v.index]
+            db[k] = db[k] + p if k in db else p
+        return da == db
+    reps: list[FValue] = []
+    sums_a: list[Fraction] = []
+    sums_b: list[Fraction] = []
+
+    def bucket(v: FValue) -> int:
+        for i, r in enumerate(reps):
+            if ref_lifted_related(v, r, class_of):
+                return i
+        reps.append(v)
+        sums_a.append(Fraction(0))
+        sums_b.append(Fraction(0))
+        return len(reps) - 1
+
+    for v, p in a.entries:
+        sums_a[bucket(v)] += p
+    for v, p in b.entries:
+        sums_b[bucket(v)] += p
+    return sums_a == sums_b
+
+
+def reference_bruteforce(coalg: Coalgebra) -> Partition:
+    """Greatest-fixpoint bisimilarity by pair elimination.
+
+    Start from the total relation; repeatedly drop pairs whose values are
+    not one-step related under the classes of the current relation's
+    equivalence closure.  The classes at the fixpoint are the answer.
+    """
+    n = coalg.n_states
+    if n > BRUTEFORCE_STATE_LIMIT:
+        raise ValueError(f"brute force capped at {BRUTEFORCE_STATE_LIMIT} states")
+    rel = PairRelation.total(n)
+    values = coalg.values
+    while True:
+        classes = rel.closure_classes()
+        class_of = [0] * n
+        for i, cls_ in enumerate(classes):
+            for x in cls_:
+                class_of[x] = i
+        removed = False
+        for x, y in rel.pairs():
+            if not ref_lifted_related(values[x], values[y], class_of):
+                rel.remove(x, y)
+                removed = True
+        if not removed:
+            return Partition.from_blocks(classes, n)
+
+
 def old_form_tree_document(text):
     """The tree document in its earlier form, rebuilt from the current one.
 
@@ -207,6 +336,28 @@ def labelled_mc(n, seed):
             TupleVal((bit, DistVal(tuple((StateRef(y), Fraction(q, 4)) for y, q in dist))))
         )
     return Coalgebra.make(parse_functor("{0,1} * D X"), values)
+
+
+def random_value(expr, rng, n):
+    """A random value of ``expr`` over n states, drawn from small domains so
+    that equal observations are common."""
+    if isinstance(expr, Identity):
+        return StateRef(rng.randrange(n))
+    if isinstance(expr, ConstSet):
+        return Label(rng.choice(expr.labels))
+    if isinstance(expr, Product):
+        return TupleVal(tuple(random_value(f, rng, n) for f in expr.factors))
+    if isinstance(expr, Coproduct):
+        tag = rng.randrange(len(expr.summands))
+        return InjVal(tag, random_value(expr.summands[tag], rng, n))
+    if isinstance(expr, Exponent):
+        return FunVal(tuple((a, random_value(expr.base, rng, n)) for a in expr.labels))
+    if isinstance(expr, Powerset):
+        return SetVal(tuple(random_value(expr.inner, rng, n) for _ in range(rng.randrange(3))))
+    # a distribution: four quarters split among one to three entries
+    cuts = sorted(rng.sample(range(1, 4), rng.randrange(3)))
+    shares = [b - a for a, b in zip([0] + cuts, cuts + [4])]
+    return DistVal(tuple((random_value(expr.inner, rng, n), Fraction(q, 4)) for q in shares))
 
 
 def dfa_text(coalg):
