@@ -15,7 +15,7 @@ from typing import NoReturn
 import click
 
 from .coalgebra import Coalgebra
-from .engine import WEIGHT_KINDS, RefineResult, refine_hopcroft, refine_naive
+from .engine import WEIGHT_KINDS, RefineResult, _gc_paused, refine_hopcroft, refine_naive
 from .formats import (
     FORMATS,
     FormatError,
@@ -41,12 +41,29 @@ COMPARE_ORACLE_STATES = 1000
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Minimize finite state systems modulo bisimilarity."""
+    # load, compile, refine, audit and output all run with the cyclic
+    # garbage collector paused; the context restores the caller's setting
+    # however the command ends
+    ctx.with_resource(_gc_paused())
+
+
+def _echo(line: str, err: bool = False) -> None:
+    """Write one line to stdout or stderr and flush.
+
+    Not ``click.echo``: it caches a wrapper per stream object, keyed
+    weakly but holding the stream, so every stream a caller redirects
+    into would stay alive for good.
+    """
+    stream = sys.stderr if err else sys.stdout
+    stream.write(line + "\n")
+    stream.flush()
 
 
 def _fail(e, code: int = 2) -> NoReturn:
-    click.echo(f"error: {e}", err=True)
+    _echo(f"error: {e}", err=True)
     sys.exit(code)
 
 
@@ -148,7 +165,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
     if audit:
         if not report.all_ok():
             _fail("refinement tree failed its audit", 1)
-        click.echo(
+        _echo(
             f"audit ok: light sum {report.light_sum} <= bound {report.bound_float:.4f} "
             f"(margin {report.margin:.4f})",
             err=True,
@@ -170,11 +187,11 @@ def compare(input_path, fmt):
         runs.append(("bruteforce", bisim_bruteforce(coalg)))
     base_name, base = runs[0]
     ok = True
-    click.echo(f"{base_name}: {base.n_blocks} blocks")
+    _echo(f"{base_name}: {base.n_blocks} blocks")
     for name, part in runs[1:]:
         same = partitions_equal(base, part)
         ok = ok and same
-        click.echo(f"{name}: {part.n_blocks} blocks, {'match' if same else 'MISMATCH'}")
+        _echo(f"{name}: {part.n_blocks} blocks, {'match' if same else 'MISMATCH'}")
     sys.exit(0 if ok else 1)
 
 
@@ -189,19 +206,19 @@ def audit_tree_cmd(tree_path):
         _fail(e)
     report = _audit(tree, weights, heavy)
     if not report.valid:
-        click.echo("weight law: VIOLATED")
+        _echo("weight law: VIOLATED")
         sys.exit(1)
-    click.echo(f"weight law: ok ({'tight' if report.tight else 'not tight'})")
-    click.echo(f"edge-exclusion sums: {'ok' if report.lemma1_ok else 'FAILED'}")
+    _echo(f"weight law: ok ({'tight' if report.tight else 'not tight'})")
+    _echo(f"edge-exclusion sums: {'ok' if report.lemma1_ok else 'FAILED'}")
     rel = "=" if report.light_sum == report.lpath_sum else ">"
-    click.echo(
+    _echo(
         f"light-children sum {report.light_sum} {rel} "
         f"weighted light-path sum {report.lpath_sum}: "
         f"{'ok' if report.lemma2_ok else 'FAILED'}"
     )
-    click.echo(f"tightening properties: {'ok' if report.lemma3_ok else 'FAILED'}")
-    click.echo(f"light-path length bound: {'ok' if report.lemma4_ok else 'FAILED'}")
-    click.echo(
+    _echo(f"tightening properties: {'ok' if report.lemma3_ok else 'FAILED'}")
+    _echo(f"light-path length bound: {'ok' if report.lemma4_ok else 'FAILED'}")
+    _echo(
         f"weight bound: {report.light_sum} <= {report.bound_float:.4f} "
         f"(exact check {'ok' if report.bound_exact_ok else 'FAILED'}) "
         f"(margin {report.margin:.4f})"

@@ -89,10 +89,6 @@ class WeightedTree:
         """Childless nodes in ascending id."""
         return list(self._leaves)
 
-    def topo_order(self) -> list[int]:
-        """Nodes in root-first order (every parent before its children)."""
-        return list(self._order)
-
 
 class WeightCheck(NamedTuple):
     valid: bool
@@ -200,13 +196,18 @@ def _heavy_children(tree: WeightedTree, h: dict[int, int]) -> set[int]:
     return {u for u in tree._order[1:] if h[parent[u]] == u}
 
 
-def _path_counts(tree: WeightedTree, kept: set[int]) -> list[int]:
-    """Per node, the edges on its root path whose child is not in ``kept``."""
+def _path_counts(tree: WeightedTree, kept: set[int]) -> tuple[list[int], list[int]]:
+    """Per node, its depth and the edges on its root path whose child is not
+    in ``kept``, from one root-first pass; the depth is the count for the
+    empty set."""
+    depths = [0] * tree.node_count
     counts = [0] * tree.node_count
     parent = tree.parent
     for u in tree._order[1:]:
-        counts[u] = counts[parent[u]] + (u not in kept)
-    return counts
+        p = parent[u]
+        depths[u] = depths[p] + 1
+        counts[u] = counts[p] + (u not in kept)
+    return depths, counts
 
 
 def _outside_sum(tree: WeightedTree, w: Sequence[int], kept: set[int]) -> int:
@@ -226,7 +227,7 @@ def light_child_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> 
 
 def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
-    return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(tree, h)))
+    return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(tree, h))[1])
 
 
 def general_edge_sum(
@@ -245,7 +246,7 @@ def general_edge_sum(
         if not (0 <= c < tree.node_count and c != p and tree.parent[c] == p):
             raise MalformedTreeError(f"edge {(p, c)} not in tree")
         kept.add(c)
-    return _outside_sum(tree, w, kept), _leaf_sum(tree, w, _path_counts(tree, kept))
+    return _outside_sum(tree, w, kept), _leaf_sum(tree, w, _path_counts(tree, kept)[1])
 
 
 def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> bool:
@@ -254,7 +255,7 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, 
     Equivalent to the log form  |lpath(r,v)| <= log2 w(r) - log2 w(v),
     but decided exactly in integers.
     """
-    return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(tree, h)))
+    return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(tree, h))[1])
 
 
 def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int]) -> bool:
@@ -392,14 +393,17 @@ def audit_tree(
     h = _choose_heavy(tree, w) if heavy is None else dict(heavy)
     _check_hcc(tree, w, h, tops)
 
-    # path counts depend on the tree and the edge set only, not on weights;
-    # with every edge kept no edge lies outside, so both sides are 0
-    kept_sets = (set(), _heavy_children(tree, h))
-    counts = [_path_counts(tree, s) for s in kept_sets]
-    sums = [(_outside_sum(tree, w, s), _leaf_sum(tree, w, c)) for s, c in zip(kept_sets, counts)]
-    sums.append((0, 0))
+    # lemma 1 for the edge sets none, heavy and all: path counts depend on
+    # the tree and the edge set only, not on weights; with no edge kept they
+    # are the depths, and with every edge kept no edge lies outside, so both
+    # sides are 0
+    heavy_set = _heavy_children(tree, h)
+    depths, light_depths = _path_counts(tree, heavy_set)
+    light_sum = _outside_sum(tree, w, heavy_set)
+    lpath_sum = _leaf_sum(tree, w, light_depths)
+    sums = ((_outside_sum(tree, w, set()), _leaf_sum(tree, w, depths)),
+            (light_sum, lpath_sum), (0, 0))
     lemma1_ok = all(lhs >= rhs and (not tight or lhs == rhs) for lhs, rhs in sums)
-    light_sum, lpath_sum = sums[1]
     lemma2_ok = light_sum >= lpath_sum and (not tight or light_sum == lpath_sum)
 
     w2 = _tighten(tree, w, h, child_sums)
@@ -416,9 +420,9 @@ def audit_tree(
             lemma3_ok = False
         else:
             # after tightening, the inequality closes to an equality
-            lemma3_ok = _outside_sum(tree, w2, kept_sets[1]) == _leaf_sum(tree, w2, counts[1])
+            lemma3_ok = _outside_sum(tree, w2, heavy_set) == _leaf_sum(tree, w2, light_depths)
 
-    lemma4_ok = _lpath_lengths_ok(tree, w, counts[1])
+    lemma4_ok = _lpath_lengths_ok(tree, w, light_depths)
 
     ok, lhs, bound_float = _hopcroft_bound(tree, w, light_sum)
     margin = FLOAT_BOUND_RELTOL * max(1.0, abs(bound_float))

@@ -8,6 +8,8 @@ the program correct and zero that layer's metric without a word, so these
 tests count the calls through each name.
 """
 
+import gc
+
 import pytest
 from click.testing import CliRunner
 
@@ -48,6 +50,7 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
 
     def split_leaf_spy(part, leaf, ev):
         assert part.end[leaf] - part.first[leaf] > 1
+        assert not gc.isenabled()  # refine_hopcroft pauses the collector
         return split_leaf(part, leaf, ev)
 
     monkeypatch.setattr(engine, "split_leaf", counting(calls, "split_leaf", split_leaf_spy))

@@ -41,6 +41,15 @@ from bisimkit.wtree import (
 )
 
 
+def topo_order(tree):
+    """Nodes root first, every parent before its children, from the tree's
+    root and child lists."""
+    order = [tree.root]
+    for v in order:
+        order.extend(tree.children[v])
+    return order
+
+
 def random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6):
     """A random rooted tree with a valid (not necessarily tight) weight.
 
@@ -55,7 +64,7 @@ def random_weighted_tree(rng, max_nodes=200, max_root_weight=10**6):
     tree = WeightedTree(parent)
     w = [0] * n
     w[0] = rng.randint(0, max_root_weight)
-    for v in tree.topo_order():
+    for v in topo_order(tree):
         ch = tree.children[v]
         if not ch:
             continue
@@ -105,7 +114,7 @@ def ref_check_hcc(tree, w, h):
 
 def ref_tighten(tree, w, h):
     out = list(w)
-    for v in tree.topo_order():
+    for v in topo_order(tree):
         ch = tree.children[v]
         if ch:
             out[h[v]] = out[v] - sum(w[u] for u in ch if u != h[v])
@@ -114,13 +123,13 @@ def ref_tighten(tree, w, h):
 
 def ref_path_counts(tree, kept):
     counts = [0] * tree.node_count
-    for u in tree.topo_order()[1:]:
+    for u in topo_order(tree)[1:]:
         counts[u] = counts[tree.parent[u]] + (u not in kept)
     return counts
 
 
 def ref_outside_sum(tree, w, kept):
-    return sum(w[u] for u in tree.topo_order()[1:] if u not in kept)
+    return sum(w[u] for u in topo_order(tree)[1:] if u not in kept)
 
 
 def ref_leaf_sum(tree, w, counts):
@@ -155,7 +164,7 @@ def reference_audit(tree, w, heavy=None):
     else:
         h = dict(heavy)
     ref_check_hcc(tree, w, h)
-    below_root = tree.topo_order()[1:]
+    below_root = topo_order(tree)[1:]
     kept_sets = (set(), {u for u in below_root if h[tree.parent[u]] == u}, set(below_root))
     counts = [ref_path_counts(tree, s) for s in kept_sets]
     sums = [(ref_outside_sum(tree, w, s), ref_leaf_sum(tree, w, c))
