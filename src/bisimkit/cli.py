@@ -149,7 +149,7 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         # audited before anything is written, so --stats can time it
         tree = result.tree
         started = time.perf_counter()
-        report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy_choice())
+        report = _audit(WeightedTree(tree.parent), tree.weight, tree.heavy)
         result.stats.phases["wtree.audit_s"] = time.perf_counter() - started
     outputs = [(out, partition_to_json(result.partition))]
     stats_text = json.dumps(_stats_obj(result)) + "\n"

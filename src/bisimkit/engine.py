@@ -132,26 +132,20 @@ class Partition:
 class RefinementTree:
     """History of block splits; node 0 is the full state space.
 
-    Arrays indexed by node id: ``parent`` (root points to itself),
-    ``weight`` under the run's weight kind, ``heavy`` (node id of the
-    heavy child, None at leaves).  ``leaf_members`` maps each leaf node to
-    its sorted states, the same tuples as the output partition's blocks;
-    an inner node's states are the union of its children's.  Children were
-    appended in order of smallest member, so child node ids increase with
-    child position and exceed their parent's.
+    Four arrays indexed by node id, the tree document's four arrays:
+    ``parent`` (the root points to itself), ``weight`` under the run's
+    weight kind, ``members`` (a leaf's sorted states, the same tuple as the
+    output partition's block; None at inner nodes, whose states are the
+    union of their children's) and ``heavy`` (the heavy child; None at
+    leaves).  ``heavy`` is the heavy choice in the form ``wtree`` takes.
+    Children were appended in order of smallest member, so child node ids
+    increase with child position and exceed their parent's.
     """
 
     parent: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
+    members: list[Optional[tuple[int, ...]]] = field(default_factory=list)
     heavy: list[Optional[int]] = field(default_factory=list)
-    leaf_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
-
-    def heavy_choice(self) -> dict[int, int]:
-        return {v: h for v, h in enumerate(self.heavy) if h is not None}
 
 
 @dataclass
@@ -401,7 +395,7 @@ def refine_hopcroft(
     leaf_min = [0]
     card, wget = weight == "card", wvec.__getitem__  # under card a weight is a size
 
-    tree = RefinementTree([0], [sum(wvec)], [None])
+    tree = RefinementTree([0], [sum(wvec)], heavy=[None])  # members filled at the end
     tree_parent, tree_weight, tree_heavy = tree.parent, tree.weight, tree.heavy
     node_of = [0]  # leaf id -> tree node
 
@@ -487,7 +481,9 @@ def refine_hopcroft(
     looped = time.perf_counter()
     stats = RunStats(iterations, splits, markings, touches, signatures)
     partition = Partition.from_block_of(leaf_of)
-    tree.leaf_members = {node_of[leaf_of[b[0]]]: b for b in partition.blocks}
+    tree.members = leaves = [None] * len(tree_parent)
+    for b in partition.blocks:
+        leaves[node_of[leaf_of[b[0]]]] = b
     finished = time.perf_counter()
     stats.wall_time = finished - start
     stats.phases = {

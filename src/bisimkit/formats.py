@@ -14,12 +14,13 @@ Output documents
   partition   {"blocks": [[...], ...]}: sorted blocks, ordered by smallest
               member
   tree        {"parent": [...], "w": [...], "members": [...], "heavy": [...]}:
-              one entry per node of each array: the parent (the root is
-              its own), the weight, the sorted states of a leaf (null at
-              inner nodes) and the heavy child (null at leaves).  Reading a
-              tree takes ``parent``, ``w`` and ``heavy`` only, so documents
-              that list every node's ``states`` instead of ``members`` are
-              read the same way.
+              the four per-node arrays of a ``RefinementTree``, written as
+              they are: the parent (the root is its own), the weight, the
+              sorted states of a leaf (null at inner nodes) and the heavy
+              child (null at leaves).  Reading a tree takes ``parent``,
+              ``w`` and ``heavy`` only and returns ``heavy`` as it stands,
+              the heavy-choice form ``wtree`` takes; documents that list
+              every node's ``states`` instead of ``members`` read the same.
 
 Both are emitted in one canonical compact-JSON form so results are
 byte-for-byte reproducible.
@@ -103,17 +104,27 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+def _json_loads(text: str):
+    """``json.loads``, every way it can fail on bad input a FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"bad JSON: {e.msg}", e.lineno) from None
+    except ValueError:  # an integer literal past Python's str-to-int digit limit
+        raise FormatError("bad JSON: number has too many digits") from None
+    except RecursionError:
+        raise FormatError("input nested too deeply") from None
+
+
 # -- coalgebra inputs -----------------------------------------------------------
 
 
 def _load_coalg_json(stream: TextIO) -> Coalgebra:
     # the decoder, the functor parser, the value codec and validation all
     # recurse, so a deep enough document exhausts the stack in any of them
+    obj = _json_loads(stream.read())
     try:
-        obj = json.load(stream)
         return coalgebra_from_obj(obj)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON: {e.msg}", e.lineno) from None
     except (InvalidValueError, FunctorSyntaxError) as e:
         raise FormatError(str(e)) from None
     except RecursionError:
@@ -171,6 +182,13 @@ _AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
 _AUT_EDGE = re.compile(r"\(\s*(\d+)\s*,\s*(\"[^\"]*\"|[^,]+?)\s*,\s*(\d+)\s*\)\s*$")
 
 
+def _aut_int(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's str-to-int digit limit
+        raise FormatError("number has too many digits", lineno) from None
+
+
 def _load_aut(stream: TextIO) -> Coalgebra:
     lines = [(i + 1, line.strip()) for i, line in enumerate(stream) if line.strip()]
     if not lines:
@@ -179,7 +197,7 @@ def _load_aut(stream: TextIO) -> Coalgebra:
     m = _AUT_HEADER.match(header)
     if not m:
         raise FormatError("header must be 'des (first, transitions, states)'", lineno)
-    n_edges, n = int(m.group(2)), int(m.group(3))
+    n_edges, n = _aut_int(m.group(2), lineno), _aut_int(m.group(3), lineno)
     if n < 1:
         raise FormatError("state count must be positive", lineno)
     if n > AUT_MAX_STATES:
@@ -194,7 +212,8 @@ def _load_aut(stream: TextIO) -> Coalgebra:
         m = _AUT_EDGE.match(text)
         if not m:
             raise FormatError(f"bad transition {text!r}", lineno)
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        src, dst = _aut_int(m.group(1), lineno), _aut_int(m.group(3), lineno)
+        label = m.group(2)
         if label.startswith('"'):
             label = label[1:-1]
         if not label:
@@ -284,33 +303,19 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def tree_to_json(tree: RefinementTree) -> str:
-    """The tree document: per node its parent, weight, members and heavy child.
-
-    ``members`` holds each leaf's sorted states and null at inner nodes,
-    the mirror of ``heavy``'s null at leaves; an inner node's states are
-    the union of its leaves' members.
-    """
-    members: list = [None] * tree.node_count
-    for v, states in tree.leaf_members.items():
-        members[v] = states
+    """The tree document: the tree's four per-node arrays as they are."""
     return _json_dumps(
-        {
-            "parent": tree.parent,
-            "w": tree.weight,
-            "members": members,
-            "heavy": tree.heavy,
-        }
+        {"parent": tree.parent, "w": tree.weight, "members": tree.members, "heavy": tree.heavy}
     )
 
 
-def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[int, int]]]:
-    """Parse a tree document into (tree, weights, recorded heavy choice)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON: {e.msg}", e.lineno) from None
-    except RecursionError:
-        raise FormatError("input nested too deeply") from None
+def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[list[Optional[int]]]]:
+    """Parse a tree document into (tree, weights, recorded heavy choice).
+
+    The heavy choice is the document's validated ``heavy`` array, one entry
+    per node, or None when the document records none.
+    """
+    obj = _json_loads(text)
     if not isinstance(obj, dict) or "parent" not in obj or "w" not in obj:
         raise FormatError("tree document needs 'parent' and 'w' arrays")
     parent = obj["parent"]
@@ -323,13 +328,11 @@ def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[dict[in
         tree = WeightedTree(parent)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    heavy = None
-    if obj.get("heavy") is not None:
-        raw = obj["heavy"]
-        if not isinstance(raw, list) or len(raw) != len(parent):
+    heavy = obj.get("heavy")
+    if heavy is not None:
+        if not isinstance(heavy, list) or len(heavy) != len(parent):
             raise FormatError("'heavy' must be an array of length node-count")
-        for v, h in enumerate(raw):
+        for v, h in enumerate(heavy):
             if h is not None and not (type(h) is int and 0 <= h < len(parent)):
                 raise FormatError(f"heavy child of node {v} is not a node id: {h!r}")
-        heavy = {v: h for v, h in enumerate(raw) if h is not None}
     return tree, weights, heavy

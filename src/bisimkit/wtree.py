@@ -10,6 +10,12 @@ refinement, culminating in the bound
 
 which is verified with an exact integer decision procedure, never by
 floating point alone.
+
+A heavy-child choice ``h`` is a per-node sequence of length
+``node_count``: ``h[v]`` is the heavy child of an internal node ``v`` and
+None at a leaf, the form a ``RefinementTree`` records and its document's
+``heavy`` array holds.  Weights are natural numbers of at most
+``MAX_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,15 @@ __all__ = [
     "hopcroft_bound_check",
     "audit_tree",
 ]
+
+
+# the largest weight accepted: refinement weights count states or
+# predecessor pairs, far below it, and every weight up to it converts to a
+# float exactly, so the bound check's float screen cannot overflow
+MAX_WEIGHT = 2**53
+
+# per node, its heavy child, or None at a leaf
+HeavyChoice = Sequence[Optional[int]]
 
 
 class MalformedTreeError(ValueError):
@@ -109,6 +124,13 @@ def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
     for v, x in enumerate(w):
         if type(x) is not int or x < 0:
             raise MalformedTreeError(f"weight of node {v} is not a natural number: {x!r}")
+        if x > MAX_WEIGHT:
+            raise MalformedTreeError(f"weight of node {v} exceeds 2**53")
+
+
+def _check_heavy_shape(tree: WeightedTree, h: HeavyChoice) -> None:
+    if len(h) != tree.node_count:
+        raise MalformedTreeError(f"heavy choice covers {len(h)} nodes, tree has {tree.node_count}")
 
 
 def validate_weight(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
@@ -135,8 +157,8 @@ def _weight_pass(tree: WeightedTree, w: Sequence[int]) -> tuple[WeightCheck, lis
     return WeightCheck(valid, tight), sums, tops
 
 
-def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
-    """Pick, for each internal node, a maximum-weight child.
+def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> list[Optional[int]]:
+    """Pick, for each internal node, a maximum-weight child; None at leaves.
 
     Ties go to the smallest child position so runs are reproducible.
     """
@@ -144,28 +166,27 @@ def choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
     return _choose_heavy(tree, w)
 
 
-def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> dict[int, int]:
+def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> list[Optional[int]]:
     # max keeps the first of equal weights, the smallest child position
-    return {v: max(ch, key=w.__getitem__) for v, ch in enumerate(tree.children) if ch}
+    return [max(ch, key=w.__getitem__) if ch else None for ch in tree.children]
 
 
-def _check_hcc(tree: WeightedTree, w: Sequence[int], h: dict[int, int], tops: Sequence[int]):
+def _check_hcc(tree: WeightedTree, w: Sequence[int], h: HeavyChoice, tops: Sequence[int]):
     """Raise ValueError unless ``h`` names a child of maximal weight ``tops[v]``
-    at every internal node ``v`` and names nothing at a leaf."""
+    at every internal node ``v`` and None at every leaf."""
     parent, n = tree.parent, tree.node_count
-    for v, top in enumerate(tops):
-        if v not in h:
+    for v, (u, top) in enumerate(zip(h, tops)):
+        if u is None:
             if top < 0:
                 continue
             raise ValueError(f"heavy choice missing for internal node {v}")
-        u = h[v]
         if top < 0 or u == v or not 0 <= u < n or parent[u] != v:
             raise ValueError(f"heavy child {u} is not a child of {v}")
         if w[u] != top:
             raise ValueError(f"heavy child {u} of {v} is not of maximal weight")
 
 
-def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int]:
+def tighten(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> list[int]:
     """Reweight so every internal node's children sum exactly to it.
 
     Root and light children keep their original weights; each heavy child
@@ -173,15 +194,16 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> list[int
     valid as a heavy-child choice.
     """
     _check_weights_shape(tree, w)
+    _check_heavy_shape(tree, h)
     return _tighten(tree, w, h, _weight_pass(tree, w)[1])
 
 
-def _tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int], sums: Sequence[int]):
+def _tighten(tree: WeightedTree, w: Sequence[int], h: HeavyChoice, sums: Sequence[int]):
     # the heavy child takes its parent's new weight minus its siblings' weights
     out = list(w)
     for v in tree._order:
-        if v in h:
-            u = h[v]
+        u = h[v]
+        if u is not None:
             out[u] = out[v] - sums[v] + w[u]
     return out
 
@@ -190,10 +212,9 @@ def _tighten(tree: WeightedTree, w: Sequence[int], h: dict[int, int], sums: Sequ
 # exactly one edge, so a set of edges is a set of non-root nodes.
 
 
-def _heavy_children(tree: WeightedTree, h: dict[int, int]) -> set[int]:
+def _heavy_children(h: HeavyChoice) -> set[int]:
     """The edges from each node to its heavy child ``h[v]``, named by child."""
-    parent = tree.parent
-    return {u for u in tree._order[1:] if h[parent[u]] == u}
+    return {u for u in h if u is not None}
 
 
 def _path_counts(tree: WeightedTree, kept: set[int]) -> tuple[list[int], list[int]]:
@@ -220,14 +241,16 @@ def _leaf_sum(tree: WeightedTree, w: Sequence[int], counts: Sequence[int]) -> in
     return sum(map(mul, map(counts.__getitem__, tree._leaves), map(w.__getitem__, tree._leaves)))
 
 
-def light_child_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
+def light_child_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Total weight of all light children, summed over every internal node."""
-    return _outside_sum(tree, w, _heavy_children(tree, h))
+    _check_heavy_shape(tree, h)
+    return _outside_sum(tree, w, _heavy_children(h))
 
 
-def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> int:
+def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
-    return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(tree, h))[1])
+    _check_heavy_shape(tree, h)
+    return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
 
 def general_edge_sum(
@@ -249,13 +272,14 @@ def general_edge_sum(
     return _outside_sum(tree, w, kept), _leaf_sum(tree, w, _path_counts(tree, kept)[1])
 
 
-def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: dict[int, int]) -> bool:
+def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> bool:
     """Check 2^(light edges to v) * w(v) <= w(root) for every nonzero-weight v.
 
     Equivalent to the log form  |lpath(r,v)| <= log2 w(r) - log2 w(v),
     but decided exactly in integers.
     """
-    return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(tree, h))[1])
+    _check_heavy_shape(tree, h)
+    return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
 
 def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int]) -> bool:
@@ -319,9 +343,7 @@ def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
     return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
 
 
-def hopcroft_bound_check(
-    tree: WeightedTree, w: Sequence[int], h: dict[int, int]
-) -> BoundCheck:
+def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> BoundCheck:
     """Verify the light-children weight bound for a weighted tree with hcc ``h``.
 
     The sum of light-children weights must not exceed
@@ -378,7 +400,7 @@ class AuditReport:
 
 
 def audit_tree(
-    tree: WeightedTree, w: Sequence[int], heavy: Optional[dict[int, int]] = None
+    tree: WeightedTree, w: Sequence[int], heavy: Optional[HeavyChoice] = None
 ) -> AuditReport:
     """Run every check on a weighted tree and aggregate the outcomes.
 
@@ -387,17 +409,19 @@ def audit_tree(
     If the weight law fails, all remaining checks are skipped.
     """
     _check_weights_shape(tree, w)
+    if heavy is not None:
+        _check_heavy_shape(tree, heavy)
     (valid, tight), child_sums, tops = _weight_pass(tree, w)
     if not valid:
         return AuditReport(valid=False, tight=False)
-    h = _choose_heavy(tree, w) if heavy is None else dict(heavy)
+    h = _choose_heavy(tree, w) if heavy is None else heavy
     _check_hcc(tree, w, h, tops)
 
     # lemma 1 for the edge sets none, heavy and all: path counts depend on
     # the tree and the edge set only, not on weights; with no edge kept they
     # are the depths, and with every edge kept no edge lies outside, so both
     # sides are 0
-    heavy_set = _heavy_children(tree, h)
+    heavy_set = _heavy_children(h)
     depths, light_depths = _path_counts(tree, heavy_set)
     light_sum = _outside_sum(tree, w, heavy_set)
     lpath_sum = _leaf_sum(tree, w, light_depths)

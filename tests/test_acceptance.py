@@ -90,7 +90,8 @@ def test_criterion_2_tree_property_suite():
             failures.append((i, "root changed"))
         if any(a > b for a, b in zip(w, w2)):
             failures.append((i, "pointwise dominance"))
-        if any(w2[h[v]] != max(w2[u] for u in tree.children[v]) for v in h):
+        if any(w2[u] != max(map(w2.__getitem__, tree.children[v]))
+               for v, u in enumerate(h) if u is not None):
             failures.append((i, "heavy choice lost"))
         if not lpath_length_bound_check(tree, w, h):
             failures.append((i, "light-path bound"))
@@ -142,7 +143,7 @@ def corpus() -> CorpusResults:
             for w in WEIGHTS:
                 r = hop[w]
                 tree = WeightedTree(r.tree.parent)
-                rep = audit_tree(tree, r.tree.weight, r.tree.heavy_choice())
+                rep = audit_tree(tree, r.tree.weight, r.tree.heavy)
                 res.trees_audited += 1
                 if not (rep.all_ok() and rep.tight):
                     res.audit_failures.append((family, seed, w))

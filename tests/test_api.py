@@ -41,6 +41,16 @@ def test_deleted_tree_methods_stay_gone():
     assert not hasattr(bisimkit.WeightedTree, "edges")
 
 
+def test_refinement_tree_is_four_per_node_arrays():
+    # the heavy choice and the leaf members are per-node lists, the tree
+    # document's arrays; the dict forms and their converters are gone
+    tree = bisimkit.refine_hopcroft(bisimkit.generate(bisimkit.GenSpec("dfa", 8, seed=1))).tree
+    for name in ("heavy_choice", "leaf_members", "node_count"):
+        assert not hasattr(bisimkit.RefinementTree, name), name
+        assert not hasattr(tree, name), name
+    assert list(vars(tree)) == ["parent", "weight", "members", "heavy"]
+
+
 def test_oracle_stays_independent_of_the_engine():
     # the oracle shares no code with refinement: from the engine it takes
     # only the Partition it answers with, from coalgebra only the type it

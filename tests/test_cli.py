@@ -258,13 +258,31 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
     ('{"parent":[0,0,0],"w":[3,2,1],"heavy":[2,null,null]}', 1),  # 2 is the lighter
     ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[1,2,null]}', 1),  # leaf 1 names its sibling
     ('{"parent":[0,0,0],"w":[2,1,1],"heavy":[1,0,null]}', 1),  # leaf 1 names its parent
+    ('{"parent":[0,0],"w":[%d,1]}' % 10**400, 2),  # weight above the cap, past a float
+    ('{"parent":[0,0],"w":[%d,1]}' % (2**53 + 1), 2),  # weight just above the cap
+    ('{"parent":[0,0],"w":[1%s,1]}' % ("0" * 5000), 2),  # past the str-to-int digit limit
 ])
 def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     p = tmp_path / "tree.json"
     p.write_text(doc, encoding="utf-8")
     res = run_cli("audit-tree", str(p))
     assert res.returncode == code, res.stderr
-    assert res.stderr.startswith("error: ")
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize("name, text", [
+    ("long.json", '{"functor": "X", "states": 1, "c": [1%s]}' % ("0" * 5000)),
+    ("long.aut", 'des (0, 1, 1)\n(0, "a", 1%s)\n' % ("0" * 5000)),
+    ("long-header.aut", "des (0, 1%s, 1)\n" % ("0" * 5000)),
+])
+def test_minimize_number_past_digit_limit_exit_2(tmp_path, name, text):
+    # Python refuses to convert an integer literal of more than 4300 digits
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    res = run_cli("minimize", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "too many digits" in res.stderr
     assert "Traceback" not in res.stdout + res.stderr
 
 

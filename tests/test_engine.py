@@ -92,7 +92,7 @@ def test_hopcroft_single_state():
     assert r.partition.blocks == ((0,),)
     assert r.stats.splits == 0
     assert r.stats.iterations == 1
-    assert r.tree.node_count == 1
+    assert len(r.tree.parent) == 1
 
 
 def test_hopcroft_matches_naive_on_chain():
@@ -123,7 +123,7 @@ def test_hopcroft_tree_passes_audit():
             for w in ("card", "pred", "reach"):
                 r = refine_hopcroft(c, w)
                 tree = WeightedTree(r.tree.parent)
-                report = audit_tree(tree, r.tree.weight, r.tree.heavy_choice())
+                report = audit_tree(tree, r.tree.weight, r.tree.heavy)
                 assert report.all_ok(), (fam, i, w)
                 assert report.tight  # all three weights are additive
 
@@ -136,7 +136,7 @@ def test_pred_touches_equal_light_child_sum():
             c = generate(GenSpec(fam, (i % 20) + 2, seed=300 + i))
             r = refine_hopcroft(c, "pred")
             tree = WeightedTree(r.tree.parent)
-            light = light_child_sum(tree, r.tree.weight, r.tree.heavy_choice())
+            light = light_child_sum(tree, r.tree.weight, r.tree.heavy)
             assert r.stats.markdirty_touches == light, (fam, i)
 
 
@@ -151,10 +151,11 @@ def test_hopcroft_tree_structure():
     assert [v for v, m in enumerate(members) if m is not None] == shape.leaves()
     assert sorted(members[v] for v in shape.leaves()) == [[0], [1], [2]]
     # the tree's leaf tuples are the partition's blocks, not copies
-    leaves = sorted(t.leaf_members.values())
+    leaves = sorted(m for m in t.members if m is not None)
     assert [id(g) for g in leaves] == [id(g) for g in r.partition.blocks]
     # every inner node has a heavy child, one of its heaviest children
-    for v in range(t.node_count):
+    assert len(t.members) == len(t.heavy) == len(t.parent)
+    for v in range(len(t.parent)):
         ch = shape.children[v]
         if ch:
             assert t.heavy[v] in ch
@@ -168,14 +169,14 @@ def test_hopcroft_tree_keeps_no_per_split_states():
     # tree that froze each child's states would hold about n^2/2 entries
     n = 400
     t = refine_hopcroft(generate(GenSpec("chain", n))).tree
-    assert t.node_count > n
+    assert len(t.parent) > n
     entries = 0
     for value in vars(t).values():
         items = value.values() if isinstance(value, dict) else value
         if isinstance(items, str):
             continue
         entries += sum(len(x) for x in items if isinstance(x, (tuple, list, set)))
-    assert entries <= t.node_count + n
+    assert entries <= len(t.parent) + n
 
 
 def test_hopcroft_monotone_refinement_snapshots():
@@ -395,7 +396,7 @@ def _assert_node_weights(r, weigh):
 def test_block_weight_card():
     c = generate(GenSpec("dfa", 30, seed=6))
     r = refine_hopcroft(c, "card")
-    assert r.tree.node_count > 1
+    assert len(r.tree.parent) > 1
     _assert_node_weights(r, len)
 
 
@@ -426,7 +427,7 @@ def test_zero_weight_children_under_pred():
     assert r.partition.blocks == ((0, 2), (1,))
     assert partitions_equal(r.partition, refine_naive(c).partition)
     tree = WeightedTree(r.tree.parent)
-    assert audit_tree(tree, r.tree.weight, r.tree.heavy_choice()).all_ok()
+    assert audit_tree(tree, r.tree.weight, r.tree.heavy).all_ok()
     assert 0 in r.tree.weight  # a zero-weight child actually occurred
 
 
@@ -441,7 +442,7 @@ def test_zero_weight_children_under_reach():
     base = refine_naive(c).partition
     assert partitions_equal(base, r.partition)
     tree = WeightedTree(r.tree.parent)
-    assert audit_tree(tree, r.tree.weight, r.tree.heavy_choice()).all_ok()
+    assert audit_tree(tree, r.tree.weight, r.tree.heavy).all_ok()
 
 
 def test_no_transitions_all_weights():

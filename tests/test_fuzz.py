@@ -1,11 +1,15 @@
-"""Seeded mutation fuzzing: malformed inputs exit 0 or 2, never crash.
+"""Seeded mutation fuzzing: malformed inputs end in a verdict, never a crash.
 
 Valid documents of each input format are mutated (spans deleted, repeated
 or truncated, characters and numbers replaced, lines shuffled) and run
-through ``minimize --audit --stats``.  All cases run in one child process
-whose address space is capped at 1 GB, calling the command in-process; each
-must exit 0, or 2 with an ``error:`` message, and raise nothing.  Run the
-file directly to fuzz by hand: ``python tests/test_fuzz.py DIR [CASES]``
+through ``minimize --audit --stats``; each must exit 0, or 2 with an
+``error:`` message.  Refinement-tree documents, as ``minimize --audit``
+writes them, are mutated the same way and run through ``audit-tree``; each
+must exit 0, 1 with the audit's verdict (its report lines, or one
+``error:`` line naming a heavy choice that fails its check), or 2 with one
+``error:`` line.  All cases run in one child process whose address space is
+capped at 1 GB, calling the command in-process, and none may raise.  Run
+the file directly to fuzz by hand: ``python tests/test_fuzz.py DIR [CASES]``
 with ``src`` on ``PYTHONPATH``.
 """
 
@@ -22,10 +26,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 CASES = 1000  # per format
 LIMIT_AS = 1 << 30
-EXTENSIONS = {"coalg-json": ".json", "dfa-text": ".dfa", "aut": ".aut", "mc-tsv": ".tsv"}
+EXTENSIONS = {"coalg-json": ".json", "dfa-text": ".dfa", "aut": ".aut", "mc-tsv": ".tsv",
+              "tree": ".tree.json"}
 
+# "1" followed by 309 zeros is an integer literal too large for a float
 NUMBERS = ("0", "1", "-1", "2", "007", "999", "65536", "300000000", "1e400",
-           "99999999999999999999", "1/0", "0/1", "3/2", "-1/2", "0.5", "true", "null")
+           "99999999999999999999", "1" + "0" * 309, "1/0", "0/1", "3/2", "-1/2", "0.5",
+           "true", "null")
 PUNCT = "[]{}(),:\"' \n\t-/.#eax"
 AUT_LABELS = ("a", '"b"', "tau")
 MC_SPLITS = (("1/1",), ("1/2", "1/2"), ("1/3", "2/3"))
@@ -35,12 +42,17 @@ def seed_documents(fmt, rng):
     """A few valid, small documents of one format."""
     from util import dfa_text, labelled_mc
 
-    from bisimkit.formats import dump_coalgebra
+    from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
+    from bisimkit.formats import dump_coalgebra, tree_to_json
     from bisimkit.gen import FAMILIES, GenSpec, generate
 
     docs = []
     for seed in range(3):
-        if fmt == "coalg-json":
+        if fmt == "tree":  # the document minimize --audit writes
+            for family, weight in zip(("dfa", "lts", "mc"), WEIGHT_KINDS):
+                coalg = generate(GenSpec(family, rng.randint(3, 8), seed=seed))
+                docs.append(tree_to_json(refine_hopcroft(coalg, weight).tree))
+        elif fmt == "coalg-json":
             docs += [dump_coalgebra(generate(GenSpec(f, 5, seed=seed))) for f in FAMILIES]
             docs.append(dump_coalgebra(labelled_mc(5, seed)))
         elif fmt == "dfa-text":
@@ -92,13 +104,17 @@ def mutate(text, rng):
 
 
 def run_case(main, workdir, ext, text):
-    """Exit code of one minimize run, or None and the traceback if it raised."""
+    """Exit code of one minimize or audit-tree run, with None if it ended as
+    it should, else what it printed, or the traceback if it raised."""
     path = os.path.join(workdir, "case" + ext)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
-    argv = ["minimize", path, "--audit", "--stats",
-            "--out", os.path.join(workdir, "part.json"),
-            "--tree-out", os.path.join(workdir, "tree.json")]
+    if ext == EXTENSIONS["tree"]:
+        argv = ["audit-tree", path]
+    else:
+        argv = ["minimize", path, "--audit", "--stats",
+                "--out", os.path.join(workdir, "part.json"),
+                "--tree-out", os.path.join(workdir, "tree.json")]
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
@@ -108,9 +124,16 @@ def run_case(main, workdir, ext, text):
         code = e.code or 0
     except Exception:
         return None, traceback.format_exc()
-    if code not in (0, 2) or (code == 2 and not err.getvalue().startswith("error: ")):
-        return code, out.getvalue() + err.getvalue()
-    return code, None
+    stdout, stderr = out.getvalue(), err.getvalue()
+    error_line = stderr.startswith("error: ") and stderr.count("\n") == 1
+    if code == 0:
+        ok = True
+    elif code == 1:  # only audit-tree fails a document it could read
+        verdict = stdout.startswith("weight law: ") and not stderr
+        ok = argv[0] == "audit-tree" and (verdict or error_line and "heavy" in stderr)
+    else:
+        ok = code == 2 and error_line
+    return code, None if ok else stdout + stderr
 
 
 def run_cases(workdir, cases):
@@ -152,6 +175,8 @@ def test_mutated_inputs_exit_0_or_2(tmp_path):
         assert sum(tally.values()) == CASES
         # the mutations reach past the parsers: some inputs minimize, some fail
         assert tally.get("0", 0) > 0 and tally.get("2", 0) > 0, (fmt, tally)
+    # and some tree documents parse but fail their audit
+    assert report["counts"]["tree"].get("1", 0) > 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ from bisimkit.wtree import (
 EX_PARENT = [0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 9, 9]
 EX_W_LOOSE = [36, 14, 14, 7, 5, 7, 5, 2, 3, 7, 2, 4]
 EX_W_TIGHT = [36, 15, 14, 7, 5, 10, 9, 2, 3, 7, 2, 5]
-EX_HCC = {0: 1, 1: 5, 2: 6, 3: 9, 9: 11}
+# the heavy choice per node, None at the leaves
+EX_HCC = [1, 5, 6, 9, None, None, None, None, None, 11, None, None]
 
 
 def example_tree() -> WeightedTree:
@@ -145,13 +146,13 @@ def test_choose_heavy_example_matches_drawn_choice():
 
 def test_choose_heavy_star_tie_breaks_to_first():
     t = WeightedTree([0, 0, 0, 0])
-    assert choose_heavy(t, [9, 3, 3, 3]) == {0: 1}
+    assert choose_heavy(t, [9, 3, 3, 3]) == [1, None, None, None]
 
 
 def test_choose_heavy_path_every_edge_heavy():
     t = WeightedTree([0, 0, 1, 2])
     h = choose_heavy(t, [5, 4, 2, 1])
-    assert h == {0: 1, 1: 2, 2: 3}
+    assert h == [1, 2, 3, None]
 
 
 # -- tighten -------------------------------------------------------------------
@@ -167,7 +168,7 @@ def test_tighten_fixes_already_tight_input():
 
 def test_tighten_single_node():
     t = WeightedTree([0])
-    assert tighten(t, [7], {}) == [7]
+    assert tighten(t, [7], [None]) == [7]
 
 
 def test_tighten_is_idempotent_and_dominates(seed=7):
@@ -181,8 +182,9 @@ def test_tighten_is_idempotent_and_dominates(seed=7):
         assert all(a <= b for a, b in zip(w, w2))
         assert tighten(tree, w2, h) == w2
         # the same choice is still heavy for the new weights
-        for v, hv in h.items():
-            assert w2[hv] == max(w2[u] for u in tree.children[v])
+        for v, hv in enumerate(h):
+            if hv is not None:
+                assert w2[hv] == max(w2[u] for u in tree.children[v])
 
 
 # -- sums ----------------------------------------------------------------------
@@ -237,7 +239,7 @@ def test_sums_match_brute_force_on_random_trees(seed=17):
         # a true heavy choice and an arbitrary one, which need not be heavy
         for h in (
             choose_heavy(tree, w),
-            {v: rng.choice(ch) for v, ch in enumerate(tree.children) if ch},
+            [rng.choice(ch) if ch else None for ch in tree.children],
         ):
             assert light_child_sum(tree, w, h) == brute_light_child_sum(tree, w, h)
             assert lpath_weighted_leaf_sum(tree, w, h) == brute_lpath_leaf_sum(tree, w, h)
@@ -255,7 +257,7 @@ def test_general_edge_sum_all_edges_gives_zero():
 
 def test_general_edge_sum_heavy_edges_specializes_to_light_sums():
     t = example_tree()
-    heavy_edges = {(v, u) for v, u in EX_HCC.items()}
+    heavy_edges = {(v, u) for v, u in enumerate(EX_HCC) if u is not None}
     assert general_edge_sum(t, EX_W_TIGHT, heavy_edges) == (33, 33)
 
 
@@ -300,7 +302,7 @@ def test_lpath_bound_on_tight_example():
 
 def test_lpath_bound_root_reflexive():
     t = WeightedTree([0])
-    assert lpath_length_bound_check(t, [5], {}) is True
+    assert lpath_length_bound_check(t, [5], [None]) is True
 
 
 def test_lpath_bound_detects_non_hcc_input():
@@ -308,7 +310,7 @@ def test_lpath_bound_detects_non_hcc_input():
     # given choice is not a real hcc, and the check must catch it
     t = WeightedTree([0, 0, 0])
     w = [10, 3, 7]
-    bogus = {0: 1}  # true heavy child is node 2
+    bogus = [1, None, None]  # true heavy child is node 2
     assert lpath_length_bound_check(t, w, bogus) is False
 
 
@@ -328,14 +330,14 @@ def test_bound_check_tight_example():
 
 def test_bound_check_single_node():
     t = WeightedTree([0])
-    ok, lhs, bound = hopcroft_bound_check(t, [17], {})
+    ok, lhs, bound = hopcroft_bound_check(t, [17], [None])
     assert ok is True and lhs == 0
     assert bound == pytest.approx(0.0)
 
 
 def test_bound_check_all_zero_weights():
     t = WeightedTree([0, 0, 0])
-    ok, lhs, bound = hopcroft_bound_check(t, [0, 0, 0], {0: 1})
+    ok, lhs, bound = hopcroft_bound_check(t, [0, 0, 0], [1, None, None])
     assert ok is True and lhs == 0 and bound == 0.0
 
 
@@ -424,8 +426,40 @@ def test_audit_accepts_recorded_heavy_choice():
 
 
 def test_audit_rejects_invalid_recorded_choice():
-    with pytest.raises(ValueError):
-        audit_tree(example_tree(), EX_W_LOOSE, heavy={**EX_HCC, 1: 4})
+    with pytest.raises(ValueError):  # node 1 names its lighter child 4
+        audit_tree(example_tree(), EX_W_LOOSE, heavy=EX_HCC[:1] + [4] + EX_HCC[2:])
+
+
+def test_heavy_choice_of_wrong_length_is_malformed():
+    # a choice that covers too few or too many nodes, and one keyed by node
+    # as a dict, are all rejected before any sum is taken
+    t = example_tree()
+    for bad in (EX_HCC[:-1], EX_HCC + [None], {0: 1, 1: 5, 2: 6, 3: 9, 9: 11}):
+        with pytest.raises(MalformedTreeError, match="heavy choice covers"):
+            audit_tree(t, EX_W_TIGHT, bad)
+        for check in (tighten, light_child_sum, lpath_weighted_leaf_sum,
+                      lpath_length_bound_check, hopcroft_bound_check):
+            with pytest.raises(MalformedTreeError, match="heavy choice covers"):
+                check(t, EX_W_TIGHT, bad)
+
+
+def test_audit_rejects_choice_naming_non_nodes():
+    # a choice keyed by node ids outside the tree cannot pass as valid
+    with pytest.raises(MalformedTreeError):
+        audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], {0: 1, 7: 2})
+    with pytest.raises(MalformedTreeError):
+        audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None, 2])
+    assert audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None]).all_ok()
+
+
+def test_weights_above_the_cap_are_malformed():
+    t = WeightedTree([0, 0])
+    assert audit_tree(t, [wtree.MAX_WEIGHT, 1]).all_ok()
+    for big in (wtree.MAX_WEIGHT + 1, 10**400):
+        with pytest.raises(MalformedTreeError, match="exceeds"):
+            audit_tree(t, [big, 1])
+        with pytest.raises(MalformedTreeError, match="exceeds"):
+            validate_weight(t, [big, 1])
 
 
 def test_corollary_total_cost_bounded(seed=13):
@@ -470,10 +504,11 @@ def relabelled(rng, tree, w):
 
 def heavy_choices(rng, tree, w):
     """No choice, the true one, an arbitrary one, and one fault of each kind:
-    an internal node skipped, a non-child, a lighter child, an entry at a leaf."""
+    an internal node skipped, a non-child, a lighter child, an entry at a leaf.
+    Each choice is a dict keyed by node, the form the reference audit takes."""
     n = tree.node_count
     internal = [v for v, ch in enumerate(tree.children) if ch]
-    true = choose_heavy(tree, w)
+    true = {v: u for v, u in enumerate(choose_heavy(tree, w)) if u is not None}
     yield None
     yield true
     yield {v: rng.choice(tree.children[v]) for v in internal}
@@ -490,6 +525,11 @@ def heavy_choices(rng, tree, w):
     yield {**true, rng.choice(tree.leaves()): rng.randrange(n)}
 
 
+def as_list(tree, heavy):
+    """A dict heavy choice as the per-node list ``audit_tree`` takes."""
+    return None if heavy is None else [heavy.get(v) for v in range(tree.node_count)]
+
+
 def test_audit_matches_per_node_definitions_on_random_trees(seed=29):
     rng = random.Random(seed)
     cases = 0
@@ -503,7 +543,8 @@ def test_audit_matches_per_node_definitions_on_random_trees(seed=29):
         for weights in (w, overfull):
             for heavy in heavy_choices(rng, tree, weights):
                 expected = audit_outcome(reference_audit, tree, weights, heavy)
-                assert audit_outcome(audit_tree, tree, weights, heavy) == expected
+                got = audit_outcome(audit_tree, tree, weights, as_list(tree, heavy))
+                assert got == expected
                 cases += 1
     assert cases > 10_000
 
@@ -514,7 +555,9 @@ def test_audit_matches_per_node_definitions_on_pinned_trees(family):
         for seed in SEEDS:
             t = refine_hopcroft(INSTANCES[family](seed), weight).tree
             tree = WeightedTree(t.parent)
-            for heavy in (None, t.heavy_choice()):
+            recorded = {v: u for v, u in enumerate(t.heavy) if u is not None}
+            for heavy in (None, recorded):
                 expected = audit_outcome(reference_audit, tree, t.weight, heavy)
                 assert expected[0][0] is True  # a valid weight law, reported
-                assert audit_outcome(audit_tree, tree, t.weight, heavy) == expected
+                got = audit_outcome(audit_tree, tree, t.weight, as_list(tree, heavy))
+                assert got == expected
