@@ -12,7 +12,7 @@ from .engine import (
 )
 from .functors import FunctorExpr, parse_functor, render_functor
 from .gen import GenSpec, SplitMix64, generate
-from .oracle import PairRelation, bisim_bruteforce, check_r_partitioning, partitions_equal
+from .oracle import bisim_bruteforce, partitions_equal
 from .values import signature_of, validate_value
 from .wtree import (
     AuditReport,
@@ -46,9 +46,7 @@ __all__ = [
     "GenSpec",
     "SplitMix64",
     "generate",
-    "PairRelation",
     "bisim_bruteforce",
-    "check_r_partitioning",
     "partitions_equal",
     "signature_of",
     "validate_value",

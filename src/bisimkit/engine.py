@@ -3,12 +3,12 @@
 Both algorithms compute the coarsest partition in which same-block states
 have equal one-step signatures.  ``refine_naive`` re-groups every state in
 every sweep until nothing splits.  ``refine_hopcroft`` keeps per-leaf
-clean/dirty markings: a split recomputes signatures only for dirty states
-(plus one clean representative), all children of a split start clean, and
-only predecessors of the *non-heavy* children are re-dirtied.  The heavy
-child is the one maximizing the selected block weight, which keeps the
-total re-dirtying work within the light-children weight budget certified
-by :mod:`bisimkit.wtree`.
+clean/dirty markings: a split computes signatures only for dirty states
+(the clean rest stays one child, see :func:`split_leaf`), all children of
+a split start clean, and only predecessors of the *non-heavy* children are
+re-dirtied.  The heavy child is the one maximizing the selected block
+weight, which keeps the total re-dirtying work within the light-children
+weight budget certified by :mod:`bisimkit.wtree`.
 
 The leaves live in a :class:`RefinablePartition` (Valmari 2009): slices of
 one element array with a dirty prefix each, so marking a state is a swap
@@ -240,21 +240,29 @@ def split_leaf(
     part: RefinablePartition,
     leaf: int,
     ev: SignatureEvaluator,
-) -> tuple[list[list[int]], int]:
-    """Group a leaf's dirty states by signature against its clean mass.
+) -> list[list[int]]:
+    """Group a leaf's dirty states by signature; the clean mass stays put.
 
-    The leaf's dirty prefix is consumed: the leaf is left clean.  Signatures
-    are computed for the dirty states plus one clean representative, if
-    any; the dirty states whose signature matches the representative's
-    rejoin the clean mass and are dropped.  The remaining groups, ordered by
-    smallest member with members ascending, are moved to the front of the
-    leaf's slice in that order, so the clean mass is the slice's tail.
-    Returns the groups and the number of signatures computed.  The leaf
-    splits into ``len(groups) + has_clean`` children, so fewer than two
-    means the trivial split.
+    The leaf's dirty prefix is consumed: the leaf is left clean.  One
+    signature is computed per dirty state and none for a clean one.  The
+    groups, ordered by smallest member with members ascending, are moved to
+    the front of the leaf's slice in that order, so the clean mass, if any,
+    is the slice's tail and a child of its own.  Returns the groups; the
+    leaf splits into ``len(groups)`` children plus one for a clean mass.
+
+    No dirty state can belong with the clean mass.  A state is dirty
+    because one of its successors moved into a light child since the leaf
+    was last popped (or made), and light children get fresh leaf ids, newer
+    than every id at that moment.  Any successor of a clean state that had
+    moved into a light child since would have made it dirty, and a heavy
+    child keeps its parent's id, so a clean state's signature names only
+    older ids.  Every functor layer (labels, products, exponents, ``P``,
+    and ``D``, whose masses are positive) shows every successor's leaf id in
+    the signature, so a dirty state's signature names an id that no clean
+    state's signature does.
     """
     elems, pos, block_of = part.elems, part.pos, part.leaf_of
-    lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
+    lo, m = part.first[leaf], part.mid[leaf]
     part.mid[leaf] = lo
     dirty = elems[lo:m]
     dirty.sort()
@@ -262,19 +270,12 @@ def split_leaf(
     by_sig: dict = {}
     for x in dirty:
         by_sig.setdefault(signature(x, block_of), []).append(x)
-    nsigs = m - lo
-    rejoined: list[int] = []
-    if m < hi:
-        rejoined = by_sig.pop(signature(elems[m], block_of), rejoined)
-        nsigs += 1
     groups = list(by_sig.values())  # dirty is sorted, so groups ascend by min
-    # rewrite the prefix: the groups in order, then the states that rejoined
     order = [x for g in groups for x in g]
-    order += rejoined
     elems[lo:m] = order
     for p, x in enumerate(order, lo):
         pos[x] = p
-    return groups, nsigs
+    return groups
 
 
 def mark_dirty(
@@ -418,11 +419,12 @@ def refine_hopcroft(
             mid[rho] = lo
             continue  # a singleton can never split
 
-        groups, nsigs = split_leaf(part, rho, ev)
-        signatures += nsigs
+        # a queued leaf has a dirty state, so there is at least one group
+        signatures += mid[rho] - lo
+        groups = split_leaf(part, rho, ev)
         # the groups now open the slice and the clean mass is its tail, so
-        # the leaf stays whole when there is no group or one fills the slice
-        if not groups or len(groups[0]) == hi - lo:
+        # the leaf stays whole when one group fills the slice
+        if len(groups[0]) == hi - lo:
             continue  # trivial split
         splits += 1
         parent_node = node_of[rho]

@@ -52,6 +52,7 @@ from .values import (
     SetVal,
     StateRef,
     TupleVal,
+    parse_probability,
 )
 from .wtree import WeightedTree
 
@@ -243,13 +244,16 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
             raise FormatError("expected 'src dst num/den'", i + 1)
         try:
             src, dst = int(fields[0]), int(fields[1])
-            prob = Fraction(fields[2])
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError:
+            raise FormatError("state ids must be integers", i + 1) from None
+        try:
+            prob = parse_probability(fields[2])
+        except InvalidValueError as e:
             raise FormatError(str(e), i + 1) from None
         if src < 0 or dst < 0:
             raise FormatError("state ids must be nonnegative", i + 1)
-        if prob <= 0:
-            raise FormatError(f"probability must be positive, got {prob}", i + 1)
+        if prob == 0:
+            raise FormatError("probability must be positive", i + 1)
         rows.append((i + 1, src, dst, prob))
         max_state = max(max_state, src, dst)
     if max_state < 0:
@@ -264,11 +268,8 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
     values = []
     for x, entries in enumerate(per_state):
         dist = DistVal(tuple(entries))
-        total = dist.total()
-        if total != 1:
-            raise FormatError(
-                f"probabilities out of state {x} sum to {total}, expected 1"
-            )
+        if dist.total() != 1:
+            raise FormatError(f"probabilities out of state {x} do not sum to 1")
         values.append(dist)
     return Coalgebra.make(Distribution(Identity()), values)
 

@@ -70,7 +70,8 @@ class GenSpec:
 
     ``alphabet_size`` is the letter count for dfa/nfa/chain and the action
     count for lts/mdp; ``branching`` caps successors per slot (edges per
-    letter, distribution support, distributions per state).
+    letter, distribution support, distributions per state), at most
+    ``_DIST_DENOMINATOR`` for mc/mdp.
     """
 
     family: str
@@ -88,6 +89,11 @@ class GenSpec:
             raise ValueError("alphabet_size must be at least 1")
         if self.branching < 1:
             raise ValueError("branching must be at least 1")
+        if self.family in ("mc", "mdp") and self.branching > _DIST_DENOMINATOR:
+            raise ValueError(
+                f"branching must be at most {_DIST_DENOMINATOR} for {self.family}: every "
+                f"point of a distribution gets a mass of at least 1/{_DIST_DENOMINATOR}"
+            )
 
 
 def _random_distribution(rng: SplitMix64, n: int, branching: int) -> DistVal:

@@ -1,4 +1,4 @@
-"""Brute-force bisimilarity and partition validity checks.
+"""Brute-force bisimilarity and partition comparison.
 
 Deliberately independent of the refinement engine: no trees, no dirty
 sets, no shared canonicalization.  Relatedness of two values under an
@@ -31,71 +31,12 @@ from .engine import Partition
 from .values import DistVal, FunVal, FValue, InjVal, Label, SetVal, StateRef, TupleVal
 
 __all__ = [
-    "PairRelation",
     "bisim_bruteforce",
     "related",
     "partitions_equal",
-    "check_r_partitioning",
 ]
 
 BRUTEFORCE_STATE_LIMIT = 10**4
-
-
-class PairRelation:
-    """A reflexive symmetric boolean matrix over states."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, fill: bool = False):
-        self.n = n
-        self.rows = [bytearray([1 if fill else 0]) * n for _ in range(n)]
-        for x in range(n):
-            self.rows[x][x] = 1
-
-    @classmethod
-    def total(cls, n: int) -> "PairRelation":
-        return cls(n, fill=True)
-
-    @classmethod
-    def from_partition(cls, partition: Partition) -> "PairRelation":
-        rel = cls(partition.n_states)
-        for block in partition.blocks:
-            for x in block:
-                for y in block:
-                    rel.rows[x][y] = 1
-        return rel
-
-    def related(self, x: int, y: int) -> bool:
-        return bool(self.rows[x][y])
-
-    def remove(self, x: int, y: int) -> None:
-        if x == y:
-            raise ValueError("the diagonal is fixed")
-        self.rows[x][y] = 0
-        self.rows[y][x] = 0
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (x, y) for x in range(self.n) for y in range(x + 1, self.n) if self.rows[x][y]
-        ]
-
-    def closure_classes(self) -> list[list[int]]:
-        """Connected components of the relation graph (equivalence closure)."""
-        return _components(self.rows, range(self.n))
-
-    def is_equivalence(self) -> bool:
-        for x in range(self.n):
-            if not self.rows[x][x]:
-                return False
-            for y in range(x + 1, self.n):
-                if self.rows[x][y] != self.rows[y][x]:
-                    return False
-        for cls_ in self.closure_classes():
-            for x in cls_:
-                for y in cls_:
-                    if not self.rows[x][y]:
-                        return False
-        return True
 
 
 def _successors(v: FValue, out: list[int]) -> None:
@@ -260,7 +201,7 @@ def bisim_bruteforce(coalg: Coalgebra) -> Partition:
     n = coalg.n_states
     if n > BRUTEFORCE_STATE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTEFORCE_STATE_LIMIT} states")
-    rows = PairRelation.total(n).rows
+    rows = [bytearray([1]) * n for _ in range(n)]  # the total relation
     values = coalg.values
     classes = [list(range(n))] if n else []
     class_of = [0] * n
@@ -321,28 +262,3 @@ def partitions_equal(p: Partition, q: Partition) -> bool:
         else:
             seen[a] = b
     return len(set(seen.values())) == len(seen)
-
-
-def check_r_partitioning(partition: Partition, relation: PairRelation) -> bool:
-    """Validity of a block family for an equivalence relation.
-
-    Checks that the blocks are nonempty and pairwise disjoint, and that
-    relating the states within each block gives exactly the relation.
-    Disjoint blocks relate states by an equivalence already, so no closure
-    is taken, and equality puts each block inside one relation class.
-    """
-    if partition.n_states != relation.n:
-        raise ValueError("partition and relation sizes differ")
-    if not relation.is_equivalence():
-        raise ValueError("relation is not an equivalence")
-
-    seen: set[int] = set()
-    for block in partition.blocks:
-        if not block:
-            return False
-        for x in block:
-            if x in seen:
-                return False
-            seen.add(x)
-
-    return PairRelation.from_partition(partition).rows == relation.rows

@@ -49,6 +49,7 @@ __all__ = [
     "structure_key",
     "value_to_obj",
     "value_from_obj",
+    "parse_probability",
     "map_state_refs",
 ]
 
@@ -229,11 +230,10 @@ def validate_value(expr: FunctorExpr, v: FValue, n_states: int) -> None:
             raise ShapeMismatchError(f"expected a distribution, got {type(v).__name__}")
         for x, p in v.entries:
             if not 0 < p <= 1:
-                raise ProbabilitySumError(f"probability {p} outside (0, 1]")
+                raise ProbabilitySumError("a probability lies outside (0, 1]")
             validate_value(expr.inner, x, n_states)
-        total = v.total()
-        if total != 1:
-            raise ProbabilitySumError(f"distribution sums to {total}, expected 1")
+        if v.total() != 1:
+            raise ProbabilitySumError("distribution does not sum to 1")
         return
     raise TypeError(f"not a functor expression: {expr!r}")
 
@@ -319,16 +319,32 @@ def value_to_obj(v: FValue):
     raise TypeError(f"not a value: {v!r}")
 
 
-def _parse_fraction(text) -> Fraction:
+def parse_probability(text) -> Fraction:
+    """A nonnegative probability literal: an integer, or a string that
+    ``Fraction`` reads without an exponent ('num/den', a decimal, an integer).
+
+    Exponent notation is refused before ``Fraction`` expands it: expanding
+    '1e-10000000' takes seconds, and '1e-5000' already has more digits than
+    Python will print.  No message formats a number read from the input.
+    """
     if _is_int(text):
-        return Fraction(text)
-    if not isinstance(text, str):
+        p = Fraction(text)
+    elif not isinstance(text, str):
         raise InvalidValueError(f"probability must be a 'num/den' string, got {text!r}")
-    try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InvalidValueError(f"bad probability {text!r}: {e}") from None
-    return f
+    elif "e" in text or "E" in text:
+        raise InvalidValueError("probability in exponent notation; write it as 'num/den'")
+    else:
+        try:
+            p = Fraction(text)
+        except ZeroDivisionError:
+            raise InvalidValueError("probability has a zero denominator") from None
+        except ValueError:  # not a literal, or past Python's str-to-int digit limit
+            raise InvalidValueError(
+                "probability is not 'num/den', a decimal or an integer, or has too many digits"
+            ) from None
+    if p < 0:
+        raise InvalidValueError("probability is negative")
+    return p
 
 
 def _is_int(x) -> bool:
@@ -367,9 +383,7 @@ def value_from_obj(obj) -> FValue:
             for pair in obj["dist"]:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise InvalidValueError(f"distribution entry must be [value, prob]: {pair!r}")
-                p = _parse_fraction(pair[1])
-                if p < 0:
-                    raise InvalidValueError(f"negative probability {p}")
+                p = parse_probability(pair[1])
                 entries.append((value_from_obj(pair[0]), p))
             return DistVal(tuple(entries))
     raise InvalidValueError(f"unrecognized value encoding: {obj!r}")

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -286,6 +287,27 @@ def test_minimize_number_past_digit_limit_exit_2(tmp_path, name, text):
     assert "Traceback" not in res.stdout + res.stderr
 
 
+@pytest.mark.parametrize("name, text", [
+    ("tiny.tsv", "0 0 1e-5000\n"),
+    ("tinier.tsv", "0 0 1e-10000000\n"),
+    ("tiny.json", '{"functor": "D X", "states": 1, "c": [{"dist": [[{"x": 0}, "1e-5000"]]}]}'),
+    # the two masses sum to a fraction with more digits than Python will print
+    ("long-sum.tsv", "0 0 1/%d\n0 0 1/%d\n" % (10**3000 + 1, 10**3000 + 3)),
+    ("long-sum.json", '{"functor": "D X", "states": 1, "c": [{"dist": [[{"x": 0}, "1/%d"], '
+                      '[{"x": 0}, "1/%d"]]}]}' % (10**3000 + 1, 10**3000 + 3)),
+])
+def test_minimize_probability_literal_exit_2(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    started = time.perf_counter()
+    res = run_cli("minimize", str(p))
+    # expanding 1e-10000000 alone takes seconds
+    assert time.perf_counter() - started < 5
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stdout + res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["minimize", "{in}", "--out", "{missing}/p.json"],
     ["minimize", "{in}", "--stats", "--stats-out", "{missing}/s.json"],
@@ -381,3 +403,13 @@ def test_gen_roundtrips_through_minimize(runner, tmp_path):
 def test_gen_bad_family_exit_2(runner):
     res = runner.invoke(main, ["gen", "--family", "tape", "--states", "3"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("family", ["mc", "mdp"])
+def test_gen_branching_past_the_distribution_denominator_exit_2(family):
+    res = run_cli("gen", "--family", family, "--states", "50", "--branching", "300",
+                  "--seed", "1")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "at most 256" in res.stderr
+    assert res.stdout == ""

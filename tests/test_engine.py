@@ -7,8 +7,10 @@ from collections import deque
 import pytest
 from util import labelled_mc
 
+from bisimkit import engine
 from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
 from bisimkit.engine import (
+    WEIGHT_KINDS,
     ConfigurationError,
     EngineInvariantError,
     Partition,
@@ -21,7 +23,7 @@ from bisimkit.engine import (
 )
 from bisimkit.formats import tree_to_json
 from bisimkit.functors import parse_functor
-from bisimkit.gen import GenSpec, generate
+from bisimkit.gen import FAMILIES, GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce, partitions_equal
 from bisimkit.values import (
     DistVal,
@@ -234,38 +236,88 @@ def layout(n, *leaves):
     return part
 
 
-def test_split_leaf_clean_mass_joins_matching_representative():
-    # 6-state one-letter DFA; leaf 1 = {1,2,3,5} with clean {1,2}: states
-    # 1,2,3 all map into leaf 0 with the same acceptance, 5 maps elsewhere
-    c = dfa1(("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 0), ("0", 4))
-    ev = SignatureEvaluator(c)
-    part = layout(6, ([], [0]), ([3, 5], [1, 2]), ([], [4]))
-    groups, nsigs = split_leaf(part, 1, ev)
-    # dirty 3 matches the clean representative, so only {5} leaves the mass
-    assert groups == [[5]]
-    assert nsigs == 3
-    # the group opens the slice, the clean mass follows, the prefix is consumed
-    assert part.members(1)[0] == 5 and sorted(part.members(1)) == [1, 2, 3, 5]
-    part.check({})
-    # cross-check: with nothing clean the same kernel comes back explicitly
-    part = layout(6, ([], [0]), ([1, 2, 3, 5], []), ([], [4]))
-    full, _ = split_leaf(part, 1, ev)
-    assert full == [[1, 2, 3], [5]]
-    assert part.members(1) == [1, 2, 3, 5]
+class CountingEvaluator:
+    """A signature evaluator that records the states it is asked about."""
+
+    def __init__(self, ev):
+        self.ev, self.asked = ev, []
+
+    def signature(self, x, block_of):
+        self.asked.append(x)
+        return self.ev.signature(x, block_of)
+
+
+def checked_split(part, leaf, ev):
+    """split_leaf, asserting what it does to a layout: one signature per
+    dirty state and none for a clean one, the groups in order of least
+    member rewriting the dirty prefix, and the clean tail untouched."""
+    lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
+    dirty, clean = sorted(part.elems[lo:m]), part.elems[m:hi]
+    counting = CountingEvaluator(ev)
+    groups = split_leaf(part, leaf, counting)
+    assert sorted(counting.asked) == dirty
+    assert all(g == sorted(g) for g in groups)
+    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+    assert [x for g in groups for x in g] == part.elems[lo:m]
+    assert part.elems[m:hi] == clean
+    assert part.mid[leaf] == lo  # the leaf is left clean
+    assert all(part.pos[x] == i for i, x in enumerate(part.elems[lo:hi], lo))
+    sigs = [{ev.signature(x, part.leaf_of) for x in g} for g in groups]
+    assert all(len(s) == 1 for s in sigs) and len(set().union(*sigs)) == len(groups)
+    return groups
+
+
+def test_split_leaf_groups_the_first_leaf():
+    # the run's first pop: one leaf, every state dirty, nothing clean
+    c = dfa1(("0", 0), ("1", 0), ("0", 0), ("0", 1), ("1", 0))
+    part = RefinablePartition(5)
+    assert checked_split(part, 0, SignatureEvaluator(c)) == [[0, 2, 3], [1, 4]]
+    assert part.elems == [0, 2, 3, 1, 4]
 
 
 def test_split_leaf_all_dirty_equal_signatures():
     c = dfa1(("0", 0), ("0", 1), ("0", 2))
-    groups, nsigs = split_leaf(layout(3, ([0, 1, 2], [])), 0, SignatureEvaluator(c))
-    assert groups == [[0, 1, 2]]  # one child and no clean mass: trivial
-    assert nsigs == 3
+    groups = checked_split(RefinablePartition(3), 0, SignatureEvaluator(c))
+    assert groups == [[0, 1, 2]]  # one group fills the slice: the trivial split
 
 
-def test_split_leaf_counts_one_clean_representative():
-    c = dfa1(("0", 0), ("0", 0), ("1", 0))
-    groups, nsigs = split_leaf(layout(3, ([2], [0, 1])), 0, SignatureEvaluator(c))
-    assert groups == [[2]]
-    assert nsigs == 2  # one dirty state plus the representative
+def test_split_leaf_keeps_the_clean_tail():
+    # chain3 after its first split: leaf 0 = {0, 1} heavy, leaf 1 = {2}
+    # light, and mark_dirty swapped 1, a predecessor of 2, into leaf 0's
+    # prefix; the clean 0 gets no signature and stays a child of its own
+    c = chain3()
+    part = layout(3, ([1], [0]), ([2], []))
+    assert checked_split(part, 0, SignatureEvaluator(c)) == [[1]]
+    assert part.elems == [1, 0, 2]
+
+
+@pytest.mark.parametrize("weight", WEIGHT_KINDS)
+@pytest.mark.parametrize("family", [*FAMILIES, "labelled_mc"])
+def test_split_leaf_on_every_layout_a_run_reaches(monkeypatch, family, weight):
+    # no dirty state shares a signature with a clean one, which is why
+    # split_leaf computes none for the clean mass and never merges into it
+    clean_masses = 0
+
+    def spy(part, leaf, ev):
+        nonlocal clean_masses
+        lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
+        assert lo < m  # a popped leaf has a dirty state
+        if m < hi:
+            clean_masses += 1
+            clean = {ev.signature(x, part.leaf_of) for x in part.elems[m:hi]}
+            assert not any(ev.signature(x, part.leaf_of) in clean for x in part.elems[lo:m])
+        return checked_split(part, leaf, ev)
+
+    monkeypatch.setattr(engine, "split_leaf", spy)
+    for n in (6, 25, 70):
+        for seed in range(3):
+            c = labelled_mc(n, seed) if family == "labelled_mc" else generate(
+                GenSpec(family, n, seed=seed))
+            r = refine_hopcroft(c, weight)
+            assert partitions_equal(r.partition, refine_naive(c).partition)
+    # every distribution sums to 1, so gen's mc and mdp states are all
+    # bisimilar and the first leaf never splits
+    assert clean_masses > 0 or family in ("mc", "mdp")
 
 
 # -- mark_dirty ------------------------------------------------------------------

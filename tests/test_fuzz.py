@@ -29,10 +29,11 @@ LIMIT_AS = 1 << 30
 EXTENSIONS = {"coalg-json": ".json", "dfa-text": ".dfa", "aut": ".aut", "mc-tsv": ".tsv",
               "tree": ".tree.json"}
 
-# "1" followed by 309 zeros is an integer literal too large for a float
-NUMBERS = ("0", "1", "-1", "2", "007", "999", "65536", "300000000", "1e400",
-           "99999999999999999999", "1" + "0" * 309, "1/0", "0/1", "3/2", "-1/2", "0.5",
-           "true", "null")
+# "1" followed by 309 zeros is an integer literal too large for a float;
+# Fraction expands 1e-5000 into more digits than Python will print
+NUMBERS = ("0", "1", "-1", "2", "007", "999", "65536", "300000000", "1e400", "1e-5000",
+           "3E-5000", "99999999999999999999", "1" + "0" * 309, "1/0", "0/1", "3/2", "-1/2",
+           "0.5", "true", "null")
 PUNCT = "[]{}(),:\"' \n\t-/.#eax"
 AUT_LABELS = ("a", '"b"', "tau")
 MC_SPLITS = (("1/1",), ("1/2", "1/2"), ("1/3", "2/3"))
@@ -86,8 +87,8 @@ def mutate(text, rng):
             text = text[:i] + text[i:j] * rng.randint(2, 50) + text[j:]
         elif op == 2:  # replace a character
             text = text[:i] + rng.choice(PUNCT) + text[i + 1:]
-        elif op == 3:  # replace a number
-            numbers = list(re.finditer(r"\d+", text))
+        elif op == 3:  # replace a number, a probability such as 1/2 or 0.5 whole
+            numbers = list(re.finditer(r"\d+(?:[./]\d+)?", text))
             if numbers:
                 m = rng.choice(numbers)
                 text = text[:m.start()] + rng.choice(NUMBERS) + text[m.end():]

@@ -83,6 +83,18 @@ def test_bad_specs_rejected():
         GenSpec("mc", 5, branching=0)
 
 
+@pytest.mark.parametrize("family", ["mc", "mdp"])
+def test_distribution_support_capped_at_the_denominator(family):
+    # every point gets a mass of at least 1/256, so at most 256 points fit
+    with pytest.raises(ValueError, match="at most 256"):
+        GenSpec(family, 50, branching=257)
+    for seed in range(20):
+        c = generate(GenSpec(family, 300, branching=256, seed=seed))
+        for v in c.values:
+            validate_value(c.functor, v, c.n_states)
+    GenSpec("lts", 5, branching=300)  # the cap is only on distributions
+
+
 def test_mdp_values_are_sets_of_distributions():
     c = generate(GenSpec("mdp", 8, seed=2))
     assert any(isinstance(v, SetVal) and v.members for v in c.values)

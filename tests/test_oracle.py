@@ -1,4 +1,4 @@
-"""Brute-force oracle and partition validity checks."""
+"""Brute-force oracle and partition comparison."""
 
 import random
 from fractions import Fraction
@@ -10,13 +10,7 @@ from bisimkit.coalgebra import Coalgebra
 from bisimkit.engine import Partition
 from bisimkit.functors import parse_functor
 from bisimkit.gen import FAMILIES, GenSpec, generate
-from bisimkit.oracle import (
-    PairRelation,
-    bisim_bruteforce,
-    check_r_partitioning,
-    partitions_equal,
-    related,
-)
+from bisimkit.oracle import bisim_bruteforce, partitions_equal, related
 from bisimkit.values import DistVal, FunVal, InjVal, Label, SetVal, StateRef, TupleVal
 
 
@@ -176,44 +170,3 @@ def test_partitions_equal_extra_split():
 def test_partitions_equal_size_mismatch():
     with pytest.raises(ValueError):
         partitions_equal(Partition.from_block_of([0]), Partition.from_block_of([0, 0]))
-
-
-# -- check_r_partitioning ----------------------------------------------------------
-
-
-def classes_relation(*classes, n):
-    p = Partition.from_blocks(classes, n)
-    return PairRelation.from_partition(p)
-
-
-def test_check_accepts_canonical_classes():
-    rel = classes_relation([0, 1], [2, 3], n=4)
-    part = Partition.from_blocks([[0, 1], [2, 3]], 4)
-    assert check_r_partitioning(part, rel)
-
-
-def test_check_rejects_straddling_block():
-    rel = classes_relation([0, 1], [2, 3], n=4)
-    part = Partition.from_blocks([[0, 2], [1, 3]], 4)
-    assert not check_r_partitioning(part, rel)
-
-
-def test_check_rejects_split_class():
-    # a 3-element class split 2+1: the closure of the blocks is too fine
-    rel = classes_relation([0, 1, 2], [3], n=4)
-    part = Partition.from_blocks([[0, 1], [2], [3]], 4)
-    assert not check_r_partitioning(part, rel)
-
-
-def test_check_rejects_non_equivalence():
-    rel = PairRelation(3)
-    rel.rows[0][1] = 1  # asymmetric
-    with pytest.raises(ValueError):
-        check_r_partitioning(Partition.from_block_of([0, 0, 0]), rel)
-
-
-def test_pair_relation_closure_classes():
-    rel = PairRelation(4)
-    rel.rows[0][1] = rel.rows[1][0] = 1
-    rel.rows[1][2] = rel.rows[2][1] = 1
-    assert rel.closure_classes() == [[0, 1, 2], [3]]

@@ -18,6 +18,7 @@ from bisimkit.values import (
     StateRef,
     TupleVal,
     UnknownLabelError,
+    parse_probability,
     signature_of,
     value_from_obj,
     value_to_obj,
@@ -217,3 +218,31 @@ def test_value_from_obj_rejects_junk():
 def test_value_from_obj_rejects_malformed_fields(obj):
     with pytest.raises(InvalidValueError):
         value_from_obj(obj)
+
+
+@pytest.mark.parametrize("text, p", [
+    (1, 1), (0, 0), ("1", 1), ("1/2", Fraction(1, 2)), ("0.25", Fraction(1, 4)),
+    ("1/%d" % 10**3000, Fraction(1, 10**3000)),
+])
+def test_parse_probability_accepts(text, p):
+    assert parse_probability(text) == p
+
+
+@pytest.mark.parametrize("text", [
+    "1e-5000", "1E-5", "0.5e0", "1e-10000000",  # exponents are refused, not expanded
+    "-1/2", -1, "1/0", "half", "1/" + "1" * 5000, 0.5, True, None,
+])
+def test_parse_probability_rejects(text):
+    with pytest.raises(InvalidValueError):
+        parse_probability(text)
+
+
+def test_probability_errors_format_no_number_from_the_input():
+    # the merged mass and the sum have more digits than Python will print
+    a, b = 10**3000 + 1, 10**3000 + 3
+    v = value_from_obj({"dist": [[{"x": 0}, f"1/{a}"], [{"x": 0}, f"1/{b}"]]})
+    with pytest.raises(ProbabilitySumError, match="does not sum to 1"):
+        validate_value(DX, v, 1)
+    v = value_from_obj({"dist": [[{"x": 0}, f"{a}/{b}"], [{"x": 0}, f"{b}/{a}"]]})
+    with pytest.raises(ProbabilitySumError, match=r"outside \(0, 1\]"):
+        validate_value(DX, v, 1)

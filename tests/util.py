@@ -20,7 +20,7 @@ from bisimkit.functors import (
     parse_functor,
 )
 from bisimkit.gen import SplitMix64
-from bisimkit.oracle import BRUTEFORCE_STATE_LIMIT, PairRelation
+from bisimkit.oracle import BRUTEFORCE_STATE_LIMIT
 from bisimkit.values import (
     DistVal,
     FunVal,
@@ -283,6 +283,26 @@ def ref_class_masses(a: DistVal, b: DistVal, class_of) -> bool:
     return sums_a == sums_b
 
 
+def ref_closure_classes(rows):
+    """Connected components of a relation matrix's graph (its equivalence
+    closure), each sorted, in order of least member."""
+    n = len(rows)
+    seen = [False] * n
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        comp = [x]
+        for u in comp:
+            for v in range(n):
+                if rows[u][v] and not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+        classes.append(sorted(comp))
+    return classes
+
+
 def reference_bruteforce(coalg: Coalgebra) -> Partition:
     """Greatest-fixpoint bisimilarity by pair elimination.
 
@@ -293,19 +313,20 @@ def reference_bruteforce(coalg: Coalgebra) -> Partition:
     n = coalg.n_states
     if n > BRUTEFORCE_STATE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTEFORCE_STATE_LIMIT} states")
-    rel = PairRelation.total(n)
+    rows = [bytearray([1]) * n for _ in range(n)]
     values = coalg.values
     while True:
-        classes = rel.closure_classes()
+        classes = ref_closure_classes(rows)
         class_of = [0] * n
         for i, cls_ in enumerate(classes):
             for x in cls_:
                 class_of[x] = i
         removed = False
-        for x, y in rel.pairs():
-            if not ref_lifted_related(values[x], values[y], class_of):
-                rel.remove(x, y)
-                removed = True
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rows[x][y] and not ref_lifted_related(values[x], values[y], class_of):
+                    rows[x][y] = rows[y][x] = 0
+                    removed = True
         if not removed:
             return Partition.from_blocks(classes, n)
 
