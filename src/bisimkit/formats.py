@@ -265,13 +265,11 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
     per_state: list[list] = [[] for _ in range(n)]
     for lineno, src, dst, prob in rows:
         per_state[src].append((StateRef(dst), prob))
-    values = []
-    for x, entries in enumerate(per_state):
-        dist = DistVal(tuple(entries))
-        if dist.total() != 1:
-            raise FormatError(f"probabilities out of state {x} do not sum to 1")
-        values.append(dist)
-    return Coalgebra.make(Distribution(Identity()), values)
+    values = [DistVal(tuple(entries)) for entries in per_state]
+    try:
+        return Coalgebra.make(Distribution(Identity()), values)
+    except InvalidValueError as e:  # a sum other than 1, or a probability too long to print
+        raise FormatError(str(e)) from None
 
 
 _LOADERS = {

@@ -11,6 +11,10 @@ The *signature* of a value under a block labelling replaces every state
 reference by its block label and re-canonicalizes.  Two states are related
 by one refinement step of the induced equivalence exactly when their
 signatures are equal.
+
+Values and functor expressions are never subclassed: every walker here
+dispatches on one ``type()`` lookup with identity tests, so an instance of
+a subclass is "not a value" (or not a functor expression).
 """
 
 from __future__ import annotations
@@ -105,12 +109,6 @@ class FunVal:
         ordered = tuple(sorted(self.entries, key=lambda e: e[0]))
         object.__setattr__(self, "entries", ordered)
 
-    def get(self, label: str) -> "FValue":
-        for k, v in self.entries:
-            if k == label:
-                return v
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class SetVal:
@@ -120,7 +118,7 @@ class SetVal:
 
     def __post_init__(self):
         keyed = {structure_key(m): m for m in self.members}
-        ordered = tuple(keyed[k] for k in sorted(keyed))
+        ordered = tuple([keyed[k] for k in sorted(keyed)])
         object.__setattr__(self, "members", ordered)
 
 
@@ -134,17 +132,18 @@ class DistVal:
         acc: dict = {}
         vals: dict = {}
         for v, p in self.entries:
-            p = Fraction(p)
-            if p == 0:
+            p = p if type(p) is Fraction else Fraction(p)
+            if not p:
                 continue
             k = structure_key(v)
-            acc[k] = acc.get(k, Fraction(0)) + p
+            acc[k] = acc[k] + p if k in acc else p
             vals[k] = v
-        ordered = tuple((vals[k], acc[k]) for k in sorted(acc))
+        ordered = tuple([(vals[k], acc[k]) for k in sorted(acc)])
         object.__setattr__(self, "entries", ordered)
 
     def total(self) -> Fraction:
-        return sum((p for _, p in self.entries), Fraction(0))
+        ps = [p for _, p in self.entries]
+        return sum(ps[1:], ps[0]) if ps else Fraction(0)
 
 
 FValue = Union[StateRef, Label, TupleVal, InjVal, FunVal, SetVal, DistVal]
@@ -152,61 +151,73 @@ FValue = Union[StateRef, Label, TupleVal, InjVal, FunVal, SetVal, DistVal]
 
 def structure_key(v: FValue):
     """A total-order key for raw values (state indices untranslated)."""
-    if isinstance(v, StateRef):
+    t = type(v)
+    if t is StateRef:
         return (0, v.index)
-    if isinstance(v, Label):
+    if t is TupleVal:
+        return (2, tuple([structure_key(i) for i in v.items]))
+    if t is Label:
         return (1, v.name)
-    if isinstance(v, TupleVal):
-        return (2, tuple(structure_key(i) for i in v.items))
-    if isinstance(v, InjVal):
+    if t is InjVal:
         return (3, v.tag, structure_key(v.value))
-    if isinstance(v, FunVal):
-        return (4, tuple((k, structure_key(x)) for k, x in v.entries))
-    if isinstance(v, SetVal):
-        return (5, tuple(structure_key(m) for m in v.members))
-    if isinstance(v, DistVal):
-        return (6, tuple((structure_key(x), p) for x, p in v.entries))
+    if t is FunVal:
+        return (4, tuple([(k, structure_key(x)) for k, x in v.entries]))
+    if t is SetVal:
+        return (5, tuple([structure_key(m) for m in v.members]))
+    if t is DistVal:
+        return (6, tuple([(structure_key(x), p) for x, p in v.entries]))
     raise TypeError(f"not a value: {v!r}")
+
+
+_TOO_MANY_DIGITS = 10**4300  # Python prints no integer of more digits
 
 
 def validate_value(expr: FunctorExpr, v: FValue, n_states: int) -> None:
     """Check that ``v`` matches the shape of ``expr``; raise a typed error if not.
 
-    Distributions must sum to exactly 1 with every probability in (0, 1];
-    state references must lie below ``n_states``.
+    Distributions must sum to exactly 1 with every probability in (0, 1] and
+    of at most 4300 digits; state references must lie below ``n_states``.
     """
-    if isinstance(expr, Identity):
-        if not isinstance(v, StateRef):
-            raise ShapeMismatchError(f"expected a state reference, got {type(v).__name__}")
+    e, t = type(expr), type(v)
+    if e is Identity:
+        if t is not StateRef:
+            raise ShapeMismatchError(f"expected a state reference, got {t.__name__}")
         if not 0 <= v.index < n_states:
             raise StateRangeError(f"state {v.index} out of range [0, {n_states})")
-        return
-    if isinstance(expr, ConstSet):
-        if not isinstance(v, Label):
-            raise ShapeMismatchError(f"expected a label, got {type(v).__name__}")
-        if v.name not in expr.labels:
-            raise UnknownLabelError(f"label {v.name!r} not in {{{','.join(expr.labels)}}}")
-        return
-    if isinstance(expr, Product):
-        if not isinstance(v, TupleVal):
-            raise ShapeMismatchError(f"expected a tuple, got {type(v).__name__}")
+    elif e is Product:
+        if t is not TupleVal:
+            raise ShapeMismatchError(f"expected a tuple, got {t.__name__}")
         if len(v.items) != len(expr.factors):
             raise ShapeMismatchError(
                 f"tuple arity {len(v.items)} does not match product arity {len(expr.factors)}"
             )
         for f, item in zip(expr.factors, v.items):
             validate_value(f, item, n_states)
-        return
-    if isinstance(expr, Coproduct):
-        if not isinstance(v, InjVal):
-            raise ShapeMismatchError(f"expected an injection, got {type(v).__name__}")
-        if not 0 <= v.tag < len(expr.summands):
-            raise ShapeMismatchError(f"injection tag {v.tag} out of range")
-        validate_value(expr.summands[v.tag], v.value, n_states)
-        return
-    if isinstance(expr, Exponent):
-        if not isinstance(v, FunVal):
-            raise ShapeMismatchError(f"expected a label-indexed map, got {type(v).__name__}")
+    elif e is ConstSet:
+        if t is not Label:
+            raise ShapeMismatchError(f"expected a label, got {t.__name__}")
+        if v.name not in expr.labels:
+            raise UnknownLabelError(f"label {v.name!r} not in {{{','.join(expr.labels)}}}")
+    elif e is Powerset:
+        if t is not SetVal:
+            raise ShapeMismatchError(f"expected a set, got {t.__name__}")
+        for m in v.members:
+            validate_value(expr.inner, m, n_states)
+    elif e is Distribution:
+        if t is not DistVal:
+            raise ShapeMismatchError(f"expected a distribution, got {t.__name__}")
+        # a Fraction's denominator is positive: 0 < p <= 1 without Fraction arithmetic
+        for x, p in v.entries:
+            if not 0 < p.numerator <= p.denominator:
+                raise ProbabilitySumError("a probability lies outside (0, 1]")
+            validate_value(expr.inner, x, n_states)
+        if v.total() != 1:
+            raise ProbabilitySumError("distribution does not sum to 1")
+        if any(p.denominator >= _TOO_MANY_DIGITS for _, p in v.entries):
+            raise InvalidValueError("a probability has more than 4300 digits")
+    elif e is Exponent:
+        if t is not FunVal:
+            raise ShapeMismatchError(f"expected a label-indexed map, got {t.__name__}")
         have = [k for k, _ in v.entries]
         want = sorted(expr.labels)
         if have != want:
@@ -218,24 +229,14 @@ def validate_value(expr: FunctorExpr, v: FValue, n_states: int) -> None:
             )
         for _, item in v.entries:
             validate_value(expr.base, item, n_states)
-        return
-    if isinstance(expr, Powerset):
-        if not isinstance(v, SetVal):
-            raise ShapeMismatchError(f"expected a set, got {type(v).__name__}")
-        for m in v.members:
-            validate_value(expr.inner, m, n_states)
-        return
-    if isinstance(expr, Distribution):
-        if not isinstance(v, DistVal):
-            raise ShapeMismatchError(f"expected a distribution, got {type(v).__name__}")
-        for x, p in v.entries:
-            if not 0 < p <= 1:
-                raise ProbabilitySumError("a probability lies outside (0, 1]")
-            validate_value(expr.inner, x, n_states)
-        if v.total() != 1:
-            raise ProbabilitySumError("distribution does not sum to 1")
-        return
-    raise TypeError(f"not a functor expression: {expr!r}")
+    elif e is Coproduct:
+        if t is not InjVal:
+            raise ShapeMismatchError(f"expected an injection, got {t.__name__}")
+        if not 0 <= v.tag < len(expr.summands):
+            raise ShapeMismatchError(f"injection tag {v.tag} out of range")
+        validate_value(expr.summands[v.tag], v.value, n_states)
+    else:
+        raise TypeError(f"not a functor expression: {expr!r}")
 
 
 def signature_of(v: FValue, block_of) -> object:
@@ -246,24 +247,25 @@ def signature_of(v: FValue, block_of) -> object:
     equal signatures mean the two values are indistinguishable by one
     observation step under the given block structure.
     """
-    if isinstance(v, StateRef):
+    t = type(v)
+    if t is StateRef:
         return block_of[v.index]
-    if isinstance(v, Label):
-        return v.name
-    if isinstance(v, TupleVal):
-        return tuple(signature_of(i, block_of) for i in v.items)
-    if isinstance(v, InjVal):
-        return (v.tag, signature_of(v.value, block_of))
-    if isinstance(v, FunVal):
-        return tuple(signature_of(x, block_of) for _, x in v.entries)
-    if isinstance(v, SetVal):
+    if t is TupleVal:
+        return tuple([signature_of(i, block_of) for i in v.items])
+    if t is SetVal:
         return tuple(sorted({signature_of(m, block_of) for m in v.members}))
-    if isinstance(v, DistVal):
+    if t is DistVal:
         acc: dict = {}
         for x, p in v.entries:
             s = signature_of(x, block_of)
-            acc[s] = acc.get(s, Fraction(0)) + p
+            acc[s] = acc[s] + p if s in acc else p
         return tuple(sorted(acc.items()))
+    if t is Label:
+        return v.name
+    if t is FunVal:
+        return tuple([signature_of(x, block_of) for _, x in v.entries])
+    if t is InjVal:
+        return (v.tag, signature_of(v.value, block_of))
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -273,20 +275,21 @@ def map_state_refs(v: FValue, f) -> FValue:
     Sets and distributions re-canonicalize, so merging under a coarser
     target index space happens automatically.
     """
-    if isinstance(v, StateRef):
+    t = type(v)
+    if t is StateRef:
         return StateRef(f(v.index))
-    if isinstance(v, Label):
+    if t is Label:
         return v
-    if isinstance(v, TupleVal):
-        return TupleVal(tuple(map_state_refs(i, f) for i in v.items))
-    if isinstance(v, InjVal):
+    if t is TupleVal:
+        return TupleVal(tuple([map_state_refs(i, f) for i in v.items]))
+    if t is InjVal:
         return InjVal(v.tag, map_state_refs(v.value, f))
-    if isinstance(v, FunVal):
-        return FunVal(tuple((k, map_state_refs(x, f)) for k, x in v.entries))
-    if isinstance(v, SetVal):
-        return SetVal(tuple(map_state_refs(m, f) for m in v.members))
-    if isinstance(v, DistVal):
-        return DistVal(tuple((map_state_refs(x, f), p) for x, p in v.entries))
+    if t is FunVal:
+        return FunVal(tuple([(k, map_state_refs(x, f)) for k, x in v.entries]))
+    if t is SetVal:
+        return SetVal(tuple([map_state_refs(m, f) for m in v.members]))
+    if t is DistVal:
+        return DistVal(tuple([(map_state_refs(x, f), p) for x, p in v.entries]))
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -302,19 +305,20 @@ def map_state_refs(v: FValue, f) -> FValue:
 
 
 def value_to_obj(v: FValue):
-    if isinstance(v, StateRef):
+    t = type(v)
+    if t is StateRef:
         return {"x": v.index}
-    if isinstance(v, Label):
+    if t is Label:
         return v.name
-    if isinstance(v, TupleVal):
+    if t is TupleVal:
         return [value_to_obj(i) for i in v.items]
-    if isinstance(v, InjVal):
+    if t is InjVal:
         return {"inj": v.tag, "val": value_to_obj(v.value)}
-    if isinstance(v, FunVal):
+    if t is FunVal:
         return {"fun": {k: value_to_obj(x) for k, x in v.entries}}
-    if isinstance(v, SetVal):
+    if t is SetVal:
         return {"set": [value_to_obj(m) for m in v.members]}
-    if isinstance(v, DistVal):
+    if t is DistVal:
         return {"dist": [[value_to_obj(x), f"{p.numerator}/{p.denominator}"] for x, p in v.entries]}
     raise TypeError(f"not a value: {v!r}")
 
@@ -327,63 +331,64 @@ def parse_probability(text) -> Fraction:
     '1e-10000000' takes seconds, and '1e-5000' already has more digits than
     Python will print.  No message formats a number read from the input.
     """
-    if _is_int(text):
+    if type(text) is int:
         p = Fraction(text)
-    elif not isinstance(text, str):
+    elif type(text) is not str:
         raise InvalidValueError(f"probability must be a 'num/den' string, got {text!r}")
     elif "e" in text or "E" in text:
         raise InvalidValueError("probability in exponent notation; write it as 'num/den'")
     else:
-        try:
-            p = Fraction(text)
+        num, slash, den = text.partition("/")
+        try:  # int() reads an ASCII 'digits/digits' as Fraction does, only faster
+            if slash and text.isascii() and num.isdigit() and den.isdigit():
+                p = Fraction(int(num), int(den))
+            else:
+                p = Fraction(text)
         except ZeroDivisionError:
             raise InvalidValueError("probability has a zero denominator") from None
         except ValueError:  # not a literal, or past Python's str-to-int digit limit
             raise InvalidValueError(
                 "probability is not 'num/den', a decimal or an integer, or has too many digits"
             ) from None
-    if p < 0:
+    if p.numerator < 0:
         raise InvalidValueError("probability is negative")
     return p
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def value_from_obj(obj) -> FValue:
     """Decode the JSON form of a value; raises InvalidValueError on bad input."""
-    if isinstance(obj, str):
-        return Label(obj)
-    if isinstance(obj, list):
-        return TupleVal(tuple(value_from_obj(i) for i in obj))
-    if isinstance(obj, dict):
+    t = type(obj)
+    if t is dict:
         if "x" in obj:
-            if not _is_int(obj["x"]):
+            if type(obj["x"]) is not int:
                 raise InvalidValueError(f"state reference must be an integer: {obj!r}")
             return StateRef(obj["x"])
         if "inj" in obj:
-            if not _is_int(obj["inj"]):
+            if type(obj["inj"]) is not int:
                 raise InvalidValueError(f"injection tag must be an integer: {obj!r}")
             if "val" not in obj:
                 raise InvalidValueError(f"injection needs a 'val': {obj!r}")
             return InjVal(obj["inj"], value_from_obj(obj["val"]))
         if "fun" in obj:
-            if not isinstance(obj["fun"], dict):
+            if type(obj["fun"]) is not dict:
                 raise InvalidValueError(f"'fun' must map labels to values: {obj!r}")
-            return FunVal(tuple((k, value_from_obj(x)) for k, x in obj["fun"].items()))
+            return FunVal(tuple([(k, value_from_obj(x)) for k, x in obj["fun"].items()]))
         if "set" in obj:
-            if not isinstance(obj["set"], list):
+            if type(obj["set"]) is not list:
                 raise InvalidValueError(f"'set' must be an array: {obj!r}")
-            return SetVal(tuple(value_from_obj(m) for m in obj["set"]))
+            return SetVal(tuple([value_from_obj(m) for m in obj["set"]]))
         if "dist" in obj:
-            if not isinstance(obj["dist"], list):
+            if type(obj["dist"]) is not list:
                 raise InvalidValueError(f"'dist' must be an array: {obj!r}")
             entries = []
             for pair in obj["dist"]:
-                if not isinstance(pair, list) or len(pair) != 2:
+                if type(pair) is not list or len(pair) != 2:
                     raise InvalidValueError(f"distribution entry must be [value, prob]: {pair!r}")
                 p = parse_probability(pair[1])
                 entries.append((value_from_obj(pair[0]), p))
             return DistVal(tuple(entries))
+    elif t is list:
+        return TupleVal(tuple([value_from_obj(i) for i in obj]))
+    elif t is str:
+        return Label(obj)
     raise InvalidValueError(f"unrecognized value encoding: {obj!r}")

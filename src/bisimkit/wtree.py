@@ -21,7 +21,9 @@ None at a leaf, the form a ``RefinementTree`` records and its document's
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from itertools import compress, repeat
 from operator import ge, le, lshift, mul, not_
 from typing import NamedTuple, Optional, Sequence
@@ -323,24 +325,34 @@ def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
     ``leaf_weights`` must contain only nonzero entries.  Small instances
     are decided by bignum directly.  Otherwise float64 logarithms decide
     when their difference clears a rigorous error margin; a near-tie goes to
-    an exact equality test on prime exponents, then to full bignum
-    arithmetic.
+    an exact equality test on prime exponents, then to :func:`_decimal_log_le`.
     """
     if root_w == 0:
         # weight law forces every weight to 0, so no nonzero leaves survive
         return lhs == 0 and not leaf_weights
-    if root_w > _EXACT_DIRECT_WEIGHT or len(leaf_weights) + 1 > _EXACT_DIRECT_NODES:
-        pos = root_w * math.log2(root_w)
-        neg = lhs + sum(map(mul, leaf_weights, map(math.log2, leaf_weights)))
-        d = pos - neg
-        err = (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12
-        if d > err:
-            return True
-        if d < -err:
-            return False
-        if _products_equal(lhs, leaf_weights, root_w):
-            return True
-    return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
+    if root_w <= _EXACT_DIRECT_WEIGHT and len(leaf_weights) + 1 <= _EXACT_DIRECT_NODES:
+        return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
+    pos = root_w * math.log2(root_w)
+    neg = lhs + sum(map(mul, leaf_weights, map(math.log2, leaf_weights)))
+    d = pos - neg
+    if abs(d) > (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12:
+        return d > 0
+    return _products_equal(lhs, leaf_weights, root_w) or _decimal_log_le(lhs, leaf_weights, root_w)
+
+
+def _decimal_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int, prec: int = 40) -> bool:
+    """``_product_log_le`` for unequal products, by natural logarithms in
+    ``decimal``.  ``ln``, products and sums round correctly to ``prec`` digits,
+    each within half a unit in the last digit, and at most k + 4 roundings
+    (k distinct leaf weights) reach the difference, so it lies within ``err``
+    of the true one; that is not 0, so doubling the precision ends."""
+    counts = Counter(leaf_weights)
+    with localcontext() as ctx:
+        ctx.prec = prec
+        pos = root_w * Decimal(root_w).ln()
+        neg = lhs * Decimal(2).ln() + sum(c * x * Decimal(x).ln() for x, c in counts.items())
+        d, err = pos - neg, (len(counts) + 4) * (pos + neg) * Decimal(10) ** (1 - prec)
+    return d > 0 if abs(d) > err else _decimal_log_le(lhs, leaf_weights, root_w, 2 * prec)
 
 
 def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> BoundCheck:

@@ -308,6 +308,30 @@ def test_minimize_probability_literal_exit_2(tmp_path, name, text):
     assert "Traceback" not in res.stdout + res.stderr
 
 
+def merged_long_probability_rows():
+    # every literal prints, and each state's masses sum to 1, but state 0's
+    # merged masses have 6001-digit denominators, which Python will not print
+    a, b = 10**3000 + 1, 10**3000 + 3  # coprime: odd, and they differ by 2
+    return [(0, 0, f"1/{2 * a}"), (0, 0, f"{b - 1}/{2 * b}"), (0, 1, f"{a - 1}/{2 * a}"),
+            (0, 1, f"1/{2 * b}"), (1, 1, "1")]
+
+
+@pytest.mark.parametrize("ext", [".tsv", ".json"])
+def test_minimize_merged_probability_past_the_digit_limit_exit_2(tmp_path, ext):
+    rows = merged_long_probability_rows()
+    if ext == ".tsv":
+        text = "".join(f"{x} {y} {p}\n" for x, y, p in rows)
+    else:
+        dists = [[[{"x": y}, p] for x, y, p in rows if x == s] for s in (0, 1)]
+        text = json.dumps({"functor": "D X", "states": 2, "c": [{"dist": d} for d in dists]})
+    p = tmp_path / ("merged" + ext)
+    p.write_text(text, encoding="utf-8")
+    res = run_cli("minimize", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "more than 4300 digits" in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["minimize", "{in}", "--out", "{missing}/p.json"],
     ["minimize", "{in}", "--stats", "--stats-out", "{missing}/s.json"],

@@ -30,10 +30,13 @@ EXTENSIONS = {"coalg-json": ".json", "dfa-text": ".dfa", "aut": ".aut", "mc-tsv"
               "tree": ".tree.json"}
 
 # "1" followed by 309 zeros is an integer literal too large for a float;
-# Fraction expands 1e-5000 into more digits than Python will print
+# Fraction expands 1e-5000 into more digits than Python will print; a signed,
+# underscored or non-ASCII num/den goes past parse_probability's int() fast
+# path to Fraction, and a 4301-digit one is refused by both
 NUMBERS = ("0", "1", "-1", "2", "007", "999", "65536", "300000000", "1e400", "1e-5000",
            "3E-5000", "99999999999999999999", "1" + "0" * 309, "1/0", "0/1", "3/2", "-1/2",
-           "0.5", "true", "null")
+           "0.5", "true", "null", "+1/2", "1_0/20", "\u0663/\u0664", "0007/0014",
+           "1" * 4301 + "/" + "3" * 4301)
 PUNCT = "[]{}(),:\"' \n\t-/.#eax"
 AUT_LABELS = ("a", '"b"', "tau")
 MC_SPLITS = (("1/1",), ("1/2", "1/2"), ("1/3", "2/3"))

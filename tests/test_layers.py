@@ -1,8 +1,9 @@
 """The routines the benchmark times still carry the work.
 
 The benchmark's tracer times ``engine.mark_dirty``,
-``SignatureEvaluator.signature`` and ``cli.audit_tree`` by wrapping those
-names from outside the program; a split's signatures are computed in
+``SignatureEvaluator.signature``, ``cli.audit_tree``,
+``coalgebra.value_from_obj`` and ``coalgebra.validate_value`` by wrapping
+those names from outside the program; a split's signatures are computed in
 ``engine.split_leaf``.  Inlining one of them into its caller would leave
 the program correct and zero that layer's metric without a word, so these
 tests count the calls through each name.
@@ -13,11 +14,13 @@ import gc
 import pytest
 from click.testing import CliRunner
 
+from util import labelled_mc
+
 import bisimkit.cli as cli
-from bisimkit import engine
+from bisimkit import coalgebra, engine
 from bisimkit.coalgebra import SignatureEvaluator
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
-from bisimkit.formats import dump_coalgebra
+from bisimkit.formats import dump_coalgebra, load_coalgebra
 from bisimkit.gen import GenSpec, generate
 
 FAMILIES = ("dfa", "chain", "lts")
@@ -73,3 +76,17 @@ def test_minimize_audit_goes_through_cli_audit_tree(monkeypatch, tmp_path):
                                         "--tree-out", "-"])
     assert res.exit_code == 0, res.output
     assert calls == {"audit_tree": 1}
+
+
+@pytest.mark.parametrize("family", ["nfa", "mdp", "lmc"])
+def test_coalg_json_load_goes_through_the_traced_value_names(monkeypatch, tmp_path, family):
+    # values.from_obj_s and values.validate_s time exactly these two names,
+    # once per state; the walkers' own recursion is not counted
+    coalg = labelled_mc(12, 3) if family == "lmc" else generate(GenSpec(family, 12, seed=3))
+    path = tmp_path / "in.json"
+    path.write_text(dump_coalgebra(coalg), encoding="utf-8")
+    calls = {}
+    for name in ("value_from_obj", "validate_value"):
+        monkeypatch.setattr(coalgebra, name, counting(calls, name, getattr(coalgebra, name)))
+    assert load_coalgebra(str(path)) == coalg
+    assert calls == {"value_from_obj": 12, "validate_value": 12}

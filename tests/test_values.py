@@ -1,9 +1,11 @@
 """Value validation, canonical forms, signatures, JSON codec."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from bisimkit.coalgebra import Coalgebra
 from bisimkit.functors import parse_functor
 from bisimkit.values import (
     DistVal,
@@ -246,3 +248,60 @@ def test_probability_errors_format_no_number_from_the_input():
     v = value_from_obj({"dist": [[{"x": 0}, f"{a}/{b}"], [{"x": 0}, f"{b}/{a}"]]})
     with pytest.raises(ProbabilitySumError, match=r"outside \(0, 1\]"):
         validate_value(DX, v, 1)
+
+
+# signed, padded, underscored, non-ASCII digits, leading zeros, a zero
+# denominator, and numerators at and past Python's 4300-digit limit
+EDGE_LITERALS = ["+1/2", " 1/2 ", "1_0/20", "٣/٤", "0007/0014", "1/0", "-1/2",
+                 "7" * 4300 + "/" + "8" * 4300, "7" * 4301 + "/" + "8" * 4301, "7" * 4301 + "/8"]
+
+
+@pytest.mark.parametrize("text", EDGE_LITERALS, ids=range(len(EDGE_LITERALS)))
+def test_parse_probability_reads_what_fraction_reads(text):
+    # an ASCII digits/digits literal takes two int() calls, the rest Fraction
+    # itself: both must accept the same literals and refuse with one message
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        want = "probability has a zero denominator"
+    except ValueError:
+        want = "probability is not 'num/den', a decimal or an integer, or has too many digits"
+    else:
+        want = "probability is negative" if want < 0 else want
+    try:
+        got = parse_probability(text)
+    except InvalidValueError as e:
+        got = str(e)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_parse_probability_fast_path_matches_fraction_on_ascii_literals():
+    rng = random.Random(5)
+    for _ in range(2000):
+        num = "0" * rng.randrange(3) + str(rng.randrange(10**rng.randrange(1, 30)))
+        den = "0" * rng.randrange(3) + str(rng.randrange(10**rng.randrange(1, 30)))
+        text = f"{num}/{den}"
+        try:
+            want = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(InvalidValueError, match="zero denominator"):
+                parse_probability(text)
+        else:
+            assert parse_probability(text) == want
+
+
+def test_probability_digits_are_capped_at_4300():
+    # value_to_obj prints every probability, and Python prints no integer of
+    # more than 4300 digits; the check compares integers, never str()
+    for digits, ok in ((4300, True), (4301, False)):
+        den = 10**digits - 1 if ok else 10**(digits - 1)
+        v = DistVal(((StateRef(0), Fraction(1, den)), (StateRef(1), Fraction(den - 1, den))))
+        if ok:
+            validate_value(DX, v, 2)
+            assert value_from_obj(value_to_obj(v)) == v
+        else:
+            with pytest.raises(InvalidValueError, match="more than 4300 digits"):
+                validate_value(DX, v, 2)
+            with pytest.raises(InvalidValueError, match="state 0: .*more than 4300 digits"):
+                Coalgebra.make(DX, [v, DistVal(((StateRef(1), Fraction(1)),))])

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 from test_pinned_outputs import INSTANCES, SEEDS
-from util import random_weighted_tree, reference_audit
+from util import random_weighted_tree, ref_product_log_le, reference_audit
 
 from bisimkit import wtree
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
@@ -394,6 +395,38 @@ def test_product_log_le_near_tie_matches_bignum(monkeypatch, lhs, parts, ones, r
     ok = wtree._product_log_le(lhs, leaves, root_w)
     assert seen == [False]
     assert ok == (math.prod(x**x for x in parts) << lhs <= root_w**root_w) == verdict
+
+
+def test_product_log_le_near_tie_with_a_large_root_weight_is_fast():
+    # the float screen cannot decide it and the prime exponents differ; the
+    # old bignum fallback raised 2**40 to the power 2**40 and ran for minutes
+    started = time.perf_counter()
+    assert wtree._product_log_le(83, [2**40 - 2], 2**40) is False
+    assert time.perf_counter() - started < 0.5
+
+
+def test_decimal_log_le_matches_the_reference_on_random_trees(seed=31):
+    # lhs at the light sum and on both sides of the float bound, so both
+    # verdicts occur; the decimal path runs on every case with unequal
+    # products, including those the float screen decides
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(300):
+        tree, w = random_weighted_tree(rng, max_nodes=60, max_root_weight=rng.choice((50, 10**6)))
+        leaf_ws = [w[l] for l in tree.leaves() if w[l]]
+        wr = w[tree.root]
+        if wr == 0:
+            continue
+        bound = wr * math.log2(wr) - sum(x * math.log2(x) for x in leaf_ws)
+        for lhs in {light_child_sum(tree, w, choose_heavy(tree, w)), int(bound), int(bound) + 1}:
+            if lhs < 0:
+                continue
+            want = ref_product_log_le(lhs, leaf_ws, wr)
+            assert wtree._product_log_le(lhs, leaf_ws, wr) == want
+            if not wtree._products_equal(lhs, leaf_ws, wr):
+                assert wtree._decimal_log_le(lhs, leaf_ws, wr) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- audit ---------------------------------------------------------------------

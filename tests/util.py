@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random weighted trees, a reference tree audit,
-a reference brute-force oracle, old-form tree documents, a labelled Markov
-chain family, random values of any functor, DFAs written as dfa-text."""
+a reference brute-force oracle, reference value walkers, old-form tree
+documents, a labelled Markov chain family, random values of any functor,
+DFAs written as dfa-text."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from bisimkit.engine import Partition
 from bisimkit.functors import (
     ConstSet,
     Coproduct,
+    Distribution,
     Exponent,
     Identity,
     Powerset,
@@ -26,10 +28,16 @@ from bisimkit.values import (
     FunVal,
     FValue,
     InjVal,
+    InvalidValueError,
     Label,
+    ProbabilitySumError,
     SetVal,
+    ShapeMismatchError,
+    StateRangeError,
     StateRef,
     TupleVal,
+    UnknownLabelError,
+    parse_probability,
 )
 from bisimkit.wtree import (
     FLOAT_BOUND_RELTOL,
@@ -331,6 +339,155 @@ def reference_bruteforce(coalg: Coalgebra) -> Partition:
             return Partition.from_blocks(classes, n)
 
 
+# -- reference value walkers: isinstance chains, as they were before the
+# walkers in ``values`` dispatched on one type() lookup ------------------------
+
+
+def reference_structure_key(v: FValue):
+    if isinstance(v, StateRef):
+        return (0, v.index)
+    if isinstance(v, Label):
+        return (1, v.name)
+    if isinstance(v, TupleVal):
+        return (2, tuple(reference_structure_key(i) for i in v.items))
+    if isinstance(v, InjVal):
+        return (3, v.tag, reference_structure_key(v.value))
+    if isinstance(v, FunVal):
+        return (4, tuple((k, reference_structure_key(x)) for k, x in v.entries))
+    if isinstance(v, SetVal):
+        return (5, tuple(reference_structure_key(m) for m in v.members))
+    if isinstance(v, DistVal):
+        return (6, tuple((reference_structure_key(x), p) for x, p in v.entries))
+    raise TypeError(f"not a value: {v!r}")
+
+
+def reference_validate_value(expr, v: FValue, n_states: int) -> None:
+    if isinstance(expr, Identity):
+        if not isinstance(v, StateRef):
+            raise ShapeMismatchError(f"expected a state reference, got {type(v).__name__}")
+        if not 0 <= v.index < n_states:
+            raise StateRangeError(f"state {v.index} out of range [0, {n_states})")
+        return
+    if isinstance(expr, ConstSet):
+        if not isinstance(v, Label):
+            raise ShapeMismatchError(f"expected a label, got {type(v).__name__}")
+        if v.name not in expr.labels:
+            raise UnknownLabelError(f"label {v.name!r} not in {{{','.join(expr.labels)}}}")
+        return
+    if isinstance(expr, Product):
+        if not isinstance(v, TupleVal):
+            raise ShapeMismatchError(f"expected a tuple, got {type(v).__name__}")
+        if len(v.items) != len(expr.factors):
+            raise ShapeMismatchError(
+                f"tuple arity {len(v.items)} does not match product arity {len(expr.factors)}"
+            )
+        for f, item in zip(expr.factors, v.items):
+            reference_validate_value(f, item, n_states)
+        return
+    if isinstance(expr, Coproduct):
+        if not isinstance(v, InjVal):
+            raise ShapeMismatchError(f"expected an injection, got {type(v).__name__}")
+        if not 0 <= v.tag < len(expr.summands):
+            raise ShapeMismatchError(f"injection tag {v.tag} out of range")
+        reference_validate_value(expr.summands[v.tag], v.value, n_states)
+        return
+    if isinstance(expr, Exponent):
+        if not isinstance(v, FunVal):
+            raise ShapeMismatchError(f"expected a label-indexed map, got {type(v).__name__}")
+        have = [k for k, _ in v.entries]
+        want = sorted(expr.labels)
+        if have != want:
+            extra = set(have) - set(expr.labels)
+            if extra:
+                raise UnknownLabelError(f"label {sorted(extra)[0]!r} not in exponent index")
+            raise ShapeMismatchError(
+                f"map covers labels {have}, exponent requires {want}"
+            )
+        for _, item in v.entries:
+            reference_validate_value(expr.base, item, n_states)
+        return
+    if isinstance(expr, Powerset):
+        if not isinstance(v, SetVal):
+            raise ShapeMismatchError(f"expected a set, got {type(v).__name__}")
+        for m in v.members:
+            reference_validate_value(expr.inner, m, n_states)
+        return
+    if isinstance(expr, Distribution):
+        if not isinstance(v, DistVal):
+            raise ShapeMismatchError(f"expected a distribution, got {type(v).__name__}")
+        for x, p in v.entries:
+            if not 0 < p <= 1:
+                raise ProbabilitySumError("a probability lies outside (0, 1]")
+            reference_validate_value(expr.inner, x, n_states)
+        if sum((p for _, p in v.entries), Fraction(0)) != 1:
+            raise ProbabilitySumError("distribution does not sum to 1")
+        return
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def reference_signature_of(v: FValue, block_of) -> object:
+    if isinstance(v, StateRef):
+        return block_of[v.index]
+    if isinstance(v, Label):
+        return v.name
+    if isinstance(v, TupleVal):
+        return tuple(reference_signature_of(i, block_of) for i in v.items)
+    if isinstance(v, InjVal):
+        return (v.tag, reference_signature_of(v.value, block_of))
+    if isinstance(v, FunVal):
+        return tuple(reference_signature_of(x, block_of) for _, x in v.entries)
+    if isinstance(v, SetVal):
+        return tuple(sorted({reference_signature_of(m, block_of) for m in v.members}))
+    if isinstance(v, DistVal):
+        acc: dict = {}
+        for x, p in v.entries:
+            s = reference_signature_of(x, block_of)
+            acc[s] = acc.get(s, Fraction(0)) + p
+        return tuple(sorted(acc.items()))
+    raise TypeError(f"not a value: {v!r}")
+
+
+def _ref_is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def reference_value_from_obj(obj) -> FValue:
+    if isinstance(obj, str):
+        return Label(obj)
+    if isinstance(obj, list):
+        return TupleVal(tuple(reference_value_from_obj(i) for i in obj))
+    if isinstance(obj, dict):
+        if "x" in obj:
+            if not _ref_is_int(obj["x"]):
+                raise InvalidValueError(f"state reference must be an integer: {obj!r}")
+            return StateRef(obj["x"])
+        if "inj" in obj:
+            if not _ref_is_int(obj["inj"]):
+                raise InvalidValueError(f"injection tag must be an integer: {obj!r}")
+            if "val" not in obj:
+                raise InvalidValueError(f"injection needs a 'val': {obj!r}")
+            return InjVal(obj["inj"], reference_value_from_obj(obj["val"]))
+        if "fun" in obj:
+            if not isinstance(obj["fun"], dict):
+                raise InvalidValueError(f"'fun' must map labels to values: {obj!r}")
+            return FunVal(tuple((k, reference_value_from_obj(x)) for k, x in obj["fun"].items()))
+        if "set" in obj:
+            if not isinstance(obj["set"], list):
+                raise InvalidValueError(f"'set' must be an array: {obj!r}")
+            return SetVal(tuple(reference_value_from_obj(m) for m in obj["set"]))
+        if "dist" in obj:
+            if not isinstance(obj["dist"], list):
+                raise InvalidValueError(f"'dist' must be an array: {obj!r}")
+            entries = []
+            for pair in obj["dist"]:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise InvalidValueError(f"distribution entry must be [value, prob]: {pair!r}")
+                p = parse_probability(pair[1])
+                entries.append((reference_value_from_obj(pair[0]), p))
+            return DistVal(tuple(entries))
+    raise InvalidValueError(f"unrecognized value encoding: {obj!r}")
+
+
 def old_form_tree_document(text):
     """The tree document in its earlier form, rebuilt from the current one.
 
@@ -396,6 +553,6 @@ def dfa_text(coalg):
     lines = [f"dfa {coalg.n_states} {k}"]
     for v in coalg.values:
         bit, fun = v.items
-        succs = (fun.get(a).index for a in default_letters(k))
+        succs = (dict(fun.entries)[a].index for a in default_letters(k))
         lines.append(" ".join([bit.name, *map(str, succs)]))
     return "\n".join(lines) + "\n"
