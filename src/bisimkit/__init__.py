@@ -6,7 +6,6 @@ from .engine import (
     RefinementTree,
     RefineResult,
     RunStats,
-    quotient,
     refine_hopcroft,
     refine_naive,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "RefinementTree",
     "RefineResult",
     "RunStats",
-    "quotient",
     "refine_hopcroft",
     "refine_naive",
     "FunctorExpr",

@@ -220,7 +220,7 @@ def audit_tree_cmd(tree_path):
     _echo(f"light-path length bound: {'ok' if report.lemma4_ok else 'FAILED'}")
     _echo(
         f"weight bound: {report.light_sum} <= {report.bound_float:.4f} "
-        f"(exact check {'ok' if report.bound_exact_ok else 'FAILED'}) "
+        f"(exact check {'ok' if report.theorem1_ok else 'FAILED'}) "
         f"(margin {report.margin:.4f})"
     )
     sys.exit(0 if report.all_ok() else 1)

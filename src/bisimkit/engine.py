@@ -29,7 +29,6 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .coalgebra import Coalgebra, PredIndex, SignatureEvaluator, build_pred_index
-from .values import map_state_refs
 
 __all__ = [
     "WEIGHT_KINDS",
@@ -44,7 +43,6 @@ __all__ = [
     "mark_dirty",
     "refine_naive",
     "refine_hopcroft",
-    "quotient",
 ]
 
 WEIGHT_KINDS = ("card", "pred", "reach")
@@ -497,24 +495,3 @@ def refine_hopcroft(
     if snapshots is not None:
         snapshots.append(partition)
     return RefineResult(partition, stats, tree)
-
-
-def quotient(coalg: Coalgebra, partition: Partition) -> Coalgebra:
-    """Collapse each block to one state, rewriting successors to block ids.
-
-    Well-defined only for the engine's output partition, where all members
-    of a block share a signature; violations raise EngineInvariantError.
-    """
-    ev = SignatureEvaluator(coalg)
-    for block in partition.blocks:
-        sig0 = ev.signature(block[0], partition.block_of)
-        for x in block[1:]:
-            if ev.signature(x, partition.block_of) != sig0:
-                raise EngineInvariantError(
-                    f"states {block[0]} and {x} share a block but differ in signature"
-                )
-    values = []
-    for block in partition.blocks:
-        rep = coalg.values[block[0]]
-        values.append(map_state_refs(rep, lambda s: partition.block_of[s]))
-    return Coalgebra.make(coalg.functor, values)

@@ -54,7 +54,6 @@ __all__ = [
     "value_to_obj",
     "value_from_obj",
     "parse_probability",
-    "map_state_refs",
 ]
 
 
@@ -266,30 +265,6 @@ def signature_of(v: FValue, block_of) -> object:
         return tuple([signature_of(x, block_of) for _, x in v.entries])
     if t is InjVal:
         return (v.tag, signature_of(v.value, block_of))
-    raise TypeError(f"not a value: {v!r}")
-
-
-def map_state_refs(v: FValue, f) -> FValue:
-    """Rebuild ``v`` with every state index replaced by ``f(index)``.
-
-    Sets and distributions re-canonicalize, so merging under a coarser
-    target index space happens automatically.
-    """
-    t = type(v)
-    if t is StateRef:
-        return StateRef(f(v.index))
-    if t is Label:
-        return v
-    if t is TupleVal:
-        return TupleVal(tuple([map_state_refs(i, f) for i in v.items]))
-    if t is InjVal:
-        return InjVal(v.tag, map_state_refs(v.value, f))
-    if t is FunVal:
-        return FunVal(tuple([(k, map_state_refs(x, f)) for k, x in v.entries]))
-    if t is SetVal:
-        return SetVal(tuple([map_state_refs(m, f) for m in v.members]))
-    if t is DistVal:
-        return DistVal(tuple([(map_state_refs(x, f), p) for x, p in v.entries]))
     raise TypeError(f"not a value: {v!r}")
 
 

@@ -8,8 +8,10 @@ refinement, culminating in the bound
     sum of light-children weights  <=  w(root)*log2 w(root) - sum over
     nonzero leaves of w(leaf)*log2 w(leaf)
 
-which is verified with an exact integer decision procedure, never by
-floating point alone.
+which is decided exactly, never by floating point alone: the float bound
+decides when it clears a rigorous error margin, and a near-tie goes to an
+equality test on exponents over a coprime base, then to decimal logarithms
+at doubling precision.
 
 A heavy-child choice ``h`` is a per-node sequence of length
 ``node_count``: ``h[v]`` is the heavy child of an internal node ``v`` and
@@ -245,12 +247,14 @@ def _leaf_sum(tree: WeightedTree, w: Sequence[int], counts: Sequence[int]) -> in
 
 def light_child_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Total weight of all light children, summed over every internal node."""
+    _check_weights_shape(tree, w)
     _check_heavy_shape(tree, h)
     return _outside_sum(tree, w, _heavy_children(h))
 
 
 def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
+    _check_weights_shape(tree, w)
     _check_heavy_shape(tree, h)
     return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
@@ -280,6 +284,7 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoic
     Equivalent to the log form  |lpath(r,v)| <= log2 w(r) - log2 w(v),
     but decided exactly in integers.
     """
+    _check_weights_shape(tree, w)
     _check_heavy_shape(tree, h)
     return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
@@ -291,51 +296,87 @@ def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int
 
 # -- exact decision for  2^lhs * prod w^w <= root^root ------------------------
 
-_EXACT_DIRECT_WEIGHT = 1000
-_EXACT_DIRECT_NODES = 1000
+
+def _coprime_base(nums) -> list[int]:
+    """Pairwise coprime integers above 1 of which every number in ``nums`` is
+    a product, by gcd splitting: a base element ``b`` and a number ``y``
+    sharing ``g = gcd(b, y) > 1`` give way to ``g``, ``b / g`` and ``y / g``.
+    Each split divides the product of everything pending by ``g``, so it
+    ends."""
+    base, todo = [], list(nums)
+    while todo:
+        y = todo.pop()
+        if y == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(b, y)
+            if g > 1:
+                del base[i]
+                todo += (g, b // g, y // g)
+                break
+        else:
+            base.append(y)
+    return base
 
 
-def _factorize(x: int) -> dict[int, int]:
-    f: dict[int, int] = {}
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            f[d] = f.get(d, 0) + 1
-            x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        f[x] = f.get(x, 0) + 1
-    return f
+def _valuation(n: int, b: int) -> int:
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
 
 
 def _products_equal(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
-    """Whether 2^lhs * prod w^w == root^root, via prime exponent vectors."""
-    exps: dict[int, int] = {2: lhs}
-    for x in leaf_weights:
-        for p, e in _factorize(x).items():
-            exps[p] = exps.get(p, 0) + e * x
-    for p, e in _factorize(root_w).items():
-        exps[p] = exps.get(p, 0) - e * root_w
-    return all(e == 0 for e in exps.values())
+    """Whether 2^lhs * prod w^w == root^root, by exponents over a coprime base.
+
+    A number with a prime that does not divide the root weight makes the
+    products unequal.  The others factor over a coprime base of themselves
+    and the root weight, whose primes are the root weight's, so it has at
+    most 13 elements below 2**53; products of powers of pairwise coprime
+    numbers are equal exactly when their exponents are (Bernstein,
+    "Factoring into coprimes in essentially linear time", 2005).
+    """
+    exps = Counter({2: lhs})
+    for x, c in Counter(leaf_weights).items():
+        exps[x] += c * x
+    exps[root_w] -= root_w
+    # net exponent per number, left side minus right side; 1 weighs nothing
+    nums = {x: e for x, e in exps.items() if e and x > 1}
+    for x in nums:
+        g = math.gcd(x, root_w)
+        while g > 1:
+            x //= g
+            g = math.gcd(x, g)
+        if x > 1:
+            return False
+    base = _coprime_base(nums)
+    return all(sum(e * _valuation(x, b) for x, e in nums.items()) == 0 for b in base)
 
 
-def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
+def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int, bound_float: float) -> bool:
     """Exact verdict of  2^lhs * prod_{w in leaf_weights} w^w  <=  root_w^root_w.
 
-    ``leaf_weights`` must contain only nonzero entries.  Small instances
-    are decided by bignum directly.  Otherwise float64 logarithms decide
-    when their difference clears a rigorous error margin; a near-tie goes to
-    an exact equality test on prime exponents, then to :func:`_decimal_log_le`.
+    ``leaf_weights`` must contain only nonzero entries of at most
+    ``MAX_WEIGHT``, and ``bound_float`` must be the float bound
+    ``_hopcroft_bound`` reports for them.  Its difference to ``lhs`` decides
+    when it clears a rigorous margin.  With u = 2**-53, k leaf weights, pos
+    the root's term and S the leaf terms' sum, each term is within 3u of its
+    true value relatively (the C library's log2 within one ulp, one product
+    rounding), the sum of k terms adds at most (k - 1)u S, and the two
+    subtractions and the conversion of ``lhs`` at most u each of their
+    magnitudes.  So the difference errs by less than (k + 5)u (pos + S + lhs)
+    to first order, and 2 pos - ``bound_float`` + lhs is pos + S + lhs to
+    within that relative error; the margin, (k + 4) 2**-50 (2 pos -
+    ``bound_float`` + lhs), is more than six times it.  A near-tie goes to :func:`_products_equal`, then
+    to :func:`_decimal_log_le`.
     """
     if root_w == 0:
         # weight law forces every weight to 0, so no nonzero leaves survive
         return lhs == 0 and not leaf_weights
-    if root_w <= _EXACT_DIRECT_WEIGHT and len(leaf_weights) + 1 <= _EXACT_DIRECT_NODES:
-        return math.prod(x**x for x in leaf_weights) << lhs <= root_w**root_w
     pos = root_w * math.log2(root_w)
-    neg = lhs + sum(map(mul, leaf_weights, map(math.log2, leaf_weights)))
-    d = pos - neg
-    if abs(d) > (len(leaf_weights) + 4) * (pos + neg) * 2.0**-50 + 1e-12:
+    d = bound_float - lhs
+    if abs(d) > (len(leaf_weights) + 4) * (2 * pos - bound_float + lhs) * 2.0**-50:
         return d > 0
     return _products_equal(lhs, leaf_weights, root_w) or _decimal_log_le(lhs, leaf_weights, root_w)
 
@@ -360,8 +401,8 @@ def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -
 
     The sum of light-children weights must not exceed
     ``w(r)*log2 w(r) - sum(w(l)*log2 w(l))`` over nonzero-weight leaves.
-    The verdict comes from an exact integer comparison; ``bound_float`` is
-    reported for diagnostics only.
+    The verdict is exact (see :func:`_product_log_le`); ``bound_float`` can
+    cancel near 2**53, so it is reported for reading only.
     """
     return _hopcroft_bound(tree, w, light_child_sum(tree, w, h))
 
@@ -369,14 +410,10 @@ def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -
 def _hopcroft_bound(tree: WeightedTree, w: Sequence[int], lhs: int) -> BoundCheck:
     leaf_ws = list(filter(None, map(w.__getitem__, tree._leaves)))
     wr = w[tree.root]
-    ok = _product_log_le(lhs, leaf_ws, wr)
     bound_float = 0.0
     if wr > 0:
         bound_float = wr * math.log2(wr) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
-    return BoundCheck(ok, lhs, bound_float)
-
-
-FLOAT_BOUND_RELTOL = 1e-9
+    return BoundCheck(_product_log_le(lhs, leaf_ws, wr, bound_float), lhs, bound_float)
 
 
 @dataclass
@@ -392,7 +429,6 @@ class AuditReport:
     theorem1_ok: bool = False  # the headline weight bound
     light_sum: int = 0
     lpath_sum: int = 0
-    bound_exact_ok: bool = False
     bound_float: float = 0.0
 
     @property
@@ -460,9 +496,7 @@ def audit_tree(
 
     lemma4_ok = _lpath_lengths_ok(tree, w, light_depths)
 
-    ok, lhs, bound_float = _hopcroft_bound(tree, w, light_sum)
-    margin = FLOAT_BOUND_RELTOL * max(1.0, abs(bound_float))
-    theorem1_ok = ok and lhs <= bound_float + margin
+    theorem1_ok, _, bound_float = _hopcroft_bound(tree, w, light_sum)
 
     return AuditReport(
         valid=True,
@@ -474,6 +508,5 @@ def audit_tree(
         theorem1_ok=theorem1_ok,
         light_sum=light_sum,
         lpath_sum=lpath_sum,
-        bound_exact_ok=ok,
         bound_float=bound_float,
     )

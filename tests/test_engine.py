@@ -1,4 +1,4 @@
-"""Refinement engine: both algorithms, split/mark primitives, quotients."""
+"""Refinement engine: both algorithms and the split/mark primitives."""
 
 import json
 import random
@@ -16,7 +16,6 @@ from bisimkit.engine import (
     Partition,
     RefinablePartition,
     mark_dirty,
-    quotient,
     refine_hopcroft,
     refine_naive,
     split_leaf,
@@ -503,45 +502,6 @@ def test_no_transitions_all_weights():
         r = refine_hopcroft(c, w)
         assert r.partition.blocks == ((0, 1, 2, 3),)
         assert r.stats.splits == 0
-
-
-# -- quotient --------------------------------------------------------------------
-
-
-def test_quotient_already_minimal():
-    c = chain3()
-    r = refine_naive(c)
-    q = quotient(c, r.partition)
-    assert q.n_states == 3
-    assert refine_naive(q).partition.n_blocks == 3
-
-
-def test_quotient_merges_equivalent_states():
-    # states 0 and 1 both non-accepting with successors in each other's block
-    c = dfa1(("0", 1), ("0", 0), ("1", 2))
-    r = refine_naive(c)
-    assert r.partition.n_blocks == 2
-    q = quotient(c, r.partition)
-    assert q.n_states == 2
-    assert refine_naive(q).partition.n_blocks == 2  # already minimal
-
-
-def test_quotient_pure_distribution_single_state():
-    c = Coalgebra.make(
-        parse_functor("D X"),
-        [DistVal(((StateRef(1), 1),)), DistVal(((StateRef(0), 1),))],
-    )
-    part = refine_naive(c).partition
-    q = quotient(c, part)
-    assert q.n_states == 1
-    assert q.values[0] == DistVal(((StateRef(0), 1),))
-
-
-def test_quotient_rejects_inconsistent_partition():
-    c = chain3()
-    bogus = Partition.from_blocks([[0, 2], [1]], 3)
-    with pytest.raises(EngineInvariantError):
-        quotient(c, bogus)
 
 
 # -- Partition type --------------------------------------------------------------

@@ -30,7 +30,6 @@ from bisimkit.values import (
     SetVal,
     StateRef,
     TupleVal,
-    map_state_refs,
     signature_of,
     structure_key,
     validate_value,
@@ -174,14 +173,6 @@ def test_value_from_obj_matches_the_reference():
                 else:
                     mutated += 1
     assert mutated > 1000
-
-
-def test_map_state_refs_rebuilds_through_the_json_form():
-    for _, values, n in CORPUS:
-        for v in values:
-            moved = map_state_refs(v, lambda i: i // 2)
-            assert moved == reference_value_from_obj(value_to_obj(moved))
-            assert map_state_refs(v, lambda i: i) == v
 
 
 @pytest.mark.parametrize("cls", [StateRef, Label, TupleVal, InjVal, FunVal, SetVal, DistVal])

@@ -4,10 +4,11 @@ import dataclasses
 import math
 import random
 import time
+from operator import mul
 
 import pytest
 from test_pinned_outputs import INSTANCES, SEEDS
-from util import random_weighted_tree, ref_product_log_le, reference_audit
+from util import random_weighted_tree, ref_product_log_le, ref_products_equal, reference_audit
 
 from bisimkit import wtree
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
@@ -366,6 +367,11 @@ def test_bound_check_large_weights_fast():
         assert hopcroft_bound_check(tree, w, h).ok is True
 
 
+def float_bound(leaf_ws, root_w):
+    """The float bound as ``hopcroft_bound_check`` reports it."""
+    return root_w * math.log2(root_w) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
+
+
 # (light sum, leaf weights besides the ones, count of weight-1 leaves, root
 # weight, verdict): 2^lhs * prod w^w lies within the float margin of
 # root^root without equalling it.  Found by a search over random leaf
@@ -392,7 +398,7 @@ def test_product_log_le_near_tie_matches_bignum(monkeypatch, lhs, parts, ones, r
         return seen[-1]
 
     monkeypatch.setattr(wtree, "_products_equal", spy)
-    ok = wtree._product_log_le(lhs, leaves, root_w)
+    ok = wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w))
     assert seen == [False]
     assert ok == (math.prod(x**x for x in parts) << lhs <= root_w**root_w) == verdict
 
@@ -401,7 +407,7 @@ def test_product_log_le_near_tie_with_a_large_root_weight_is_fast():
     # the float screen cannot decide it and the prime exponents differ; the
     # old bignum fallback raised 2**40 to the power 2**40 and ran for minutes
     started = time.perf_counter()
-    assert wtree._product_log_le(83, [2**40 - 2], 2**40) is False
+    assert wtree._product_log_le(83, [2**40 - 2], 2**40, float_bound([2**40 - 2], 2**40)) is False
     assert time.perf_counter() - started < 0.5
 
 
@@ -417,16 +423,61 @@ def test_decimal_log_le_matches_the_reference_on_random_trees(seed=31):
         wr = w[tree.root]
         if wr == 0:
             continue
-        bound = wr * math.log2(wr) - sum(x * math.log2(x) for x in leaf_ws)
+        bound = float_bound(leaf_ws, wr)
         for lhs in {light_child_sum(tree, w, choose_heavy(tree, w)), int(bound), int(bound) + 1}:
             if lhs < 0:
                 continue
             want = ref_product_log_le(lhs, leaf_ws, wr)
-            assert wtree._product_log_le(lhs, leaf_ws, wr) == want
+            assert wtree._product_log_le(lhs, leaf_ws, wr, bound) == want
             if not wtree._products_equal(lhs, leaf_ws, wr):
                 assert wtree._decimal_log_le(lhs, leaf_ws, wr) == want
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# the products are equal: 2^6 * 3^3 * 3^3 = 6^6, 2^4 * 2^2 * 2^2 = 4^4,
+# 27^27 = 27^27, 2^8 = 4^4, and root weight 1 with leaves of weight 1
+EQUAL_PRODUCTS = [(6, [3, 3], 6), (4, [2, 2], 4), (0, [27], 27), (8, [], 4), (0, [1, 1], 1),
+                  (0, [], 1)]
+
+
+@pytest.mark.parametrize("lhs, leaves, root_w", EQUAL_PRODUCTS)
+def test_products_equal_on_constructed_equalities(lhs, leaves, root_w):
+    assert ref_products_equal(lhs, leaves, root_w) is True
+    assert wtree._products_equal(lhs, leaves, root_w) is True
+    # one more factor of 2 on the left, or one more leaf, breaks the equality
+    for unequal in ((lhs + 1, leaves, root_w), (lhs, leaves + [2], root_w)):
+        assert ref_products_equal(*unequal) is wtree._products_equal(*unequal) is False
+
+
+def test_products_equal_matches_the_factoring_reference_on_smooth_instances(seed=37):
+    # roots and leaves built from a few small primes, so that trial division
+    # stays cheap and the coprime base has real work; every third instance
+    # is an equality by construction: root s^t and leaves s^j, padded by
+    # leaves of weight s until the exponents of s reach t * s^t
+    rng = random.Random(seed)
+    outcomes = set()
+    for i in range(3000):
+        primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4))
+        if i % 3:
+            root_w = math.prod(p ** rng.randint(1, 4) for p in primes)
+            leaves = [math.prod(p ** rng.randint(0, 3) for p in primes)
+                      for _ in range(rng.randint(0, 6))]
+            lhs = rng.randint(0, 60)
+        else:
+            s = math.prod(primes[:2])
+            t = rng.randint(1, 3 if s < 20 else 2)
+            root_w = s**t
+            js = [rng.randint(1, t) for _ in range(rng.randint(0, 3))]
+            rest = t * root_w - sum(j * s**j for j in js)
+            if rest < 0:
+                continue
+            leaves = [s**j for j in js] + [s] * (rest // s)
+            lhs = 0
+        want = ref_products_equal(lhs, leaves, root_w)
+        assert wtree._products_equal(lhs, leaves, root_w) is want, (lhs, leaves, root_w)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # -- audit ---------------------------------------------------------------------
@@ -483,6 +534,28 @@ def test_audit_rejects_choice_naming_non_nodes():
     with pytest.raises(MalformedTreeError):
         audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None, 2])
     assert audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None]).all_ok()
+
+
+def test_audit_of_a_star_with_a_prime_leaf_is_fast():
+    # root 2**53, one leaf of a prime weight near it and 111 of weight 1: the
+    # float screen cannot decide, and the prime ends the equality test
+    t = WeightedTree([0] * 113)
+    started = time.perf_counter()
+    assert audit_tree(t, [2**53, 9007199254740881] + [1] * 111).all_ok()
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("check", [light_child_sum, lpath_weighted_leaf_sum,
+                                   lpath_length_bound_check, hopcroft_bound_check])
+@pytest.mark.parametrize("w, match", [
+    ([3, 1], "covers 2 nodes"),
+    ([3, -1, 1], "not a natural number"),
+    ([3, 1.0, 1], "not a natural number"),
+    ([10**400, 1, 1], "exceeds"),
+], ids=["length", "negative", "float", "above-cap"])
+def test_lemma_checks_reject_malformed_weights(check, w, match):
+    with pytest.raises(MalformedTreeError, match=match):
+        check(WeightedTree([0, 0, 0]), w, [1, None, None])
 
 
 def test_weights_above_the_cap_are_malformed():
