@@ -1,24 +1,14 @@
 """Brute-force bisimilarity and partition comparison.
 
 Deliberately independent of the refinement engine: no trees, no dirty
-sets, no shared canonicalization.  Relatedness of two values under an
-equivalence is decided by a direct recursive matching (forth-and-back for
-sets, per-class probability sums for distributions), and the fixpoint is
-computed on an explicit pair matrix.  Used to cross-check engine output.
-
-The fixpoint is Kanellakis and Smolka's pair elimination, with one
-saving.  The first round checks every pair.  When a round splits a class
-into pieces, one largest piece is left out, and the next round rechecks
-only the related pairs that contain a predecessor of a state in another
-piece.  This is sound because relatedness of two values depends only on
-which of their successors share a class.  Classes only split, so
-successors in different classes stay apart.  Two successors that shared an
-old class still do if the class did not split or both lie in the piece
-left out.  Otherwise one of them lies in another piece, and its
-predecessor is rechecked.  So a pair that is not rechecked keeps its last
-verdict.  Any single piece may be left out; the largest costs least.  The
-oracle builds its own predecessor lists and reads nothing the engine
-compiles.
+sets, no signatures, no shared canonicalization.  Relatedness of two
+values under a class labelling is decided by a direct recursive matching
+(forth-and-back for sets, per-class probability sums for distributions).
+Under a fixed labelling it is an equivalence, so the fixpoint is computed
+by splitting each class by relatedness to one representative per group,
+round after round, until no class splits.  The oracle walks the values
+itself and reads nothing the engine compiles.  Used to cross-check engine
+output.
 """
 
 from __future__ import annotations
@@ -37,40 +27,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_STATE_LIMIT = 10**4
-
-
-def _successors(v: FValue, out: list[int]) -> None:
-    """Append the states ``v`` refers to."""
-    t = type(v)
-    if t is StateRef:
-        out.append(v.index)
-    elif t is TupleVal:
-        for x in v.items:
-            _successors(x, out)
-    elif t is SetVal:
-        for x in v.members:
-            _successors(x, out)
-    elif t is DistVal:
-        for x, _ in v.entries:
-            _successors(x, out)
-    elif t is FunVal:
-        for _, x in v.entries:
-            _successors(x, out)
-    elif t is InjVal:
-        _successors(v.value, out)
-    elif t is not Label:
-        raise TypeError(f"not a value: {v!r}")
-
-
-def _predecessors(values: Sequence[FValue]) -> list[list[int]]:
-    """Per state, the states whose values refer to it, each listed once."""
-    preds: list[list[int]] = [[] for _ in values]
-    for x, v in enumerate(values):
-        out: list[int] = []
-        _successors(v, out)
-        for s in set(out):
-            preds[s].append(x)
-    return preds
 
 
 def related(a: FValue, b: FValue, class_of: Sequence[int]) -> bool:
@@ -168,81 +124,36 @@ def _bucket_masses(a: DistVal, b: DistVal, class_of: Sequence[int], masses: dict
     return sums_a == sums_b
 
 
-def _components(rows: list[bytearray], members: Sequence[int]) -> list[list[int]]:
-    """Connected components of the relation graph on ``members``, each sorted."""
-    seen = set()
-    comps = []
-    for x in members:
-        if x in seen:
-            continue
-        seen.add(x)
-        comp = [x]
-        for u in comp:
-            row = rows[u]
-            for v in members:
-                if row[v] and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        comp.sort()
-        comps.append(comp)
-    return comps
-
-
 def bisim_bruteforce(coalg: Coalgebra) -> Partition:
-    """Greatest-fixpoint bisimilarity by pair elimination.
+    """Greatest-fixpoint bisimilarity by splitting classes.
 
-    Start from the total relation; repeatedly drop pairs whose values are
-    not one-step related under the classes of the current relation's
-    equivalence closure.  The classes at the fixpoint are the answer.  The
-    first round checks every pair; a later round rechecks only the pairs
-    with a state that refers into a piece of a class the round before split,
-    all but one largest piece per class (see the module docstring).
+    Start from one class.  Each round splits every class into groups: a
+    state joins the first group whose first member it is one-step related
+    to under the round's classes, or starts a group of its own.  When no
+    class splits, the classes are the answer.
     """
     n = coalg.n_states
     if n > BRUTEFORCE_STATE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTEFORCE_STATE_LIMIT} states")
-    rows = [bytearray([1]) * n for _ in range(n)]  # the total relation
     values = coalg.values
     classes = [list(range(n))] if n else []
     class_of = [0] * n
-    recheck = bytearray([1]) * n
-    preds = None
     while True:
         masses: dict = {}
-        changed = []
-        for cls_ in classes:
-            removed = False
-            for x in cls_:
-                if not recheck[x]:
-                    continue
-                row, vx = rows[x], values[x]
-                for y in cls_:
-                    # a pair of two rechecked states is checked once, from its smaller state
-                    if (
-                        row[y]
-                        and (y > x or not recheck[y])
-                        and not _related(vx, values[y], class_of, masses)
-                    ):
-                        row[y] = rows[y][x] = 0
-                        removed = True
-            changed.append(removed)
-        if not any(changed):
-            return Partition.from_blocks(classes, n)
-        if preds is None:
-            preds = _predecessors(values)
-        recheck = bytearray(n)
         new_classes = []
-        for cls_, removed in zip(classes, changed):
-            # the relation only shrinks, so its new classes refine the old ones
-            pieces = _components(rows, cls_) if removed else [cls_]
-            if len(pieces) > 1:
-                kept = max(pieces, key=len)
-                for piece in pieces:
-                    if piece is not kept:
-                        for s in piece:
-                            for p in preds[s]:
-                                recheck[p] = 1
-            new_classes.extend(pieces)
+        for cls_ in classes:
+            groups: list[list[int]] = []
+            for x in cls_:
+                vx = values[x]
+                for group in groups:
+                    if _related(vx, values[group[0]], class_of, masses):
+                        group.append(x)
+                        break
+                else:
+                    groups.append([x])
+            new_classes.extend(groups)
+        if len(new_classes) == len(classes):
+            return Partition.from_blocks(classes, n)
         classes = new_classes
         for i, cls_ in enumerate(classes):
             for x in cls_:

@@ -11,7 +11,8 @@ refinement, culminating in the bound
 which is decided exactly, never by floating point alone: the float bound
 decides when it clears a rigorous error margin, and a near-tie goes to an
 equality test on exponents over a coprime base, then to decimal logarithms
-at doubling precision.
+at doubling precision.  A near-tie reports the bound from that exact
+path, since the float sum can cancel there.
 
 A heavy-child choice ``h`` is a per-node sequence of length
 ``node_count``: ``h[v]`` is the heavy child of an internal node ``v`` and
@@ -135,6 +136,9 @@ def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
 def _check_heavy_shape(tree: WeightedTree, h: HeavyChoice) -> None:
     if len(h) != tree.node_count:
         raise MalformedTreeError(f"heavy choice covers {len(h)} nodes, tree has {tree.node_count}")
+    for v, u in enumerate(h):
+        if u is not None and type(u) is not int:
+            raise MalformedTreeError(f"heavy choice of node {v} is not a node id: {u!r}")
 
 
 def validate_weight(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
@@ -354,12 +358,15 @@ def _products_equal(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
     return all(sum(e * _valuation(x, b) for x, e in nums.items()) == 0 for b in base)
 
 
-def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int, bound_float: float) -> bool:
-    """Exact verdict of  2^lhs * prod_{w in leaf_weights} w^w  <=  root_w^root_w.
+def _product_log_le(
+    lhs: int, leaf_weights: Sequence[int], root_w: int, bound_float: float
+) -> tuple[bool, float]:
+    """Exact verdict of  2^lhs * prod_{w in leaf_weights} w^w  <=  root_w^root_w,
+    and the bound to report with it.
 
     ``leaf_weights`` must contain only nonzero entries of at most
     ``MAX_WEIGHT``, and ``bound_float`` must be the float bound
-    ``_hopcroft_bound`` reports for them.  Its difference to ``lhs`` decides
+    ``_hopcroft_bound`` computes for them.  Its difference to ``lhs`` decides
     when it clears a rigorous margin.  With u = 2**-53, k leaf weights, pos
     the root's term and S the leaf terms' sum, each term is within 3u of its
     true value relatively (the C library's log2 within one ulp, one product
@@ -368,32 +375,42 @@ def _product_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int, bound_fl
     magnitudes.  So the difference errs by less than (k + 5)u (pos + S + lhs)
     to first order, and 2 pos - ``bound_float`` + lhs is pos + S + lhs to
     within that relative error; the margin, (k + 4) 2**-50 (2 pos -
-    ``bound_float`` + lhs), is more than six times it.  A near-tie goes to :func:`_products_equal`, then
-    to :func:`_decimal_log_le`.
+    ``bound_float`` + lhs), is more than six times it.  Then ``bound_float``
+    is reported.  A near-tie goes to :func:`_products_equal`, whose equal
+    products report ``lhs`` itself, then to :func:`_decimal_log_le`, whose
+    logarithms report the bound: the float sum can cancel there.
     """
     if root_w == 0:
         # weight law forces every weight to 0, so no nonzero leaves survive
-        return lhs == 0 and not leaf_weights
+        return lhs == 0 and not leaf_weights, bound_float
     pos = root_w * math.log2(root_w)
     d = bound_float - lhs
     if abs(d) > (len(leaf_weights) + 4) * (2 * pos - bound_float + lhs) * 2.0**-50:
-        return d > 0
-    return _products_equal(lhs, leaf_weights, root_w) or _decimal_log_le(lhs, leaf_weights, root_w)
+        return d > 0, bound_float
+    if _products_equal(lhs, leaf_weights, root_w):
+        return True, float(lhs)
+    return _decimal_log_le(lhs, leaf_weights, root_w)
 
 
-def _decimal_log_le(lhs: int, leaf_weights: Sequence[int], root_w: int, prec: int = 40) -> bool:
+def _decimal_log_le(
+    lhs: int, leaf_weights: Sequence[int], root_w: int, prec: int = 40
+) -> tuple[bool, float]:
     """``_product_log_le`` for unequal products, by natural logarithms in
     ``decimal``.  ``ln``, products and sums round correctly to ``prec`` digits,
     each within half a unit in the last digit, and at most k + 4 roundings
     (k distinct leaf weights) reach the difference, so it lies within ``err``
-    of the true one; that is not 0, so doubling the precision ends."""
+    of the true one; that is not 0, so doubling the precision ends.  The
+    bound reported is ``lhs`` plus the difference in bits."""
     counts = Counter(leaf_weights)
     with localcontext() as ctx:
         ctx.prec = prec
+        ln2 = Decimal(2).ln()
         pos = root_w * Decimal(root_w).ln()
-        neg = lhs * Decimal(2).ln() + sum(c * x * Decimal(x).ln() for x, c in counts.items())
+        neg = lhs * ln2 + sum(c * x * Decimal(x).ln() for x, c in counts.items())
         d, err = pos - neg, (len(counts) + 4) * (pos + neg) * Decimal(10) ** (1 - prec)
-    return d > 0 if abs(d) > err else _decimal_log_le(lhs, leaf_weights, root_w, 2 * prec)
+        if abs(d) > err:
+            return d > 0, float(lhs + d / ln2)
+    return _decimal_log_le(lhs, leaf_weights, root_w, 2 * prec)
 
 
 def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> BoundCheck:
@@ -401,8 +418,9 @@ def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -
 
     The sum of light-children weights must not exceed
     ``w(r)*log2 w(r) - sum(w(l)*log2 w(l))`` over nonzero-weight leaves.
-    The verdict is exact (see :func:`_product_log_le`); ``bound_float`` can
-    cancel near 2**53, so it is reported for reading only.
+    The verdict is exact (see :func:`_product_log_le`); ``bound_float``, the
+    bound reported with it, is the float sum unless that lies too near the
+    light sum to decide, and is then taken from the exact path.
     """
     return _hopcroft_bound(tree, w, light_child_sum(tree, w, h))
 
@@ -413,7 +431,8 @@ def _hopcroft_bound(tree: WeightedTree, w: Sequence[int], lhs: int) -> BoundChec
     bound_float = 0.0
     if wr > 0:
         bound_float = wr * math.log2(wr) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
-    return BoundCheck(_product_log_le(lhs, leaf_ws, wr, bound_float), lhs, bound_float)
+    ok, bound = _product_log_le(lhs, leaf_ws, wr, bound_float)
+    return BoundCheck(ok, lhs, bound)
 
 
 @dataclass
@@ -433,7 +452,10 @@ class AuditReport:
 
     @property
     def margin(self) -> float:
-        """How far the light sum stays below the bound: bound minus light sum."""
+        """How far the light sum stays below the bound: bound minus light sum.
+
+        ``bound_float`` comes from the exact path on a near-tie, so the
+        margin does not inherit the float sum's cancellation."""
         return self.bound_float - self.light_sum
 
     def all_ok(self) -> bool:

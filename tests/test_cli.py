@@ -408,13 +408,13 @@ def test_audit_tree_invalid_weight_exit_1(runner, tmp_path):
 
 def test_audit_tree_passes_a_valid_tree_whose_float_bound_cancels(runner, tmp_path):
     # the true bound is 54.44; the float sum cancels to 0.0 near 2**53, so
-    # only the exact verdict may decide
+    # only the exact path may decide and give the bound and the margin
     doc = {"parent": [0, 0, 0], "w": [9007199254738994, 9007199254738993, 1]}
     p = tmp_path / "tree.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     res = runner.invoke(main, ["audit-tree", str(p)])
     assert res.exit_code == 0, res.output
-    assert "weight bound: 1 <= 0.0000 (exact check ok)" in res.output
+    assert "weight bound: 1 <= 54.4427 (exact check ok) (margin 53.4427)" in res.output
 
 
 def test_audit_tree_malformed_exit_2(runner, tmp_path):

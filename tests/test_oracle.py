@@ -1,13 +1,15 @@
 """Brute-force oracle and partition comparison."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from util import labelled_mc, random_value, ref_lifted_related, reference_bruteforce
 
+from bisimkit import oracle
 from bisimkit.coalgebra import Coalgebra
-from bisimkit.engine import Partition
+from bisimkit.engine import Partition, refine_naive
 from bisimkit.functors import parse_functor
 from bisimkit.gen import FAMILIES, GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce, partitions_equal, related
@@ -50,7 +52,41 @@ def test_bruteforce_size_cap():
         )
 
 
-# -- against the reference oracle, which rechecks every pair every round ---------
+def test_bruteforce_one_block_takes_a_linear_number_of_relatedness_tests(monkeypatch):
+    # each state is tested against the first member of each group, and one
+    # block has one group: no pair of states is tested beyond that
+    c = generate(GenSpec("mc", 200, seed=1))
+    real, calls = oracle._related, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_related", counting)
+    assert bisim_bruteforce(c).n_blocks == 1
+    assert len(calls) <= 2 * c.n_states
+
+
+def test_bruteforce_matches_naive_on_a_3000_state_lts():
+    c = generate(GenSpec("lts", 3000, seed=5))
+    started = time.perf_counter()
+    p = bisim_bruteforce(c)
+    assert time.perf_counter() - started < 10
+    assert p == refine_naive(c).partition
+
+
+# -- against the reference oracle, which eliminates pairs and rechecks every
+# pair every round ---------------------------------------------------------------
+
+
+def test_bruteforce_matches_reference_on_a_chain_beside_a_cycle():
+    # the chain peels one state off per round; the cycle's class never splits
+    chain = [("0", i + 1) for i in range(19)] + [("1", 19)]
+    cycle = [("0", 20 + (i + 1) % 40) for i in range(40)]
+    c = dfa1(*chain, *cycle)
+    p = bisim_bruteforce(c)
+    assert p == reference_bruteforce(c)
+    assert p.blocks == tuple((i,) for i in range(20)) + (tuple(range(20, 60)),)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

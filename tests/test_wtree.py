@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from operator import mul
 
 import pytest
@@ -398,7 +399,7 @@ def test_product_log_le_near_tie_matches_bignum(monkeypatch, lhs, parts, ones, r
         return seen[-1]
 
     monkeypatch.setattr(wtree, "_products_equal", spy)
-    ok = wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w))
+    ok, _ = wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w))
     assert seen == [False]
     assert ok == (math.prod(x**x for x in parts) << lhs <= root_w**root_w) == verdict
 
@@ -407,7 +408,7 @@ def test_product_log_le_near_tie_with_a_large_root_weight_is_fast():
     # the float screen cannot decide it and the prime exponents differ; the
     # old bignum fallback raised 2**40 to the power 2**40 and ran for minutes
     started = time.perf_counter()
-    assert wtree._product_log_le(83, [2**40 - 2], 2**40, float_bound([2**40 - 2], 2**40)) is False
+    assert wtree._product_log_le(83, [2**40 - 2], 2**40, float_bound([2**40 - 2], 2**40))[0] is False
     assert time.perf_counter() - started < 0.5
 
 
@@ -428,9 +429,9 @@ def test_decimal_log_le_matches_the_reference_on_random_trees(seed=31):
             if lhs < 0:
                 continue
             want = ref_product_log_le(lhs, leaf_ws, wr)
-            assert wtree._product_log_le(lhs, leaf_ws, wr, bound) == want
+            assert wtree._product_log_le(lhs, leaf_ws, wr, bound)[0] == want
             if not wtree._products_equal(lhs, leaf_ws, wr):
-                assert wtree._decimal_log_le(lhs, leaf_ws, wr) == want
+                assert wtree._decimal_log_le(lhs, leaf_ws, wr)[0] == want
                 verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -445,6 +446,8 @@ EQUAL_PRODUCTS = [(6, [3, 3], 6), (4, [2, 2], 4), (0, [27], 27), (8, [], 4), (0,
 def test_products_equal_on_constructed_equalities(lhs, leaves, root_w):
     assert ref_products_equal(lhs, leaves, root_w) is True
     assert wtree._products_equal(lhs, leaves, root_w) is True
+    # the float screen cannot decide an equality, so the bound reported is lhs
+    assert wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w)) == (True, lhs)
     # one more factor of 2 on the left, or one more leaf, breaks the equality
     for unequal in ((lhs + 1, leaves, root_w), (lhs, leaves + [2], root_w)):
         assert ref_products_equal(*unequal) is wtree._products_equal(*unequal) is False
@@ -534,6 +537,35 @@ def test_audit_rejects_choice_naming_non_nodes():
     with pytest.raises(MalformedTreeError):
         audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None, 2])
     assert audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None]).all_ok()
+
+
+def test_heavy_choice_entries_must_be_node_ids():
+    # None at a leaf, an int node id elsewhere: a string would reach a
+    # TypeError and True would pass as node 1
+    t = WeightedTree([0, 0, 0])
+    for bad in ("x", True, 1.0):
+        with pytest.raises(MalformedTreeError, match="not a node id"):
+            audit_tree(t, [2, 1, 1], [bad, None, None])
+        for check in (tighten, light_child_sum, hopcroft_bound_check):
+            with pytest.raises(MalformedTreeError, match="not a node id"):
+                check(t, [2, 1, 1], [bad, None, None])
+    assert audit_tree(t, [2, 1, 1], [1, None, None]).all_ok()
+
+
+def test_margin_near_a_cancelling_float_bound_comes_from_the_exact_path():
+    # the float sum cancels to 0.0 near 2**53; the true bound, taken in
+    # 60-digit decimal, is 54.44
+    t = WeightedTree([0, 0, 0])
+    r, l = 9007199254738994, 9007199254738993
+    assert float_bound([l, 1], r) == 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        true = float((r * Decimal(r).ln() - l * Decimal(l).ln()) / Decimal(2).ln())
+    report = audit_tree(t, [r, l, 1])
+    assert report.theorem1_ok and report.light_sum == 1
+    assert report.bound_float == pytest.approx(true, rel=1e-12)
+    assert report.margin == pytest.approx(true - 1, rel=1e-12)
+    assert hopcroft_bound_check(t, [r, l, 1], [1, None, None]).bound_float == report.bound_float
 
 
 def test_audit_of_a_star_with_a_prime_leaf_is_fast():
