@@ -102,8 +102,8 @@ def _stats_obj(result: RefineResult) -> dict:
 
 
 def _audit(tree: WeightedTree, weights, heavy):
-    """audit_tree; exit 2 on a malformed tree or weight, 1 on a heavy choice
-    that fails its check."""
+    """audit_tree; exit 2 on a malformed tree, weight or heavy choice, 1 on
+    a heavy choice that fails its check."""
     try:
         return audit_tree(tree, weights, heavy)
     except MalformedTreeError as e:

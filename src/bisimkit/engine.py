@@ -173,13 +173,12 @@ class RefineResult:
 
 
 def _weight_vector(kind: str, pidx: PredIndex) -> list[int]:
+    # the caller has checked that kind is one of WEIGHT_KINDS
     if kind == "card":
         return [1] * len(pidx.preds)
     if kind == "pred":
         return [len(p) for p in pidx.preds]
-    if kind == "reach":
-        return [1 if p else 0 for p in pidx.preds]
-    raise ConfigurationError(f"unknown weight kind {kind!r}")
+    return [1 if p else 0 for p in pidx.preds]
 
 
 class RefinablePartition:

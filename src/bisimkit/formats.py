@@ -17,10 +17,11 @@ Output documents
               the four per-node arrays of a ``RefinementTree``, written as
               they are: the parent (the root is its own), the weight, the
               sorted states of a leaf (null at inner nodes) and the heavy
-              child (null at leaves).  Reading a tree takes ``parent``,
-              ``w`` and ``heavy`` only and returns ``heavy`` as it stands,
-              the heavy-choice form ``wtree`` takes; documents that list
-              every node's ``states`` instead of ``members`` read the same.
+              child (null at leaves).  Reading a tree parses the JSON and
+              returns ``parent``, ``w`` and ``heavy`` as they stand; their
+              validity is ``wtree``'s to decide, for the library and for
+              ``audit-tree`` alike.  Documents that list every node's
+              ``states`` instead of ``members`` read the same.
 
 Both are emitted in one canonical compact-JSON form so results are
 byte-for-byte reproducible.
@@ -308,11 +309,11 @@ def tree_to_json(tree: RefinementTree) -> str:
     )
 
 
-def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[list[Optional[int]]]]:
+def tree_from_json(text: str) -> tuple[WeightedTree, list, Optional[list]]:
     """Parse a tree document into (tree, weights, recorded heavy choice).
 
-    The heavy choice is the document's validated ``heavy`` array, one entry
-    per node, or None when the document records none.
+    Only the shape is checked: ``parent`` a rooted tree, ``w`` an array,
+    ``heavy`` an array or absent (None then).  ``wtree`` checks the rest.
     """
     obj = _json_loads(text)
     if not isinstance(obj, dict) or "parent" not in obj or "w" not in obj:
@@ -321,17 +322,11 @@ def tree_from_json(text: str) -> tuple[WeightedTree, list[int], Optional[list[Op
     weights = obj["w"]
     if not isinstance(parent, list) or not isinstance(weights, list):
         raise FormatError("'parent' and 'w' must be arrays")
-    if len(parent) != len(weights):
-        raise FormatError("'parent' and 'w' lengths differ")
+    heavy = obj.get("heavy")
+    if heavy is not None and not isinstance(heavy, list):
+        raise FormatError("'heavy' must be an array or null")
     try:
         tree = WeightedTree(parent)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    heavy = obj.get("heavy")
-    if heavy is not None:
-        if not isinstance(heavy, list) or len(heavy) != len(parent):
-            raise FormatError("'heavy' must be an array of length node-count")
-        for v, h in enumerate(heavy):
-            if h is not None and not (type(h) is int and 0 <= h < len(parent)):
-                raise FormatError(f"heavy child of node {v} is not a node id: {h!r}")
     return tree, weights, heavy

@@ -51,6 +51,13 @@ class FunctorSyntaxError(ValueError):
         self.position = position
 
 
+def _check_labels(labels: tuple[str, ...], empty: str, duplicate: str) -> None:
+    if not labels:
+        raise FunctorSyntaxError(empty, 0)
+    if len(set(labels)) != len(labels):
+        raise FunctorSyntaxError(duplicate, 0)
+
+
 @dataclass(frozen=True)
 class Identity:
     pass
@@ -61,10 +68,7 @@ class ConstSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.labels:
-            raise FunctorSyntaxError("label set must be nonempty", 0)
-        if len(set(self.labels)) != len(self.labels):
-            raise FunctorSyntaxError("duplicate label in label set", 0)
+        _check_labels(self.labels, "label set must be nonempty", "duplicate label in label set")
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,8 @@ class Exponent:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.labels:
-            raise FunctorSyntaxError("exponent label set must be nonempty", 0)
-        if len(set(self.labels)) != len(self.labels):
-            raise FunctorSyntaxError("duplicate label in exponent", 0)
+        _check_labels(self.labels, "exponent label set must be nonempty",
+                      "duplicate label in exponent")
 
 
 @dataclass(frozen=True)

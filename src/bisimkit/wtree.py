@@ -14,10 +14,11 @@ equality test on exponents over a coprime base, then to decimal logarithms
 at doubling precision.  A near-tie reports the bound from that exact
 path, since the float sum can cancel there.
 
-A heavy-child choice ``h`` is a per-node sequence of length
-``node_count``: ``h[v]`` is the heavy child of an internal node ``v`` and
-None at a leaf, the form a ``RefinementTree`` records and its document's
-``heavy`` array holds.  Weights are natural numbers of at most
+A heavy-child choice ``h`` is a per-node list: ``h[v]`` is a child of an
+internal node ``v`` and None at a leaf, as a ``RefinementTree`` records
+it.  Every function that takes ``h`` rejects anything else
+(:func:`_check_heavy`); only :func:`audit_tree` also requires each named
+child to be of maximal weight.  Weights are natural numbers of at most
 ``MAX_WEIGHT``.
 """
 
@@ -133,12 +134,26 @@ def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
             raise MalformedTreeError(f"weight of node {v} exceeds 2**53")
 
 
-def _check_heavy_shape(tree: WeightedTree, h: HeavyChoice) -> None:
-    if len(h) != tree.node_count:
-        raise MalformedTreeError(f"heavy choice covers {len(h)} nodes, tree has {tree.node_count}")
+def _check_heavy(tree: WeightedTree, h: HeavyChoice) -> None:
+    """Raise unless ``h`` is a heavy-child choice of ``tree``, weights aside:
+    MalformedTreeError unless it is a list of one None or int node id per
+    node, ValueError unless it names one of its own children at every
+    internal node and None at every leaf."""
+    n = tree.node_count
+    if len(h) != n:
+        raise MalformedTreeError(f"heavy choice covers {len(h)} nodes, tree has {n}")
+    if not isinstance(h, (list, tuple)):  # a dict would be read by its keys
+        raise MalformedTreeError(f"heavy choice is a {type(h).__name__}, not a list")
     for v, u in enumerate(h):
-        if u is not None and type(u) is not int:
+        if u is not None and not (type(u) is int and 0 <= u < n):
             raise MalformedTreeError(f"heavy choice of node {v} is not a node id: {u!r}")
+    parent = tree.parent
+    for v, (u, ch) in enumerate(zip(h, tree.children)):
+        if u is None:
+            if ch:
+                raise ValueError(f"heavy choice missing for internal node {v}")
+        elif u == v or parent[u] != v:
+            raise ValueError(f"heavy child {u} is not a child of {v}")
 
 
 def validate_weight(tree: WeightedTree, w: Sequence[int]) -> WeightCheck:
@@ -179,19 +194,9 @@ def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> list[Optional[int]]:
     return [max(ch, key=w.__getitem__) if ch else None for ch in tree.children]
 
 
-def _check_hcc(tree: WeightedTree, w: Sequence[int], h: HeavyChoice, tops: Sequence[int]):
-    """Raise ValueError unless ``h`` names a child of maximal weight ``tops[v]``
-    at every internal node ``v`` and None at every leaf."""
-    parent, n = tree.parent, tree.node_count
-    for v, (u, top) in enumerate(zip(h, tops)):
-        if u is None:
-            if top < 0:
-                continue
-            raise ValueError(f"heavy choice missing for internal node {v}")
-        if top < 0 or u == v or not 0 <= u < n or parent[u] != v:
-            raise ValueError(f"heavy child {u} is not a child of {v}")
-        if w[u] != top:
-            raise ValueError(f"heavy child {u} of {v} is not of maximal weight")
+def _heavy_is_maximal(w: Sequence[int], h: HeavyChoice, tops: Sequence[int]) -> bool:
+    """Whether the checked ``h`` names a child of weight ``tops[v]`` at each inner node ``v``."""
+    return [-1 if u is None else w[u] for u in h] == tops
 
 
 def tighten(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> list[int]:
@@ -202,7 +207,7 @@ def tighten(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> list[int]:
     valid as a heavy-child choice.
     """
     _check_weights_shape(tree, w)
-    _check_heavy_shape(tree, h)
+    _check_heavy(tree, h)
     return _tighten(tree, w, h, _weight_pass(tree, w)[1])
 
 
@@ -252,14 +257,14 @@ def _leaf_sum(tree: WeightedTree, w: Sequence[int], counts: Sequence[int]) -> in
 def light_child_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Total weight of all light children, summed over every internal node."""
     _check_weights_shape(tree, w)
-    _check_heavy_shape(tree, h)
+    _check_heavy(tree, h)
     return _outside_sum(tree, w, _heavy_children(h))
 
 
 def lpath_weighted_leaf_sum(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> int:
     """Sum over leaves of (light edges on the root path) * leaf weight."""
     _check_weights_shape(tree, w)
-    _check_heavy_shape(tree, h)
+    _check_heavy(tree, h)
     return _leaf_sum(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
 
@@ -289,7 +294,7 @@ def lpath_length_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoic
     but decided exactly in integers.
     """
     _check_weights_shape(tree, w)
-    _check_heavy_shape(tree, h)
+    _check_heavy(tree, h)
     return _lpath_lengths_ok(tree, w, _path_counts(tree, _heavy_children(h))[1])
 
 
@@ -303,23 +308,24 @@ def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int
 
 def _coprime_base(nums) -> list[int]:
     """Pairwise coprime integers above 1 of which every number in ``nums`` is
-    a product, by gcd splitting: a base element ``b`` and a number ``y``
-    sharing ``g = gcd(b, y) > 1`` give way to ``g``, ``b / g`` and ``y / g``.
-    Each split divides the product of everything pending by ``g``, so it
-    ends."""
+    a product.  A number ``y`` first loses every power of a base element
+    ``b`` dividing it; if ``g = gcd(b, y) > 1`` remains, ``b`` and ``y`` give
+    way to ``g``, ``b / g`` and ``y / g``.  Each step shrinks the product of
+    everything pending, so it ends."""
     base, todo = [], list(nums)
     while todo:
         y = todo.pop()
-        if y == 1:
-            continue
         for i, b in enumerate(base):
+            while y % b == 0:
+                y //= b
             g = math.gcd(b, y)
             if g > 1:
                 del base[i]
                 todo += (g, b // g, y // g)
                 break
         else:
-            base.append(y)
+            if y > 1:
+                base.append(y)
     return base
 
 
@@ -475,17 +481,19 @@ def audit_tree(
     """Run every check on a weighted tree and aggregate the outcomes.
 
     ``heavy`` may supply an externally recorded heavy-child choice (e.g. the
-    one a refinement run actually made); it is validated against the weights.
-    If the weight law fails, all remaining checks are skipped.
+    one a refinement run actually made); one that names a child lighter than
+    a sibling is a ValueError.  If the weight law fails, all remaining checks
+    are skipped.
     """
     _check_weights_shape(tree, w)
     if heavy is not None:
-        _check_heavy_shape(tree, heavy)
+        _check_heavy(tree, heavy)
     (valid, tight), child_sums, tops = _weight_pass(tree, w)
     if not valid:
         return AuditReport(valid=False, tight=False)
     h = _choose_heavy(tree, w) if heavy is None else heavy
-    _check_hcc(tree, w, h, tops)
+    if not _heavy_is_maximal(w, h, tops):
+        raise ValueError("a heavy child is lighter than one of its siblings")
 
     # lemma 1 for the edge sets none, heavy and all: path counts depend on
     # the tree and the edge set only, not on weights; with no edge kept they
@@ -502,19 +510,14 @@ def audit_tree(
 
     w2 = _tighten(tree, w, h, child_sums)
     law2, _, tops2 = _weight_pass(tree, w2)
+    # after tightening, the inequality closes to an equality
     lemma3_ok = (
         law2 == WeightCheck(True, True)
         and w2[tree.root] == w[tree.root]
         and all(map(ge, w2, w))
+        and _heavy_is_maximal(w2, h, tops2)
+        and _outside_sum(tree, w2, heavy_set) == _leaf_sum(tree, w2, light_depths)
     )
-    if lemma3_ok:
-        try:
-            _check_hcc(tree, w2, h, tops2)
-        except ValueError:
-            lemma3_ok = False
-        else:
-            # after tightening, the inequality closes to an equality
-            lemma3_ok = _outside_sum(tree, w2, heavy_set) == _leaf_sum(tree, w2, light_depths)
 
     lemma4_ok = _lpath_lengths_ok(tree, w, light_depths)
 

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,7 @@ from bisimkit.cli import main
 from bisimkit.engine import refine_naive
 from bisimkit.formats import dump_coalgebra
 from bisimkit.gen import GenSpec, generate
+from bisimkit.wtree import MalformedTreeError, WeightedTree, audit_tree
 
 
 @pytest.fixture
@@ -247,7 +249,10 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
     assert "Traceback" not in res.stdout + res.stderr
 
 
-@pytest.mark.parametrize("doc, code", [
+# audit-tree's exit code per malformed tree document: 2 for a document that
+# is not a weighted tree with a per-node heavy choice of node ids, 1 for a
+# heavy choice that fails its check
+BAD_TREE_DOCUMENTS = [
     ('{"parent":[0,0,0],"w":[2,1,"x"]}', 2),  # weight not a number
     ('{"parent":[0,0,0],"w":[2,1,-1]}', 2),  # weight negative
     ('{"parent":[0,0,0],"w":[2,true,true]}', 2),  # booleans are not numbers
@@ -262,7 +267,11 @@ def test_audit_tree_deep_document_exit_2(tmp_path):
     ('{"parent":[0,0],"w":[%d,1]}' % 10**400, 2),  # weight above the cap, past a float
     ('{"parent":[0,0],"w":[%d,1]}' % (2**53 + 1), 2),  # weight just above the cap
     ('{"parent":[0,0],"w":[1%s,1]}' % ("0" * 5000), 2),  # past the str-to-int digit limit
-])
+    ('{"parent":[0],"w":[1],"heavy":[null,null]}', 2),  # a heavy entry past the last node
+]
+
+
+@pytest.mark.parametrize("doc, code", BAD_TREE_DOCUMENTS)
 def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     p = tmp_path / "tree.json"
     p.write_text(doc, encoding="utf-8")
@@ -270,6 +279,17 @@ def test_audit_tree_bad_document_exits_with_message(tmp_path, doc, code):
     assert res.returncode == code, res.stderr
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stdout + res.stderr
+
+
+@pytest.mark.parametrize("doc, code", BAD_TREE_DOCUMENTS)
+def test_audit_tree_library_agrees_with_the_cli(doc, code):
+    # the library raises MalformedTreeError where audit-tree exits 2 and a
+    # plain ValueError where it exits 1; integers are read past Python's
+    # str-to-int digit limit, so that every document gives its arrays
+    obj = json.loads(doc, parse_int=lambda s: int(Decimal(s)))
+    with pytest.raises(ValueError) as e:
+        audit_tree(WeightedTree(obj["parent"]), obj["w"], obj.get("heavy"))
+    assert type(e.value) is {2: MalformedTreeError, 1: ValueError}[code]
 
 
 @pytest.mark.parametrize("name, text", [

@@ -240,5 +240,3 @@ def test_tree_from_json_rejects_bad_documents():
         tree_from_json('{"parent": [0, 0]}')
     with pytest.raises(FormatError):
         tree_from_json('{"parent": [0, 1], "w": [1, 1]}')  # two roots
-    with pytest.raises(FormatError):
-        tree_from_json('{"parent": [0], "w": [1], "heavy": [null, null]}')

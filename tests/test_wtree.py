@@ -483,6 +483,32 @@ def test_products_equal_matches_the_factoring_reference_on_smooth_instances(seed
     assert outcomes == {True, False}
 
 
+def test_products_equal_on_many_smooth_leaves_takes_few_gcds(monkeypatch):
+    # 5000 distinct weights made of the primes 2 to 13 under the root
+    # 2*3*5*7*11*13: a weight divides out over a base of at most six
+    # elements, so a few gcds per weight suffice; splitting a weight again
+    # for each of its prime factors took about 500,000
+    rng = random.Random(41)
+    leaves = set()
+    while len(leaves) < 5000:
+        x = math.prod(p ** rng.randint(0, 6) for p in (2, 3, 5, 7, 11, 13))
+        if 1 < x <= wtree.MAX_WEIGHT:
+            leaves.add(x)
+    leaves = sorted(leaves)
+    calls, gcd = 0, math.gcd
+
+    def counting_gcd(a, b):
+        nonlocal calls
+        calls += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    got = wtree._products_equal(0, leaves, 30030)
+    monkeypatch.undo()
+    assert got is ref_products_equal(0, leaves, 30030)
+    assert calls < 100_000
+
+
 # -- audit ---------------------------------------------------------------------
 
 
@@ -537,6 +563,11 @@ def test_audit_rejects_choice_naming_non_nodes():
     with pytest.raises(MalformedTreeError):
         audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None, 2])
     assert audit_tree(WeightedTree([0, 0, 0]), [3, 2, 1], [1, None, None]).all_ok()
+    # keys that read as the choice [1, 2, None] do not make a dict one
+    for check in (tighten, light_child_sum, lpath_weighted_leaf_sum,
+                  lpath_length_bound_check, hopcroft_bound_check, audit_tree):
+        with pytest.raises(MalformedTreeError, match="not a list"):
+            check(WeightedTree([0, 0, 1]), [3, 2, 1], {1: 0, 2: 1, None: 2})
 
 
 def test_heavy_choice_entries_must_be_node_ids():
@@ -550,6 +581,23 @@ def test_heavy_choice_entries_must_be_node_ids():
             with pytest.raises(MalformedTreeError, match="not a node id"):
                 check(t, [2, 1, 1], [bad, None, None])
     assert audit_tree(t, [2, 1, 1], [1, None, None]).all_ok()
+
+
+@pytest.mark.parametrize("check", [tighten, light_child_sum, lpath_weighted_leaf_sum,
+                                   lpath_length_bound_check, hopcroft_bound_check, audit_tree])
+@pytest.mark.parametrize("h, error", [
+    ([-1, None, None], MalformedTreeError),
+    ([99, None, None], MalformedTreeError),
+    ([1, None, 2], ValueError),  # leaf 2 names itself
+    ([None, None, None], ValueError),  # the root names no child
+    ([1, 0, None], ValueError),  # leaf 1 names its parent
+], ids=["negative", "past-the-end", "leaf-names-itself", "inner-none", "leaf-names-parent"])
+def test_every_entry_point_rejects_a_non_choice(check, h, error):
+    # a non-choice is never read as one: not by index wrap-around, not as a
+    # lemma's verdict, not as an IndexError
+    with pytest.raises(ValueError, match="heavy") as e:
+        check(WeightedTree([0, 0, 0]), [2, 1, 1], h)
+    assert type(e.value) is error
 
 
 def test_margin_near_a_cancelling_float_bound_comes_from_the_exact_path():

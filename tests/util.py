@@ -97,20 +97,24 @@ def ref_weight_law(tree, w):
     return valid, valid and all(s == x for s, x in sums)
 
 
-def ref_check_hcc(tree, w, h):
-    """Every internal node names a child of maximal weight; a leaf names none."""
+def ref_check_heavy(tree, h):
+    """Every entry names a node; every internal node names one of its
+    children, and a leaf names none."""
+    for v, u in sorted(h.items()):
+        if not 0 <= u < tree.node_count:
+            raise MalformedTreeError(f"heavy choice of node {v} is not a node id: {u!r}")
     for v, ch in enumerate(tree.children):
         if not ch:
             if v in h:
                 raise ValueError(f"heavy child {h[v]} is not a child of {v}")
-            continue
-        if v not in h:
+        elif v not in h:
             raise ValueError(f"heavy choice missing for internal node {v}")
-        u = h[v]
-        if u not in ch:
-            raise ValueError(f"heavy child {u} is not a child of {v}")
-        if w[u] != max(w[c] for c in ch):
-            raise ValueError(f"heavy child {u} of {v} is not of maximal weight")
+        elif h[v] not in ch:
+            raise ValueError(f"heavy child {h[v]} is not a child of {v}")
+
+
+def ref_heavy_is_maximal(tree, w, h):
+    return all(w[h[v]] == max(w[c] for c in ch) for v, ch in enumerate(tree.children) if ch)
 
 
 def ref_tighten(tree, w, h):
@@ -181,14 +185,17 @@ def ref_product_log_le(lhs, leaf_weights, root_w):
 def reference_audit(tree, w, heavy=None):
     """``wtree.audit_tree`` as the per-node definitions state it."""
     ref_check_weights_shape(tree, w)
+    if heavy is not None:
+        ref_check_heavy(tree, heavy)
     valid, tight = ref_weight_law(tree, w)
     if not valid:
         return AuditReport(valid=False, tight=False)
     if heavy is None:
         h = {v: max(ch, key=w.__getitem__) for v, ch in enumerate(tree.children) if ch}
+    elif ref_heavy_is_maximal(tree, w, heavy):
+        h = heavy
     else:
-        h = dict(heavy)
-    ref_check_hcc(tree, w, h)
+        raise ValueError("a heavy child is lighter than one of its siblings")
     below_root = topo_order(tree)[1:]
     kept_sets = (set(), {u for u in below_root if h[tree.parent[u]] == u}, set(below_root))
     counts = [ref_path_counts(tree, s) for s in kept_sets]
@@ -202,14 +209,9 @@ def reference_audit(tree, w, heavy=None):
         ref_weight_law(tree, w2) == (True, True)
         and w2[tree.root] == w[tree.root]
         and all(w2[v] >= w[v] for v in range(tree.node_count))
+        and ref_heavy_is_maximal(tree, w2, h)
+        and ref_outside_sum(tree, w2, kept_sets[1]) == ref_leaf_sum(tree, w2, counts[1])
     )
-    if lemma3_ok:
-        try:
-            ref_check_hcc(tree, w2, h)
-        except ValueError:
-            lemma3_ok = False
-        else:
-            lemma3_ok = ref_outside_sum(tree, w2, kept_sets[1]) == ref_leaf_sum(tree, w2, counts[1])
     wr = w[tree.root]
     lemma4_ok = all(w[v] == 0 or (w[v] << counts[1][v]) <= wr for v in range(tree.node_count))
     leaf_ws = [w[l] for l in tree.leaves() if w[l] != 0]
