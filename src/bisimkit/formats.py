@@ -199,11 +199,13 @@ def _load_aut(stream: TextIO) -> Coalgebra:
     m = _AUT_HEADER.match(header)
     if not m:
         raise FormatError("header must be 'des (first, transitions, states)'", lineno)
-    n_edges, n = _aut_int(m.group(2), lineno), _aut_int(m.group(3), lineno)
+    first, n_edges, n = (_aut_int(m.group(i), lineno) for i in (1, 2, 3))
     if n < 1:
         raise FormatError("state count must be positive", lineno)
     if n > AUT_MAX_STATES:
         raise FormatError(f"{n} states exceed the limit of {AUT_MAX_STATES}", lineno)
+    if first >= n:
+        raise FormatError("initial state out of range", lineno)
     if len(lines) - 1 != n_edges:
         raise FormatError(
             f"header promises {n_edges} transitions, found {len(lines) - 1}", lineno

@@ -1,20 +1,19 @@
 """Brute-force bisimilarity and partition comparison.
 
 Deliberately independent of the refinement engine: no trees, no dirty
-sets, no signatures, no shared canonicalization.  Relatedness of two
-values under a class labelling is decided by a direct recursive matching
-(forth-and-back for sets, per-class probability sums for distributions).
-Under a fixed labelling it is an equivalence, so the fixpoint is computed
-by splitting each class by relatedness to one representative per group,
-round after round, until no class splits.  The oracle walks the values
-itself and reads nothing the engine compiles.  Used to cross-check engine
-output.
+sets, no signatures, no shared canonicalization, nothing the engine
+compiles.  ``related`` is the one semantics of one-step relatedness: a
+recursive match, forth and back for sets, and for distributions equal
+mass per bucket (a state's class, or the first related earlier entry).
+Under a fixed class labelling it is an equivalence, so the fixpoint
+splits each class by relatedness to one representative per group, round
+after round, until no class splits.  Used to cross-check engine output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .coalgebra import Coalgebra
 from .engine import Partition
@@ -30,11 +29,14 @@ BRUTEFORCE_STATE_LIMIT = 10**4
 
 
 def related(a: FValue, b: FValue, class_of: Sequence[int]) -> bool:
-    """One-step relatedness of two values under classes given by class_of."""
-    return _related(a, b, class_of, {})
+    """One-step relatedness of two values under classes given by class_of.
 
-
-def _related(a: FValue, b: FValue, class_of: Sequence[int], masses: dict) -> bool:
+    Under a fixed class_of this is an equivalence (reflexive, symmetric,
+    transitive), so one representative decides membership of a group.
+    Sets match forth and back.  Distributions match when they give each
+    bucket the same mass: a state's bucket is its class, any other
+    entry's the first earlier entry, of either side, related to it.
+    """
     # one type() call and identity tests: values are never subclassed
     t = type(a)
     if t is not type(b):
@@ -45,7 +47,7 @@ def _related(a: FValue, b: FValue, class_of: Sequence[int], masses: dict) -> boo
         if len(a.items) != len(b.items):
             return False
         for x, y in zip(a.items, b.items):
-            if not _related(x, y, class_of, masses):
+            if not related(x, y, class_of):
                 return False
         return True
     if t is Label:
@@ -54,74 +56,46 @@ def _related(a: FValue, b: FValue, class_of: Sequence[int], masses: dict) -> boo
         # forth and back: every member has a related member on the other side
         for x in a.members:
             for y in b.members:
-                if _related(x, y, class_of, masses):
+                if related(x, y, class_of):
                     break
             else:
                 return False
         for y in b.members:
             for x in a.members:
-                if _related(x, y, class_of, masses):
+                if related(x, y, class_of):
                     break
             else:
                 return False
         return True
     if t is DistVal:
-        ma = _flat_masses(a, class_of, masses)
-        mb = _flat_masses(b, class_of, masses)
-        if ma is not None or mb is not None:
-            # a distribution that is not flat has entries, none of them
-            # a state, so it never matches a flat one
-            return ma == mb
-        return _bucket_masses(a, b, class_of, masses)
+        # bucket i of a non-state entry is keyed ~i, below every class id
+        reps: list[FValue] = []
+        ma: dict[int, Fraction] = {}
+        mb: dict[int, Fraction] = {}
+        for d, m in ((a, ma), (b, mb)):
+            for v, p in d.entries:
+                if type(v) is StateRef:
+                    k = class_of[v.index]
+                else:
+                    for i, r in enumerate(reps):
+                        if related(v, r, class_of):
+                            k = ~i
+                            break
+                    else:
+                        k = ~len(reps)
+                        reps.append(v)
+                m[k] = m[k] + p if k in m else p
+        return ma == mb
     if t is FunVal:
         if len(a.entries) != len(b.entries):
             return False
         for (ka, x), (kb, y) in zip(a.entries, b.entries):
-            if ka != kb or not _related(x, y, class_of, masses):
+            if ka != kb or not related(x, y, class_of):
                 return False
         return True
     if t is InjVal:
-        return a.tag == b.tag and _related(a.value, b.value, class_of, masses)
+        return a.tag == b.tag and related(a.value, b.value, class_of)
     raise TypeError(f"not a value: {a!r}")
-
-
-def _flat_masses(d: DistVal, class_of: Sequence[int], masses: dict) -> Optional[dict]:
-    """Mass per class of a distribution over states, or None if some entry
-    is not a state; kept in ``masses`` under the value's id."""
-    key = id(d)
-    m = masses.get(key, False)
-    if m is False:
-        m = {}
-        for v, p in d.entries:
-            if type(v) is not StateRef:
-                m = None
-                break
-            k = class_of[v.index]
-            m[k] = m[k] + p if k in m else p
-        masses[key] = m
-    return m
-
-
-def _bucket_masses(a: DistVal, b: DistVal, class_of: Sequence[int], masses: dict) -> bool:
-    """Group both distributions' mass by relatedness and compare the sums."""
-    reps: list[FValue] = []
-    sums_a: list[Fraction] = []
-    sums_b: list[Fraction] = []
-
-    def bucket(v: FValue) -> int:
-        for i, r in enumerate(reps):
-            if _related(v, r, class_of, masses):
-                return i
-        reps.append(v)
-        sums_a.append(Fraction(0))
-        sums_b.append(Fraction(0))
-        return len(reps) - 1
-
-    for v, p in a.entries:
-        sums_a[bucket(v)] += p
-    for v, p in b.entries:
-        sums_b[bucket(v)] += p
-    return sums_a == sums_b
 
 
 def bisim_bruteforce(coalg: Coalgebra) -> Partition:
@@ -136,17 +110,16 @@ def bisim_bruteforce(coalg: Coalgebra) -> Partition:
     if n > BRUTEFORCE_STATE_LIMIT:
         raise ValueError(f"brute force capped at {BRUTEFORCE_STATE_LIMIT} states")
     values = coalg.values
-    classes = [list(range(n))] if n else []
+    classes = [list(range(n))]
     class_of = [0] * n
     while True:
-        masses: dict = {}
         new_classes = []
         for cls_ in classes:
             groups: list[list[int]] = []
             for x in cls_:
                 vx = values[x]
                 for group in groups:
-                    if _related(vx, values[group[0]], class_of, masses):
+                    if related(vx, values[group[0]], class_of):
                         group.append(x)
                         break
                 else:

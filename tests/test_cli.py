@@ -296,6 +296,7 @@ def test_audit_tree_library_agrees_with_the_cli(doc, code):
     ("long.json", '{"functor": "X", "states": 1, "c": [1%s]}' % ("0" * 5000)),
     ("long.aut", 'des (0, 1, 1)\n(0, "a", 1%s)\n' % ("0" * 5000)),
     ("long-header.aut", "des (0, 1%s, 1)\n" % ("0" * 5000)),
+    ("long-initial.aut", 'des (1%s, 1, 2)\n(0, "a", 1)\n' % ("0" * 5000)),
 ])
 def test_minimize_number_past_digit_limit_exit_2(tmp_path, name, text):
     # Python refuses to convert an integer literal of more than 4300 digits

@@ -149,6 +149,13 @@ def test_aut_bad_transition_line(tmp_path):
     assert e.value.line == 2
 
 
+def test_aut_initial_state_out_of_range(tmp_path):
+    text = 'des (7, 1, 2)\n(0, "a", 1)\n'
+    with pytest.raises(FormatError) as e:
+        load_coalgebra(write(tmp_path, "m.aut", text), "aut")
+    assert e.value.line == 1 and "initial state" in str(e.value) and "7" not in str(e.value)
+
+
 def test_aut_transition_count_mismatch(tmp_path):
     text = 'des (0, 2, 2)\n(0, "a", 1)\n'
     with pytest.raises(FormatError):
