@@ -13,11 +13,14 @@ Also houses the predecessor index (who can see whom in one step) and the
 signature evaluator used by the refinement algorithms; both read the
 compiled form.  For rigid functors a state's signature is a flat tuple of
 a shape id and block labels; otherwise it is :func:`values.signature_of`.
+A naive sweep takes every state's key at once, for rigid functors from the
+successor refs transposed into columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat, zip_longest
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -249,18 +252,22 @@ class SignatureEvaluator:
 
     ``signature(x, block_of)`` returns a hashable key; two states of the same
     coalgebra get equal keys under ``block_of`` exactly when their full
-    canonical signatures agree.  Keys from different evaluators or different
-    modes are not comparable.  ``refs[x]`` lists the states occurring in x's
-    value, in value order, repeats kept.
+    canonical signatures agree.  ``sweep_keys(block_of)`` yields every
+    state's ``(block, signature)`` pair at once, in another key form: two
+    of its keys are equal exactly when the states' blocks and ``signature``
+    keys are.  Keys from different evaluators, modes or methods are not
+    comparable.  ``refs[x]`` lists the states occurring in x's value, in
+    value order, repeats kept.
     """
 
-    __slots__ = ("n_states", "refs", "_shape", "_labels", "_values")
+    __slots__ = ("n_states", "refs", "_shape", "_labels", "_values", "_columns")
 
     def __init__(self, coalg: Coalgebra):
         form = coalg.form
         self.n_states = coalg.n_states
         self.refs = form.refs
         self._shape = form.shape
+        self._columns = None
         if form.shape is None:
             self._values = coalg.values
             return
@@ -273,6 +280,24 @@ class SignatureEvaluator:
         if self._shape is not None:
             return (self._shape[x], self._labels[x](block_of))
         return signature_of(self._values[x], block_of)
+
+    def sweep_keys(self, block_of: Sequence[int]) -> Iterator[tuple]:
+        """Every state's key, in state order: ``block_of[x]`` first, then
+        x's signature in a form of its own, computed column by column.
+
+        For a rigid functor a key is the block, the shape id and the blocks
+        of the successors, one column of the transposed refs each.  The
+        columns are built on the first call and kept.  A state with fewer
+        refs than the widest is padded with state -1, whose block is then
+        in every key of its shape at the same place: a shape fixes the
+        number of refs, so the pad cannot tell states of one shape apart.
+        """
+        if self._shape is None:
+            return zip(block_of, map(signature_of, self._values, repeat(block_of)))
+        if self._columns is None:
+            self._columns = list(zip_longest(*self.refs, fillvalue=-1))
+        get = block_of.__getitem__
+        return zip(block_of, self._shape, *[map(get, col) for col in self._columns])
 
 
 # -- JSON ------------------------------------------------------------------------

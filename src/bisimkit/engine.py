@@ -2,7 +2,10 @@
 
 Both algorithms compute the coarsest partition in which same-block states
 have equal one-step signatures.  ``refine_naive`` re-groups every state in
-every sweep until nothing splits.  ``refine_hopcroft`` keeps per-leaf
+every sweep until nothing splits; a sweep is a few passes of builtins over
+whole columns, with no Python call per state: the evaluator's
+``sweep_keys`` yields every state's key and one ``map`` numbers them.
+``refine_hopcroft`` keeps per-leaf
 clean/dirty markings: a split computes signatures only for dirty states
 (the clean rest stays one child, see :func:`split_leaf`), all children of
 a split start clean, and only predecessors of the *non-heavy* children are
@@ -21,10 +24,10 @@ from __future__ import annotations
 import gc
 import time
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
+from itertools import accumulate, count, pairwise
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -318,35 +321,35 @@ def mark_dirty(
 def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineResult:
     """Fixpoint by global sweeps: re-group all states until no block splits.
 
-    The cyclic garbage collector is paused for the run, and the caller's
-    setting is restored on return or raise.
+    Each sweep takes every state's ``(block, signature)`` key from one call
+    of :meth:`SignatureEvaluator.sweep_keys` and numbers the keys in order
+    of first occurrence, so each new labelling is canonical; a block split
+    when its id begins more than one key.  The cyclic garbage collector is
+    paused for the run, and the caller's setting is restored on return or
+    raise.
     """
     start = time.perf_counter()
     n = coalg.n_states
     ev = SignatureEvaluator(coalg)
     stats = RunStats()
     compiled = time.perf_counter()
-    signature = ev.signature
     block_of: list[int] = [0] * n
     n_blocks = 1
     while True:
         if snapshots is not None:
             snapshots.append(Partition.from_block_of(block_of))
         stats.iterations += 1
-        # the next labelling numbers each (block, signature) key at its first
-        # occurrence, which is also the canonical numbering
-        keys: dict = {}
-        new_block_of = [
-            keys.setdefault((block_of[x], signature(x, block_of)), len(keys))
-            for x in range(n)
-        ]
+        # the next labelling numbers each key at its first occurrence, which
+        # is also the canonical numbering; a key's first entry is its block
+        ids = defaultdict(count().__next__)
+        new_block_of = list(map(ids.__getitem__, ev.sweep_keys(block_of)))
         stats.signatures_computed += n
-        if len(keys) == n_blocks:
+        if len(ids) == n_blocks:
             break
-        keys_per_block = Counter(b for b, _ in keys)
+        keys_per_block = Counter(map(itemgetter(0), ids))
         stats.splits += sum(1 for c in keys_per_block.values() if c > 1)
         block_of = new_block_of
-        n_blocks = len(keys)
+        n_blocks = len(ids)
     looped = time.perf_counter()
     partition = Partition.from_block_of(block_of)
     finished = time.perf_counter()

@@ -3,8 +3,11 @@
 Input formats
   coalg-json  {"functor": "...", "states": n, "c": [...]}  (native)
   dfa-text    header ``dfa n k``; one line per state: accept bit then k
-              successor ids, one per letter a, b, ...; loads into the
-              compiled form, without building values
+              successor ids, one per letter a, b, ...; blank lines are
+              skipped, and a form feed separates fields but ends no line;
+              loads into the compiled form, without building values,
+              checking and converting the body a column at a time (a
+              failed check rescans it line by line to name the bad line)
   aut         Aldebaran: ``des (first, m, n)`` then ``(src, "label", dst)``
               triples; becomes a labelled transition system; at most
               ``AUT_MAX_STATES`` states
@@ -103,7 +106,9 @@ def detect_format(path: str) -> str:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    # every document is a tree of dicts, lists and tuples built here, down
+    # to ints, strings and None, so none holds itself and the check is waste
+    return json.dumps(obj, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _json_loads(text: str):
@@ -134,12 +139,14 @@ def _load_coalg_json(stream: TextIO) -> Coalgebra:
 
 
 def _load_dfa_text(stream: TextIO) -> Coalgebra:
-    lines = [
-        (i + 1, line.split()) for i, line in enumerate(stream) if line.strip()
-    ]
-    if not lines:
+    # split at "\n" alone, as iterating the stream does: str.splitlines()
+    # also breaks at \x0c, \x1c and others that str.split() takes for spaces
+    lines = stream.read().split("\n")
+    rows = list(filter(None, map(str.split, lines)))
+    if not rows:
         raise FormatError("empty dfa file")
-    lineno, header = lines[0]
+    header, *body = rows
+    lineno = next(i for i, line in enumerate(lines, 1) if line.split())
     if len(header) != 3 or header[0] != "dfa":
         raise FormatError("header must be 'dfa <states> <letters>'", lineno)
     try:
@@ -148,36 +155,53 @@ def _load_dfa_text(stream: TextIO) -> Coalgebra:
         raise FormatError("header counts must be integers", lineno) from None
     if n < 1 or k < 1:
         raise FormatError("state and letter counts must be positive", lineno)
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} state lines, found {len(lines) - 1}", lineno)
-    # k comes from the header, so the lines must show it before it sizes anything
-    for lineno, fields in lines[1:]:
-        if len(fields) != k + 1:
-            raise FormatError(f"expected accept bit and {k} successors", lineno)
+    if len(body) != n:
+        raise FormatError(f"expected {n} state lines, found {len(body)}", lineno)
+    # the body is checked and converted a column at a time; k comes from the
+    # header, so the rows must show it before it sizes anything
+    if set(map(len, body)) != {k + 1}:
+        raise _bad_dfa_row(lines, n, k)
+    bits, *cols = zip(*body)
+    seen = dict.fromkeys(bits)  # the bits in order of first occurrence
+    if not seen.keys() <= {"0", "1"}:
+        raise _bad_dfa_row(lines, n, k)
+    try:
+        cols = [list(map(int, col)) for col in cols]
+    except ValueError:
+        raise _bad_dfa_row(lines, n, k) from None
+    if min(map(min, cols)) < 0 or max(map(max, cols)) >= n:
+        raise _bad_dfa_row(lines, n, k)
     # each state compiles to the shape key (bit,), its value's one label, and
     # its successors taken in the value's letter order, which sorts the
     # names (s26 before t)
     letters = default_letters(k)
     order = sorted(range(k), key=letters.__getitem__)
-    in_order = order == list(range(k))
-    bits: dict[str, int] = {}
-    shape: list[int] = []
-    refs: list[tuple[int, ...]] = []
-    for lineno, fields in lines[1:]:
+    refs = list(zip(*[cols[i] for i in order]))
+    shape = list(map({b: i for i, b in enumerate(seen)}.__getitem__, bits))
+    functor = Product((ConstSet(("0", "1")), Exponent(Identity(), letters)))
+    return Coalgebra.from_form(functor, CompiledForm(refs, shape, tuple((b,) for b in seen)))
+
+
+def _bad_dfa_row(lines: list[str], n: int, k: int) -> FormatError:
+    """The error of the first bad state line of a .dfa text whose header is
+    good, found line by line once a check of whole columns has failed:
+    field counts first, then each line's accept bit, integers and range."""
+    rows = [(i, fields) for i, fields in enumerate(map(str.split, lines), 1) if fields][1:]
+    for lineno, fields in rows:
+        if len(fields) != k + 1:
+            return FormatError(f"expected accept bit and {k} successors", lineno)
+    for lineno, fields in rows:
         bit = fields[0]
         if bit not in ("0", "1"):
-            raise FormatError(f"accept flag must be 0 or 1, got {bit!r}", lineno)
+            return FormatError(f"accept flag must be 0 or 1, got {bit!r}", lineno)
         try:
-            succs = tuple(map(int, fields[1:]))
+            succs = list(map(int, fields[1:]))
         except ValueError:
-            raise FormatError("successors must be integers", lineno) from None
-        if min(succs) < 0 or max(succs) >= n:
-            s = next(s for s in succs if not 0 <= s < n)
-            raise FormatError(f"successor {s} out of range", lineno)
-        shape.append(bits.setdefault(bit, len(bits)))
-        refs.append(succs if in_order else tuple(succs[i] for i in order))
-    functor = Product((ConstSet(("0", "1")), Exponent(Identity(), letters)))
-    return Coalgebra.from_form(functor, CompiledForm(refs, shape, tuple((b,) for b in bits)))
+            return FormatError("successors must be integers", lineno)
+        for s in succs:
+            if not 0 <= s < n:
+                return FormatError(f"successor {s} out of range", lineno)
+    raise AssertionError("a column check failed on good rows")
 
 
 _AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
@@ -301,7 +325,7 @@ def dump_coalgebra(coalg: Coalgebra) -> str:
 
 
 def partition_to_json(partition: Partition) -> str:
-    return _json_dumps({"blocks": [list(b) for b in partition.blocks]})
+    return _json_dumps({"blocks": partition.blocks})  # tuples dump as arrays
 
 
 def tree_to_json(tree: RefinementTree) -> str:

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from util import random_value
+from util import MIXED_ARITY_FUNCTORS, random_value
 
 import bisimkit.coalgebra
 from bisimkit.coalgebra import (
@@ -214,6 +214,27 @@ def test_evaluator_key_equality_matches_oracle_relatedness(functor, seed=41):
                 for y in range(c.n_states):
                     same = ev.signature(x, blocks) == ev.signature(y, blocks)
                     assert same == related(c.values[x], c.values[y], blocks)
+                    verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("functor", [*MIXED_ARITY_FUNCTORS, "{0,1} * (X ^ {a,b})", "D X"])
+def test_sweep_keys_are_equal_when_blocks_and_signatures_are(functor, seed=13):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(6):
+        c = Coalgebra.make(expr, [random_value(expr, rng, 10) for _ in range(10)])
+        ev = SignatureEvaluator(c)
+        for _ in range(4):
+            blocks = [rng.randrange(3) for _ in range(c.n_states)]
+            keys = list(ev.sweep_keys(blocks))
+            pairs = [(blocks[x], ev.signature(x, blocks)) for x in range(c.n_states)]
+            assert len(keys) == c.n_states
+            for x in range(c.n_states):
+                for y in range(c.n_states):
+                    same = keys[x] == keys[y]
+                    assert same == (pairs[x] == pairs[y])
                     verdicts.add(same)
     assert verdicts == {True, False}
 

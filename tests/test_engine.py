@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from util import labelled_mc
+from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value
 
 from bisimkit import engine
 from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
@@ -82,6 +82,24 @@ def test_naive_single_state():
     c = dfa1(("0", 0))
     r = refine_naive(c)
     assert r.partition.blocks == ((0,),)
+
+
+@pytest.mark.parametrize("functor", MIXED_ARITY_FUNCTORS)
+def test_naive_agrees_on_shapes_of_mixed_arity(functor):
+    # a state of a shape with fewer refs than the widest is padded in the
+    # sweep's columns; a sweep cut to the narrowest shape would miss splits
+    expr = parse_functor(functor)
+    rng = random.Random(functor)
+    nontrivial = 0
+    for _ in range(30):
+        n = rng.randrange(1, 14)
+        c = Coalgebra.make(expr, [random_value(expr, rng, n) for _ in range(n)])
+        base = refine_naive(c).partition
+        for w in WEIGHT_KINDS:
+            assert refine_hopcroft(c, w).partition == base
+        assert partitions_equal(base, bisim_bruteforce(c))
+        nontrivial += 1 < base.n_blocks < n
+    assert nontrivial
 
 
 # -- refine_hopcroft -------------------------------------------------------------

@@ -21,6 +21,7 @@ from bisimkit.formats import (
 )
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce
+from bisimkit.values import Label, TupleVal
 from bisimkit.wtree import audit_tree
 
 
@@ -91,6 +92,63 @@ def test_dfa_text_loads_what_make_builds(tmp_path, k):
         # the values decoded from it, and equality of the coalgebras
         assert flat.values == made.values
         assert flat == made and hash(flat) == hash(made)
+
+
+def _blank_lines(lines):
+    # blank and whitespace-only lines before the header, between rows, at the end
+    return "\n \n\t\n" + "\n  \n".join(lines) + "\n\n \t \n"
+
+
+DFA_LAYOUTS = {
+    "plain": "\n".join,
+    "blank_lines": _blank_lines,
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "tabs": lambda lines: "\n".join(line.replace(" ", "\t ") for line in lines) + "\n",
+}
+
+
+def _with_bits(made, bit):
+    """``made`` with every state's accept bit set to ``bit``, if one is given."""
+    if bit is None:
+        return made
+    values = [TupleVal((Label(bit), v.items[1])) for v in made.values]
+    return Coalgebra.make(made.functor, values)
+
+
+@pytest.mark.parametrize("bit", [None, "0", "1"])
+@pytest.mark.parametrize("k", [2, 27])
+@pytest.mark.parametrize("layout", DFA_LAYOUTS)
+def test_dfa_text_layouts_load_what_make_builds(tmp_path, layout, k, bit):
+    made = _with_bits(generate(GenSpec("dfa", 25, alphabet_size=k, seed=k)), bit)
+    text = DFA_LAYOUTS[layout](dfa_text(made).splitlines())
+    path = tmp_path / "m.dfa"
+    path.write_bytes(text.encode())  # as written: no newline translation
+    flat = load_coalgebra(str(path))
+    assert flat.form == made.form
+    if bit is not None:  # all-accepting or all-rejecting: one shape key
+        assert flat.form.keys == ((bit,),)
+    assert flat == made
+
+
+@pytest.mark.parametrize("text, message", [
+    # \x0c and \x1c separate fields inside a line but end no line
+    ("dfa 2 1\n1 0\x0c0 1\n", "line 1: expected 2 state lines, found 1"),
+    ("dfa 2 1\n1 0\x1c0 1\n", "line 1: expected 2 state lines, found 1"),
+    ("\n \ndfa 2 1\n\n\t\n1 0\n  \n0 x\n", "line 8: successors must be integers"),
+    ("\n\ndfa 2 1\n\n2 0\n\n0 1\n", "line 5: accept flag must be 0 or 1, got '2'"),
+    ("dfa 2 1\r\n\r\n1 0 1\r\n0 1\r\n", "line 3: expected accept bit and 1 successors"),
+    ("dfa 3 1\n0 0\n\n0 -1\n2 0\n", "line 4: successor -1 out of range"),
+    ("\n\ndfa 3 1\n1 0\n", "line 3: expected 3 state lines, found 1"),
+])
+def test_dfa_text_errors_name_the_line_past_blank_lines(tmp_path, text, message):
+    path = tmp_path / "m.dfa"
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError) as e:
+        load_coalgebra(str(path))
+    assert str(e.value) == message
+    res = CliRunner().invoke(main, ["minimize", str(path)])
+    assert res.exit_code == 2
+    assert f"error: {message}" in res.output
 
 
 def test_minimize_dfa_text_never_decodes_values(tmp_path, monkeypatch):

@@ -7,6 +7,11 @@ those names from outside the program; a split's signatures are computed in
 ``engine.split_leaf``.  Inlining one of them into its caller would leave
 the program correct and zero that layer's metric without a word, so these
 tests count the calls through each name.
+
+A naive sweep computes every state's key in one call of
+``SignatureEvaluator.sweep_keys``.  The tracer does not wrap that name yet,
+so its time shows in the naive run's ``engine.self_s``; counting its calls
+keeps the work behind the one name a tracer can wrap.
 """
 
 import gc
@@ -19,7 +24,7 @@ from util import labelled_mc
 import bisimkit.cli as cli
 from bisimkit import coalgebra, engine
 from bisimkit.coalgebra import SignatureEvaluator
-from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
+from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
 from bisimkit.formats import dump_coalgebra, load_coalgebra
 from bisimkit.gen import GenSpec, generate
 
@@ -27,9 +32,9 @@ FAMILIES = ("dfa", "chain", "lts")
 
 
 def counting(calls, key, fn):
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls[key] = calls.get(key, 0) + 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return spy
 
@@ -58,13 +63,32 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
 
     monkeypatch.setattr(engine, "split_leaf", counting(calls, "split_leaf", split_leaf_spy))
     monkeypatch.setattr(engine, "mark_dirty", counting(calls, "mark_dirty", mark_dirty_spy))
-    monkeypatch.setattr(SignatureEvaluator, "signature",
-                        counting(calls, "signature", SignatureEvaluator.signature))
+    for name in ("signature", "sweep_keys"):
+        monkeypatch.setattr(SignatureEvaluator, name,
+                            counting(calls, name, getattr(SignatureEvaluator, name)))
+    monkeypatch.setattr(coalgebra, "zip_longest", counting(calls, "columns", coalgebra.zip_longest))
     stats = refine_hopcroft(coalg, weight).stats
     assert stats.splits > 1
     assert calls["split_leaf"] == pops["non_singleton"]
     assert calls["mark_dirty"] == stats.splits
     assert calls["signature"] == stats.signatures_computed
+    assert "sweep_keys" not in calls and "columns" not in calls  # no sweep, no columns
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "lmc"])
+def test_naive_sweep_keys_go_through_one_evaluator_method(monkeypatch, family):
+    coalg = labelled_mc(40, 5) if family == "lmc" else generate(GenSpec(family, 40, seed=7))
+    calls = {}
+    for name in ("signature", "sweep_keys"):
+        monkeypatch.setattr(SignatureEvaluator, name,
+                            counting(calls, name, getattr(SignatureEvaluator, name)))
+    monkeypatch.setattr(coalgebra, "zip_longest", counting(calls, "columns", coalgebra.zip_longest))
+    stats = refine_naive(coalg).stats
+    assert stats.iterations > 1
+    assert stats.signatures_computed == stats.iterations * coalg.n_states
+    # one call per sweep; a rigid functor's columns are built once per run
+    rigid = coalg.form.shape is not None
+    assert calls == {"sweep_keys": stats.iterations, **({"columns": 1} if rigid else {})}
 
 
 def test_minimize_audit_goes_through_cli_audit_tree(monkeypatch, tmp_path):

@@ -541,6 +541,18 @@ def labelled_mc(n, seed):
     return Coalgebra.make(parse_functor("{0,1} * D X"), values)
 
 
+# functors whose shapes carry different numbers of state references, down to
+# none at all, and one with a powerset of such shapes; the naive sweep's
+# column keys pad the shorter shapes
+MIXED_ARITY_FUNCTORS = (
+    "X + {stop}",
+    "(X * X) + {z}",
+    "({a,b} * X) + ({p} * X * X)",
+    "{a,b}",
+    "P ((X * X) + {z})",
+)
+
+
 def random_value(expr, rng, n):
     """A random value of ``expr`` over n states, drawn from small domains so
     that equal observations are common."""
