@@ -1,35 +1,42 @@
 """Finite coalgebras: a functor expression plus one observation per state.
 
-Every coalgebra has one compiled form, :class:`CompiledForm`, built by
-one walk over its values on first read and kept: per state the states its
-value refers to, in value order, and, when the functor is rigid (no
-powerset or distribution layer), a shape id.  A shape id numbers the flat
-tuple of the value's labels and injection tags in value order; the functor
-supplies the nesting, so a shape key and the refs decode back to the
-value.  A loader of a rigid functor may build only the compiled form; the
-values are then decoded from it on first read.
+Every coalgebra has one compiled form, :class:`CompiledForm`, that stands
+in for its values: per state the states its value refers to, in value
+order, and the rest of the value as a flat code of plain ints and strings
+(labels, injection tags, a member count per powerset layer, an entry count
+and integer masses per distribution layer).  The functor supplies the
+nesting, so the code and the refs decode back to the value.  A coalgebra
+built from values compiles them by one walk on first read of its form; the
+loaders build the form alone, and the values are decoded from it on first
+read.
 
 Also houses the predecessor index (who can see whom in one step) and the
 signature evaluator used by the refinement algorithms; both read the
-compiled form.  For rigid functors a state's signature is a flat tuple of
-a shape id and block labels; otherwise it is :func:`values.signature_of`.
-A naive sweep takes every state's key at once, for rigid functors from the
-successor refs transposed into columns.
+compiled form.  For rigid functors (no ``P`` or ``D`` layer) a state's key
+is a flat tuple of a shape id and block labels.  Otherwise it is built
+from the code and the blocks alone, mirroring :func:`values.signature_of`:
+a powerset as a frozenset of member keys, a distribution as a frozenset of
+(key, mass) pairs, masses summed per key and divided by their gcd.  A naive
+sweep takes every state's key at once, column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat, zip_longest
+from fractions import Fraction
+from itertools import islice, repeat, zip_longest
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .functors import (
     ConstSet,
     Coproduct,
+    Distribution,
     Exponent,
     FunctorExpr,
     Identity,
+    Powerset,
     Product,
     is_rigid,
     parse_functor,
@@ -45,7 +52,6 @@ from .values import (
     SetVal,
     StateRef,
     TupleVal,
-    signature_of,
     validate_value,
     value_from_obj,
     value_to_obj,
@@ -64,18 +70,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompiledForm:
-    """A coalgebra compiled: successor refs per state, shape ids if rigid.
+    """A coalgebra compiled: successor refs and a flat code per state.
 
     ``refs[x]`` lists the states occurring in x's value, in value order,
-    repeats kept.  For a rigid functor ``keys[shape[x]]`` is the flat tuple
-    of x's labels and injection tags in value order (:func:`_walk`), and
-    shape ids are numbered in order of first occurrence; for a functor with
-    a ``P`` or ``D`` layer ``shape`` is None.
+    repeats kept.  x's code lists the rest of the value in value order
+    (:func:`_walk`): labels, injection tags, a member count before the
+    members of each ``P`` layer, and an entry count before the entries of
+    each ``D`` layer, each entry led by its integer mass over the
+    distribution's least common denominator (so a distribution's masses
+    are coprime and sum to that denominator).  Members and entries are in
+    the values' canonical order, deduplicated and merged.  For a rigid
+    functor the code is ``keys[shape[x]]``, shape ids numbered in order of
+    first occurrence, and ``code`` is None; otherwise it is ``code[x]``
+    and ``shape`` is None.
     """
 
     refs: Sequence[tuple[int, ...]]
     shape: Optional[Sequence[int]] = None
     keys: tuple = ()
+    code: Optional[Sequence[tuple]] = None
+
+    @classmethod
+    def of(cls, refs: Sequence[tuple[int, ...]], codes: Sequence[tuple],
+           rigid: bool) -> "CompiledForm":
+        """The form of per-state refs and codes: shape ids interned from the
+        codes when the functor is rigid."""
+        if not rigid:
+            return cls(refs, code=codes)
+        intern: dict = {}
+        shape = [intern.setdefault(k, len(intern)) for k in codes]
+        return cls(refs, shape, tuple(intern))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +107,8 @@ class Coalgebra:
     """A finite state space with one value per state.
 
     It holds its values, its :class:`CompiledForm`, or both; ``values``
-    and ``form`` derive a missing one on first read and keep it.  Only a
-    rigid form (one with shapes) can stand in for the values.  Equality
+    and ``form`` derive a missing one on first read and keep it.  A form
+    stands in for the values when it has shapes or codes.  Equality
     compares the functor and the values.
     """
 
@@ -100,8 +124,10 @@ class Coalgebra:
             have = len(self._values)
         elif self._form is not None and self._form.shape is not None:
             have = len(self._form.shape)
+        elif self._form is not None and self._form.code is not None:
+            have = len(self._form.code)
         else:
-            raise InvalidValueError("a coalgebra needs its values or a rigid compiled form")
+            raise InvalidValueError("a coalgebra needs its values or a compiled form of them")
         if have != self.n_states:
             raise InvalidValueError(f"{have} values for {self.n_states} states")
 
@@ -118,10 +144,11 @@ class Coalgebra:
 
     @classmethod
     def from_form(cls, functor: FunctorExpr, form: CompiledForm) -> "Coalgebra":
-        """A coalgebra of the rigid ``functor`` given by its compiled form.
+        """A coalgebra of ``functor`` given by its compiled form.
 
-        Nothing is validated: the caller has checked that every shape key
-        fits the functor and every ref lies below the state count.
+        Nothing is validated: the caller has checked that every code fits
+        the functor, as :func:`_compile` would write it from valid values,
+        and every ref lies below the state count.
         """
         return cls(functor, len(form.refs), None, form)
 
@@ -129,9 +156,10 @@ class Coalgebra:
     def values(self) -> tuple[FValue, ...]:
         if self._values is None:
             form = self._form
+            codes = form.code if form.shape is None else map(form.keys.__getitem__, form.shape)
             values = tuple(
-                _decode(self.functor, iter(form.keys[sh]), iter(refs))
-                for sh, refs in zip(form.shape, form.refs)
+                _decode(self.functor, iter(code), iter(refs))
+                for code, refs in zip(codes, form.refs)
             )
             object.__setattr__(self, "_values", values)
         return self._values
@@ -177,12 +205,12 @@ def build_pred_index(ev: SignatureEvaluator) -> PredIndex:
     return PredIndex(tuple(map(tuple, preds)), sum(sizes), max(sizes, default=0))
 
 
-# -- signature evaluation -------------------------------------------------------
+# -- compiling and decoding values ------------------------------------------------
 
 
 def _walk(v: FValue, refs: list[int], key: list) -> None:
-    """Append the state references of ``v`` to ``refs`` and its labels and
-    injection tags to ``key``, both in value order."""
+    """Append the state references of ``v`` to ``refs`` and the rest of its
+    code to ``key``, both in value order."""
     # one type() call and identity tests: values are never subclassed, and
     # this walk is most of a general coalgebra's compile time
     t = type(v)
@@ -194,10 +222,14 @@ def _walk(v: FValue, refs: list[int], key: list) -> None:
     elif t is Label:
         key.append(v.name)
     elif t is SetVal:
+        key.append(len(v.members))
         for m in v.members:
             _walk(m, refs, key)
     elif t is DistVal:
-        for x, _ in v.entries:
+        key.append(len(v.entries))
+        den = lcm(*[p.denominator for _, p in v.entries])
+        for x, p in v.entries:
+            key.append(p.numerator * (den // p.denominator))
             _walk(x, refs, key)
     elif t is FunVal:
         for _, x in v.entries:
@@ -210,25 +242,21 @@ def _walk(v: FValue, refs: list[int], key: list) -> None:
 
 
 def _compile(values: Sequence[FValue], rigid: bool) -> CompiledForm:
-    """The compiled form of ``values``: one walk per value, shape ids interned
-    from the walk's keys when the functor is rigid."""
+    """The compiled form of ``values``: one walk per value."""
     refs: list[tuple[int, ...]] = []
-    shape: list[int] = []
-    intern: dict = {}
+    codes: list[tuple] = []
     for v in values:
         r: list[int] = []
         k: list = []
         _walk(v, r, k)
         refs.append(tuple(r))
-        if rigid:
-            shape.append(intern.setdefault(tuple(k), len(intern)))
-    return CompiledForm(refs, shape if rigid else None, tuple(intern))
+        codes.append(tuple(k))
+    return CompiledForm.of(refs, codes, rigid)
 
 
 def _decode(expr: FunctorExpr, key: Iterator, refs: Iterator[int]) -> FValue:
-    """The value of rigid ``expr`` whose labels and injection tags are read
-    from ``key`` and whose state references from ``refs``: the inverse of
-    :func:`_walk`."""
+    """The value of ``expr`` whose code is read from ``key`` and whose state
+    references from ``refs``: the inverse of :func:`_walk`."""
     if isinstance(expr, Identity):
         return StateRef(next(refs))
     if isinstance(expr, ConstSet):
@@ -240,11 +268,227 @@ def _decode(expr: FunctorExpr, key: Iterator, refs: Iterator[int]) -> FValue:
         return InjVal(tag, _decode(expr.summands[tag], key, refs))
     if isinstance(expr, Exponent):
         return FunVal(tuple((a, _decode(expr.base, key, refs)) for a in sorted(expr.labels)))
-    raise TypeError(f"not a rigid functor expression: {expr!r}")
+    if isinstance(expr, Powerset):
+        return SetVal(tuple([_decode(expr.inner, key, refs) for _ in range(next(key))]))
+    if isinstance(expr, Distribution):
+        entries = []
+        for _ in range(next(key)):
+            mass = next(key)
+            entries.append((_decode(expr.inner, key, refs), mass))
+        den = sum(mass for _, mass in entries)
+        return DistVal(tuple([(x, Fraction(mass, den)) for x, mass in entries]))
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+# -- signature evaluation -------------------------------------------------------
 
 
 def _no_labels(block_of) -> tuple:
     return ()
+
+
+def _dist_key(entries) -> frozenset:
+    """A distribution's key from its (key, mass) entries: the masses summed
+    per key and divided by their gcd.  A distribution's masses sum to its
+    denominator, so the reduced masses alone fix the probabilities."""
+    entries = list(entries)
+    if len(dict(entries)) == len(entries):
+        # no two entries share a key: the masses are the code's, coprime
+        return frozenset(entries)
+    acc: dict = {}
+    for k, mass in entries:
+        acc[k] = acc[k] + mass if k in acc else mass
+    g = gcd(*acc.values())
+    if g == 1:
+        return frozenset(acc.items())
+    return frozenset([(k, mass // g) for k, mass in acc.items()])
+
+
+def _is_label_and_state(expr: FunctorExpr) -> bool:
+    """True for ``A * X``, whose code is one label and whose refs one state."""
+    return (type(expr) is Product and len(expr.factors) == 2
+            and type(expr.factors[0]) is ConstSet and type(expr.factors[1]) is Identity)
+
+
+def _read_by_slices(expr: FunctorExpr) -> bool:
+    """True for ``P X``, ``P (A * X)`` and ``D X``: after its count, each
+    member's or entry's code is one label, one mass or nothing, and its
+    refs one state."""
+    t = type(expr)
+    if t is Powerset:
+        return type(expr.inner) is Identity or _is_label_and_state(expr.inner)
+    return t is Distribution and type(expr.inner) is Identity
+
+
+_StateKey = Callable[[Iterator, Iterator[int], Callable], object]
+
+
+def _state_key(expr: FunctorExpr) -> _StateKey:
+    """``key(code, refs, get)``: the key of one value of ``expr`` whose code
+    and refs are read from the iterators, ``get`` giving a state's block.
+
+    Identity gives the block, a label itself, a product or exponent the
+    tuple of its parts' keys, an injection (tag, key), a powerset the
+    frozenset of its members' keys and a distribution :func:`_dist_key`.
+    A powerset or distribution of ``X``, and a powerset of ``A * X``, are
+    read by builtin passes over the iterators.
+    """
+    t = type(expr)
+    if t is Identity:
+        return lambda code, refs, get: get(next(refs))
+    if t is ConstSet:
+        return lambda code, refs, get: next(code)
+    if t is Product or t is Exponent:
+        parts = ([_state_key(f) for f in expr.factors] if t is Product
+                 else [_state_key(expr.base)] * len(expr.labels))
+        if len(parts) == 2:  # a pair, as a DFA or a labelled chain has
+            first, second = parts
+            return lambda code, refs, get: (first(code, refs, get), second(code, refs, get))
+        return lambda code, refs, get: tuple([part(code, refs, get) for part in parts])
+    if t is Coproduct:
+        summands = [_state_key(s) for s in expr.summands]
+
+        def injection(code, refs, get):
+            tag = next(code)
+            return tag, summands[tag](code, refs, get)
+
+        return injection
+    if t is Powerset:
+        if type(expr.inner) is Identity:
+            return lambda code, refs, get: frozenset(map(get, islice(refs, next(code))))
+        if _is_label_and_state(expr.inner):
+            def edges(code, refs, get):
+                c = next(code)
+                return frozenset(zip(islice(code, c), map(get, islice(refs, c))))
+
+            return edges
+        member = _state_key(expr.inner)
+        return lambda code, refs, get: frozenset(
+            [member(code, refs, get) for _ in range(next(code))]
+        )
+    if t is Distribution:
+        if type(expr.inner) is Identity:
+            def point_masses(code, refs, get):
+                c = next(code)
+                if c == 1:  # a point mass, whose one mass is 1
+                    next(code)
+                    return frozenset(((get(next(refs)), 1),))
+                return _dist_key(zip(map(get, islice(refs, c)), islice(code, c)))
+
+            return point_masses
+        inner = _state_key(expr.inner)
+
+        def distribution(code, refs, get):
+            entries = []
+            for _ in range(next(code)):
+                mass = next(code)
+                entries.append((inner(code, refs, get), mass))
+            return _dist_key(entries)
+
+        return distribution
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def _column_plan(expr: FunctorExpr):
+    """``(fill, keys)`` for the values of ``expr`` throughout a coalgebra.
+
+    ``fill(code, refs)`` reads one value from the iterators into columns
+    kept per functor node: the states of an ``X``, the labels of a label
+    set, the tags of a sum, the member counts of a ``P``, the entry counts
+    and masses of a ``D``.  ``keys(get)`` then yields every filled value's
+    key, in fill order, the same key :func:`_state_key` gives it, from
+    builtin passes over the columns; a distribution's merge is the one
+    Python call, per distribution.
+    """
+    t = type(expr)
+    if t is Identity:
+        states: list[int] = []
+        return (lambda code, refs: states.append(next(refs))), (lambda get: map(get, states))
+    if t is ConstSet:
+        labels: list = []
+        return (lambda code, refs: labels.append(next(code))), (lambda get: labels)
+    if t is Product or t is Exponent:
+        n_parts = len(expr.factors) if t is Product else len(expr.labels)
+        if n_parts == 0:
+            empties: list = []
+            return (lambda code, refs: empties.append(())), (lambda get: empties)
+        plans = ([_column_plan(f) for f in expr.factors] if t is Product
+                 else [_column_plan(expr.base) for _ in expr.labels])
+
+        def fill_parts(code, refs):
+            for fill, _ in plans:
+                fill(code, refs)
+
+        return fill_parts, (lambda get: zip(*[keys(get) for _, keys in plans]))
+    if t is Coproduct:
+        tags: list[int] = []
+        plans = [_column_plan(s) for s in expr.summands]
+
+        def fill_injection(code, refs):
+            tag = next(code)
+            tags.append(tag)
+            plans[tag][0](code, refs)
+
+        def injection_keys(get):
+            inner = [iter(keys(get)) for _, keys in plans]
+            return zip(tags, map(next, map(inner.__getitem__, tags)))
+
+        return fill_injection, injection_keys
+    if _read_by_slices(expr):
+        return _leaf_column_plan(expr)
+    if t is Powerset:
+        counts: list[int] = []
+        fill_member, member_keys = _column_plan(expr.inner)
+
+        def fill_set(code, refs):
+            c = next(code)
+            counts.append(c)
+            for _ in range(c):
+                fill_member(code, refs)
+
+        return fill_set, (
+            lambda get: map(frozenset, map(islice, repeat(iter(member_keys(get))), counts))
+        )
+    if t is Distribution:
+        sizes: list[int] = []
+        masses: list[int] = []
+        fill_entry, entry_keys = _column_plan(expr.inner)
+
+        def fill_distribution(code, refs):
+            c = next(code)
+            sizes.append(c)
+            for _ in range(c):
+                masses.append(next(code))
+                fill_entry(code, refs)
+
+        return fill_distribution, (
+            lambda get: map(_dist_key, map(islice, repeat(zip(entry_keys(get), masses)), sizes))
+        )
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def _leaf_column_plan(expr: FunctorExpr):
+    """:func:`_column_plan` of a functor :func:`_read_by_slices`: a value's
+    refs, and its labels or masses, are read as one slice each."""
+    counts: list[int] = []
+    states: list[int] = []
+    inner: list = []  # the members' labels, or the entries' masses
+    coded = type(expr) is Distribution or type(expr.inner) is not Identity
+
+    def fill(code, refs):
+        c = next(code)
+        counts.append(c)
+        states.extend(islice(refs, c))
+        if coded:
+            inner.extend(islice(code, c))
+
+    if type(expr) is Distribution:
+        return fill, (lambda get: map(
+            _dist_key, map(islice, repeat(zip(map(get, states), inner)), counts)))
+    if type(expr.inner) is Identity:
+        return fill, (lambda get: map(frozenset, map(islice, repeat(map(get, states)), counts)))
+    return fill, (lambda get: map(
+        frozenset, map(islice, repeat(zip(inner, map(get, states))), counts)))
 
 
 class SignatureEvaluator:
@@ -252,15 +496,18 @@ class SignatureEvaluator:
 
     ``signature(x, block_of)`` returns a hashable key; two states of the same
     coalgebra get equal keys under ``block_of`` exactly when their full
-    canonical signatures agree.  ``sweep_keys(block_of)`` yields every
-    state's ``(block, signature)`` pair at once, in another key form: two
-    of its keys are equal exactly when the states' blocks and ``signature``
-    keys are.  Keys from different evaluators, modes or methods are not
-    comparable.  ``refs[x]`` lists the states occurring in x's value, in
-    value order, repeats kept.
+    canonical signatures (:func:`values.signature_of`) agree.  It reads
+    only the compiled form and ``block_of``: no value, and no ``Fraction``.
+    ``sweep_keys(block_of)`` yields every state's ``(block, signature)``
+    pair at once, in another key form for rigid functors: two of its keys
+    are equal exactly when the states' blocks and ``signature`` keys are.
+    Keys from different evaluators, modes or methods are not comparable.
+    ``refs[x]`` lists the states occurring in x's value, in value order,
+    repeats kept.
     """
 
-    __slots__ = ("n_states", "refs", "_shape", "_labels", "_values", "_columns")
+    __slots__ = ("n_states", "refs", "_shape", "_labels", "_functor", "_code", "_key",
+                 "_columns")
 
     def __init__(self, coalg: Coalgebra):
         form = coalg.form
@@ -269,9 +516,10 @@ class SignatureEvaluator:
         self._shape = form.shape
         self._columns = None
         if form.shape is None:
-            self._values = coalg.values
+            self._functor = coalg.functor
+            self._code = form.code
+            self._key = _state_key(coalg.functor)
             return
-        self._values = None
         # per state, a getter of its successors' block labels; a shape
         # fixes the number of refs, so equal shapes give keys of one form
         self._labels = [itemgetter(*r) if r else _no_labels for r in form.refs]
@@ -279,24 +527,30 @@ class SignatureEvaluator:
     def signature(self, x: int, block_of):
         if self._shape is not None:
             return (self._shape[x], self._labels[x](block_of))
-        return signature_of(self._values[x], block_of)
+        return self._key(iter(self._code[x]), iter(self.refs[x]), block_of.__getitem__)
 
     def sweep_keys(self, block_of: Sequence[int]) -> Iterator[tuple]:
         """Every state's key, in state order: ``block_of[x]`` first, then
-        x's signature in a form of its own, computed column by column.
+        x's signature, computed column by column.
 
         For a rigid functor a key is the block, the shape id and the blocks
-        of the successors, one column of the transposed refs each.  The
-        columns are built on the first call and kept.  A state with fewer
-        refs than the widest is padded with state -1, whose block is then
-        in every key of its shape at the same place: a shape fixes the
-        number of refs, so the pad cannot tell states of one shape apart.
+        of the successors, one column of the transposed refs each.  A state
+        with fewer refs than the widest is padded with state -1, whose block
+        is then in every key of its shape at the same place: a shape fixes
+        the number of refs, so the pad cannot tell states of one shape
+        apart.  Otherwise the signature is the one ``signature`` gives,
+        from the columns of :func:`_column_plan`.  The columns are built on
+        the first call and kept.
         """
+        get = block_of.__getitem__
         if self._shape is None:
-            return zip(block_of, map(signature_of, self._values, repeat(block_of)))
+            if self._columns is None:
+                fill, self._columns = _column_plan(self._functor)
+                for code, refs in zip(self._code, self.refs):
+                    fill(iter(code), iter(refs))
+            return zip(block_of, self._columns(get))
         if self._columns is None:
             self._columns = list(zip_longest(*self.refs, fillvalue=-1))
-        get = block_of.__getitem__
         return zip(block_of, self._shape, *[map(get, col) for col in self._columns])
 
 
@@ -314,6 +568,10 @@ def coalgebra_to_obj(coalg: Coalgebra) -> dict:
 
 
 def coalgebra_from_obj(obj) -> Coalgebra:
+    """The coalgebra of a JSON document, every value built by
+    ``value_from_obj`` and validated by ``Coalgebra.make``.  Its errors are
+    the messages of record of the coalg-json loader, which decodes a
+    document straight into the compiled form when it can."""
     if not isinstance(obj, dict):
         raise InvalidValueError("coalgebra document must be a JSON object")
     for key in ("functor", "states", "c"):

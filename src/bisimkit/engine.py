@@ -95,13 +95,19 @@ class Partition:
         labels: scanning the states in order, each label is numbered at its
         first occurrence, so blocks ascend by smallest member."""
         number: dict = {}
-        canon = [number.setdefault(b, len(number)) for b in block_of]
+        return cls.from_canonical([number.setdefault(b, len(number)) for b in block_of])
+
+    @classmethod
+    def from_canonical(cls, block_of: Sequence[int]) -> "Partition":
+        """The partition of a labelling that is canonical already: its ids
+        are 0, 1, ... in order of first occurrence, as ``from_block_of``
+        would number them."""
         # a stable sort by block lists each block's members in ascending
         # order, so every block is one slice, and only the blocks' tuples
         # outlive the call; blocks first occur in id order, so do their counts
-        order = sorted(range(len(canon)), key=canon.__getitem__)
-        bounds = accumulate(Counter(canon).values(), initial=0)
-        return cls(tuple(canon), tuple(tuple(order[i:j]) for i, j in pairwise(bounds)))
+        order = sorted(range(len(block_of)), key=block_of.__getitem__)
+        bounds = accumulate(Counter(block_of).values(), initial=0)
+        return cls(tuple(block_of), tuple(tuple(order[i:j]) for i, j in pairwise(bounds)))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n_states: int) -> "Partition":
@@ -351,7 +357,7 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
         block_of = new_block_of
         n_blocks = len(ids)
     looped = time.perf_counter()
-    partition = Partition.from_block_of(block_of)
+    partition = Partition.from_canonical(block_of)  # each sweep numbers canonically
     finished = time.perf_counter()
     stats.wall_time = finished - start
     stats.phases = {

@@ -1,17 +1,28 @@
 """File formats: coalgebra inputs, partition and refinement-tree outputs.
 
 Input formats
-  coalg-json  {"functor": "...", "states": n, "c": [...]}  (native)
+  coalg-json  {"functor": "...", "states": n, "c": [...]}  (native);
+              decoded by a decoder directed by the functor that validates
+              as it goes; what it does not accept (any error, a probability
+              of zero) goes through ``coalgebra_from_obj``, which builds
+              and validates values: it accepts the document or gives the
+              message of record
   dfa-text    header ``dfa n k``; one line per state: accept bit then k
               successor ids, one per letter a, b, ...; blank lines are
               skipped, and a form feed separates fields but ends no line;
-              loads into the compiled form, without building values,
-              checking and converting the body a column at a time (a
+              the body is checked and converted a column at a time (a
               failed check rescans it line by line to name the bad line)
   aut         Aldebaran: ``des (first, m, n)`` then ``(src, "label", dst)``
               triples; becomes a labelled transition system; at most
               ``AUT_MAX_STATES`` states
-  mc-tsv      whitespace rows ``src dst num/den``; becomes a Markov chain
+  mc-tsv      whitespace rows ``src dst num/den``; becomes a Markov chain;
+              a chain whose integer masses do not sum to the denominator
+              is built from values, whose validation names the bad state
+
+Every input loads into the compiled form (``coalgebra.CompiledForm``)
+without building values: its code holds each state's labels, member
+counts and integer masses, in the order and with the merges the values
+would have.
 
 Output documents
   partition   {"blocks": [[...], ...]}: sorted blocks, ordered by smallest
@@ -35,28 +46,32 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional, TextIO
 
 from .coalgebra import Coalgebra, CompiledForm, coalgebra_from_obj, coalgebra_to_obj
 from .engine import Partition, RefinementTree
 from .functors import (
     ConstSet,
+    Coproduct,
     Distribution,
     Exponent,
+    FunctorExpr,
     FunctorSyntaxError,
     Identity,
     Powerset,
     Product,
     default_letters,
+    is_rigid,
+    parse_functor,
 )
 from .values import (
+    _TOO_MANY_DIGITS,
     DistVal,
     InvalidValueError,
-    Label,
-    SetVal,
     StateRef,
-    TupleVal,
-    parse_probability,
+    probability_ratio,
 )
 from .wtree import WeightedTree
 
@@ -131,11 +146,224 @@ def _load_coalg_json(stream: TextIO) -> Coalgebra:
     # recurse, so a deep enough document exhausts the stack in any of them
     obj = _json_loads(stream.read())
     try:
-        return coalgebra_from_obj(obj)
+        try:
+            return _decode_coalgebra(obj)
+        except (_Decline, FunctorSyntaxError, RecursionError):
+            return coalgebra_from_obj(obj)  # which accepts it, or names the fault
     except (InvalidValueError, FunctorSyntaxError) as e:
         raise FormatError(str(e)) from None
     except RecursionError:
         raise FormatError("input nested too deeply") from None
+
+
+class _Decline(Exception):
+    """The direct decoder leaves this document to ``coalgebra_from_obj``."""
+
+
+def _decode_coalgebra(obj) -> Coalgebra:
+    """A coalgebra document decoded into its compiled form, or _Decline.
+
+    It accepts only documents that ``coalgebra_from_obj`` accepts, and
+    writes the code that compiling their values would write.
+    It declines every error, a probability of zero (whose entry the values
+    drop unvalidated) and a distribution whose denominators have a common
+    multiple of more than 4300 digits.
+    """
+    if type(obj) is not dict:
+        raise _Decline
+    text, n, values = obj.get("functor"), obj.get("states"), obj.get("c")
+    if type(text) is not str or type(n) is not int or n < 1:
+        raise _Decline
+    if type(values) is not list or len(values) != n:
+        raise _Decline
+    functor = parse_functor(text)
+    decode = _value_decoder(functor, n, False)
+    refs, codes = [], []
+    for v in values:
+        r: list[int] = []
+        k: list = []
+        decode(v, k, r)
+        refs.append(tuple(r))
+        codes.append(tuple(k))
+    return Coalgebra.from_form(functor, CompiledForm.of(refs, codes, is_rigid(functor)))
+
+
+# how value_from_obj reads a JSON object: by the first of these keys it has
+_ENCODINGS = ("x", "inj", "fun", "set", "dist")
+
+
+def _payload(obj, key: str):
+    """``obj[key]`` when ``value_from_obj`` reads JSON ``obj`` by ``key``,
+    else None (as when ``obj`` maps ``key`` to null)."""
+    if type(obj) is dict:
+        for k in _ENCODINGS:
+            if k in obj:
+                return obj[k] if k == key else None
+    return None
+
+
+def _value_decoder(expr: FunctorExpr, n: int, keyed: bool):
+    """``decode(obj, code, refs)``: append the code and refs of the value of
+    ``expr`` that JSON ``obj`` encodes, over ``n`` states, or raise
+    _Decline.  When ``keyed`` (below a ``P`` or ``D``) it returns a key
+    that orders and equates values as :func:`values.structure_key` does,
+    by which members are sorted and deduplicated and entries merged."""
+    t = type(expr)
+    if t is Identity:
+        def state(obj, code, refs):
+            x = obj.get("x") if type(obj) is dict else None
+            if type(x) is not int or not 0 <= x < n:
+                raise _Decline
+            refs.append(x)
+            return x
+
+        return state
+    if t is ConstSet:
+        names = frozenset(expr.labels)
+
+        def label(obj, code, refs):
+            if type(obj) is not str or obj not in names:
+                raise _Decline
+            code.append(obj)
+            return obj
+
+        return label
+    if t is Product:
+        parts = [_value_decoder(f, n, keyed) for f in expr.factors]
+
+        def product(obj, code, refs):
+            if type(obj) is not list or len(obj) != len(parts):
+                raise _Decline
+            return tuple([part(o, code, refs) for part, o in zip(parts, obj)])
+
+        return product
+    if t is Exponent:
+        base = _value_decoder(expr.base, n, keyed)
+        letters = sorted(expr.labels)
+        letter_set = set(letters)
+
+        def function(obj, code, refs):
+            fun = _payload(obj, "fun")
+            if type(fun) is not dict or fun.keys() != letter_set:
+                raise _Decline
+            return tuple([base(fun[a], code, refs) for a in letters])
+
+        return function
+    if t is Coproduct:
+        summands = [_value_decoder(s, n, keyed) for s in expr.summands]
+
+        def injection(obj, code, refs):
+            tag = _payload(obj, "inj")
+            if type(tag) is not int or not 0 <= tag < len(summands) or "val" not in obj:
+                raise _Decline
+            code.append(tag)
+            return tag, summands[tag](obj["val"], code, refs)
+
+        return injection
+    if t is Powerset:
+        return _set_decoder(expr, n)
+    if t is Distribution:
+        return _distribution_decoder(expr, n, keyed)
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def _set_decoder(expr: Powerset, n: int):
+    """:func:`_value_decoder` of a powerset: members sorted by key, equal
+    ones dropped; its key is the tuple of its members' keys."""
+    member = _value_decoder(expr.inner, n, True)
+    if type(expr.inner) is Identity:
+        def states(obj, code, refs):
+            members = _payload(obj, "set")
+            if type(members) is not list:
+                raise _Decline
+            found: list[int] = []
+            for m in members:
+                member(m, code, found)
+            found = sorted(set(found))
+            code.append(len(found))
+            refs.extend(found)
+            return tuple(found)
+
+        return states
+
+    def members(obj, code, refs):
+        items = _payload(obj, "set")
+        if type(items) is not list:
+            raise _Decline
+        decoded = []
+        for m in items:
+            c: list = []
+            r: list[int] = []
+            decoded.append((member(m, c, r), c, r))
+        # sorted, then equal neighbours dropped: keys may hold Fractions,
+        # which are compared here but never hashed
+        decoded.sort(key=itemgetter(0))
+        kept = [e for i, e in enumerate(decoded) if not i or decoded[i - 1][0] != e[0]]
+        code.append(len(kept))
+        for _, c, r in kept:
+            code.extend(c)
+            refs.extend(r)
+        return tuple([k for k, _, _ in kept])
+
+    return members
+
+
+def _distribution_decoder(expr: Distribution, n: int, keyed: bool):
+    """:func:`_value_decoder` of a distribution: entries of one key merged,
+    in order of key, each led by its mass over the least common
+    denominator; its key is the tuple of (entry key, probability) pairs."""
+    entry = _value_decoder(expr.inner, n, True)
+    ratios: dict[str, tuple[int, int]] = {}  # each literal read once per document
+
+    def distribution(obj, code, refs):
+        pairs = _payload(obj, "dist")
+        if type(pairs) is not list:
+            raise _Decline
+        decoded = []
+        den = 1
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise _Decline
+            p = pair[1]
+            ratio = ratios.get(p) if type(p) is str else None
+            if ratio is None:
+                try:
+                    ratio = probability_ratio(p)
+                except InvalidValueError:
+                    raise _Decline from None
+                if type(p) is str:
+                    ratios[p] = ratio
+            den = lcm(den, ratio[1])
+            if ratio[0] == 0 or den >= _TOO_MANY_DIGITS:
+                raise _Decline
+            c: list = []
+            r: list[int] = []
+            decoded.append((entry(pair[0], c, r), c, r, ratio))
+        # sorted, then equal neighbours merged: keys may hold Fractions,
+        # which are compared here but never hashed
+        decoded.sort(key=itemgetter(0))
+        merged: list[list] = []  # [key, code, refs, mass over den]
+        for k, c, r, (num, d) in decoded:
+            mass = num * (den // d)
+            if merged and merged[-1][0] == k:
+                merged[-1][3] += mass
+            else:
+                merged.append([k, c, r, mass])
+        if sum(e[3] for e in merged) != den:
+            raise _Decline
+        # the masses sum to den, so their gcd divides it: reduced, they are
+        # the masses over the least common denominator
+        g = gcd(*[e[3] for e in merged])
+        code.append(len(merged))
+        for _, c, r, mass in merged:
+            code.append(mass // g)
+            code.extend(c)
+            refs.extend(r)
+        if keyed:
+            return tuple([(k, Fraction(mass, den)) for k, _, _, mass in merged])
+        return None
+
+    return distribution
 
 
 def _load_dfa_text(stream: TextIO) -> Coalgebra:
@@ -253,15 +481,22 @@ def _load_aut(stream: TextIO) -> Coalgebra:
     # a transitionless system still needs a nonempty action alphabet
     alphabet = tuple(sorted(labels)) if labels else ("tau",)
     functor = Powerset(Product((ConstSet(alphabet), Identity())))
-    per_state: list[list] = [[] for _ in range(n)]
+    per_state: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for src, label, dst in edges:
-        per_state[src].append(TupleVal((Label(label), StateRef(dst))))
-    values = [SetVal(tuple(v)) for v in per_state]
-    return Coalgebra.make(functor, values)
+        per_state[src].append((label, dst))
+    # a state's code is its member count and the members' labels, its refs
+    # their targets, members sorted by (label, target) as the values are
+    codes, refs = [], []
+    for out in per_state:
+        out = sorted(set(out))
+        names, targets = zip(*out) if out else ((), ())
+        codes.append((len(out), *names))
+        refs.append(targets)
+    return Coalgebra.from_form(functor, CompiledForm(refs, code=codes))
 
 
 def _load_mc_tsv(stream: TextIO) -> Coalgebra:
-    rows: list[tuple[int, int, int, Fraction]] = []
+    rows: list[tuple[int, int, int, int]] = []
     max_state = -1
     for i, line in enumerate(stream):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -274,14 +509,14 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
         except ValueError:
             raise FormatError("state ids must be integers", i + 1) from None
         try:
-            prob = parse_probability(fields[2])
+            num, den = probability_ratio(fields[2])
         except InvalidValueError as e:
             raise FormatError(str(e), i + 1) from None
         if src < 0 or dst < 0:
             raise FormatError("state ids must be nonnegative", i + 1)
-        if prob == 0:
+        if num == 0:
             raise FormatError("probability must be positive", i + 1)
-        rows.append((i + 1, src, dst, prob))
+        rows.append((src, dst, num, den))
         max_state = max(max_state, src, dst)
     if max_state < 0:
         raise FormatError("empty chain file")
@@ -289,10 +524,34 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
     # every state needs an outgoing row, so a large id must not size anything
     if n > len(rows):
         raise FormatError(f"{n} states but {len(rows)} rows: some state has no outgoing row")
-    per_state: list[list] = [[] for _ in range(n)]
-    for lineno, src, dst, prob in rows:
-        per_state[src].append((StateRef(dst), prob))
-    values = [DistVal(tuple(entries)) for entries in per_state]
+    per_state: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for src, dst, num, den in rows:
+        per_state[src].append((dst, num, den))
+    # a state's code is its entry count and the masses of its targets, in
+    # order, over the least common denominator of its probabilities
+    codes, refs = [], []
+    for entries in per_state:
+        den = lcm(*[d for _, _, d in entries])
+        mass: dict[int, int] = {}
+        for dst, num, d in entries:
+            mass[dst] = mass.get(dst, 0) + num * (den // d)
+        if sum(mass.values()) != den or den >= _TOO_MANY_DIGITS:
+            return _mc_from_values(per_state)
+        g = gcd(*mass.values())
+        targets = sorted(mass)
+        codes.append((len(targets), *[mass[y] // g for y in targets]))
+        refs.append(tuple(targets))
+    return Coalgebra.from_form(Distribution(Identity()), CompiledForm(refs, code=codes))
+
+
+def _mc_from_values(per_state: list[list[tuple[int, int, int]]]) -> Coalgebra:
+    """The chain built from values and validated by ``Coalgebra.make``: it
+    decides a chain whose integer masses did not check out, and names the
+    first bad state."""
+    values = [
+        DistVal(tuple([(StateRef(dst), Fraction(num, den)) for dst, num, den in entries]))
+        for entries in per_state
+    ]
     try:
         return Coalgebra.make(Distribution(Identity()), values)
     except InvalidValueError as e:  # a sum other than 1, or a probability too long to print

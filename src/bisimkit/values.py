@@ -54,6 +54,7 @@ __all__ = [
     "value_to_obj",
     "value_from_obj",
     "parse_probability",
+    "probability_ratio",
 ]
 
 
@@ -298,36 +299,48 @@ def value_to_obj(v: FValue):
     raise TypeError(f"not a value: {v!r}")
 
 
-def parse_probability(text) -> Fraction:
-    """A nonnegative probability literal: an integer, or a string that
-    ``Fraction`` reads without an exponent ('num/den', a decimal, an integer).
+def probability_ratio(text) -> tuple[int, int]:
+    """A nonnegative probability literal as (numerator, denominator), not
+    necessarily in lowest terms, the denominator positive: an integer, or a
+    string that ``Fraction`` reads without an exponent ('num/den', a
+    decimal, an integer).
 
     Exponent notation is refused before ``Fraction`` expands it: expanding
     '1e-10000000' takes seconds, and '1e-5000' already has more digits than
     Python will print.  No message formats a number read from the input.
+    An ASCII 'digits/digits' or 'digits' is read by ``int`` alone; other
+    forms go through ``Fraction``.
     """
     if type(text) is int:
-        p = Fraction(text)
+        num, den = text, 1
     elif type(text) is not str:
         raise InvalidValueError(f"probability must be a 'num/den' string, got {text!r}")
     elif "e" in text or "E" in text:
         raise InvalidValueError("probability in exponent notation; write it as 'num/den'")
     else:
-        num, slash, den = text.partition("/")
-        try:  # int() reads an ASCII 'digits/digits' as Fraction does, only faster
-            if slash and text.isascii() and num.isdigit() and den.isdigit():
-                p = Fraction(int(num), int(den))
+        head, slash, tail = text.partition("/")
+        try:
+            if text.isascii() and head.isdigit() and (tail.isdigit() or not slash):
+                num, den = int(head), int(tail) if slash else 1
             else:
                 p = Fraction(text)
-        except ZeroDivisionError:
-            raise InvalidValueError("probability has a zero denominator") from None
+                num, den = p.numerator, p.denominator
         except ValueError:  # not a literal, or past Python's str-to-int digit limit
             raise InvalidValueError(
                 "probability is not 'num/den', a decimal or an integer, or has too many digits"
             ) from None
-    if p.numerator < 0:
+        except ZeroDivisionError:
+            raise InvalidValueError("probability has a zero denominator") from None
+        if den == 0:
+            raise InvalidValueError("probability has a zero denominator")
+    if num < 0:
         raise InvalidValueError("probability is negative")
-    return p
+    return num, den
+
+
+def parse_probability(text) -> Fraction:
+    """:func:`probability_ratio` as a ``Fraction``."""
+    return Fraction(*probability_ratio(text))
 
 
 def value_from_obj(obj) -> FValue:

@@ -3,8 +3,10 @@
 import random
 from collections import Counter
 
+from fractions import Fraction
+
 import pytest
-from util import MIXED_ARITY_FUNCTORS, random_value
+from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value
 
 import bisimkit.coalgebra
 from bisimkit.coalgebra import (
@@ -17,7 +19,8 @@ from bisimkit.coalgebra import (
 )
 from bisimkit.functors import parse_functor
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
-from bisimkit.gen import GenSpec, generate
+from bisimkit.formats import dump_coalgebra, load_coalgebra
+from bisimkit.gen import FAMILIES, GenSpec, generate
 from bisimkit.oracle import related
 from bisimkit.values import (
     DistVal,
@@ -181,14 +184,59 @@ def test_evaluator_fast_path_matches_generic(seed=17):
                 assert fast_eq == slow_eq
 
 
-def test_evaluator_general_path_matches_signature_of(seed=23):
+# values nesting every layer: P and D over rigid parts, over each other and
+# under sums and exponents
+NESTED_FUNCTORS = (
+    "{0,1} * D X",
+    "P ({a,b} * D X)",
+    "(D X) ^ {a,b}",
+    "P X + D (X * X)",
+    "P P X",
+    "D D X",
+    "P D X",
+    "D ({a,b} * X + {stop})",
+)
+
+
+def _key_inputs():
+    """Coalgebras of every gen family, the labelled Markov chain and random
+    values of the nested functors."""
+    inputs = {fam: generate(GenSpec(fam, 24, seed=3)) for fam in FAMILIES}
+    inputs["labelled_mc"] = labelled_mc(24, 5)
+    for functor in NESTED_FUNCTORS:
+        expr = parse_functor(functor)
+        rng = random.Random(functor)
+        inputs[functor] = Coalgebra.make(expr, [random_value(expr, rng, 12) for _ in range(12)])
+    return inputs
+
+
+KEY_INPUTS = _key_inputs()
+
+
+@pytest.mark.parametrize("name", KEY_INPUTS)
+def test_compiled_keys_are_equal_exactly_when_signatures_are(name, seed=29):
+    # under the all-zero labelling every distribution's entries merge into
+    # one mass, which only the gcd reduction makes equal to a point mass
+    c = KEY_INPUTS[name]
+    n = c.n_states
     rng = random.Random(seed)
-    for fam in ("nfa", "lts", "mc", "mdp"):
-        c = generate(GenSpec(fam, 12, seed=99))
+    labellings = [[0] * n] + [[rng.randrange(k) for _ in range(n)] for k in (2, 3, 5)]
+    verdicts = set()
+    for blocks in labellings:
         ev = SignatureEvaluator(c)
-        blocks = [rng.randrange(3) for _ in range(c.n_states)]
-        for x in range(c.n_states):
-            assert ev.signature(x, blocks) == signature_of(c.values[x], blocks)
+        keys = [ev.signature(x, blocks) for x in range(n)]
+        swept = list(ev.sweep_keys(blocks))
+        sigs = [signature_of(v, blocks) for v in c.values]
+        assert len(swept) == n
+        if ev._shape is None:  # one key form for both methods
+            assert swept == [(blocks[x], keys[x]) for x in range(n)]
+        for x in range(n):
+            for y in range(n):
+                same = sigs[x] == sigs[y]
+                assert (keys[x] == keys[y]) == same, (x, y, blocks)
+                assert (swept[x] == swept[y]) == (same and blocks[x] == blocks[y])
+                verdicts.add(same)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("functor", [
@@ -269,13 +317,40 @@ def test_shape_key_is_labels_and_tags_in_value_order():
     assert Coalgebra.from_form(expr, form).values == tuple(values)
 
 
-def test_general_functors_have_no_rigid_form():
-    c = generate(GenSpec("nfa", 5, seed=1))
-    assert c.form.shape is None and c.form.keys == ()
-    assert len(c.form.refs) == 5
-    # refs alone cannot stand in for the values
-    with pytest.raises(InvalidValueError):
-        Coalgebra.from_form(c.functor, c.form)
+@pytest.mark.parametrize("functor", [*NESTED_FUNCTORS, "P X", "D X", "P ({a,b} * X)",
+                                     "{0,1} * (P X) ^ {a,b}", "P ((X * X) + {z})"])
+def test_every_form_decodes_to_the_values_it_was_compiled_from(functor, tmp_path, seed=7):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    made = Coalgebra.make(expr, [random_value(expr, rng, 9) for _ in range(9)])
+    form = made.form
+    # a general form holds a code per state in place of shapes
+    assert form.shape is None and form.keys == () and len(form.code) == 9
+    flat = Coalgebra.from_form(expr, form)
+    assert flat.values == made.values
+    assert flat == made
+    # read back from a file, the form is the one compiled from the values
+    path = tmp_path / "c.json"
+    path.write_text(dump_coalgebra(made), encoding="utf-8")
+    loaded = load_coalgebra(str(path))
+    assert loaded.form == form
+    assert loaded == made
+
+
+def test_general_code_holds_counts_and_integer_masses():
+    # P ({a,b} * D X): a member count, then per member its label, the entry
+    # count and each entry's mass over the least common denominator
+    expr = parse_functor("P ({a,b} * D X)")
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    values = [
+        SetVal((
+            TupleVal((Label("b"), DistVal(((StateRef(1), half), (StateRef(0), half))))),
+            TupleVal((Label("a"), DistVal(((StateRef(1), quarter), (StateRef(1), 3 * quarter))))),
+        )),
+        SetVal(()),
+    ]
+    form = Coalgebra.make(expr, values).form
+    assert form == CompiledForm([(1, 0, 1), ()], code=[(2, "a", 1, 1, "b", 2, 1, 1), (0,)])
 
 
 @pytest.mark.parametrize("fam", ["nfa", "lts", "mdp"])

@@ -581,3 +581,25 @@ def test_partition_canonical_form_matches_sorting():
         rng.shuffle(blocks)
         q = Partition.from_blocks(blocks, n)
         assert (q.block_of, q.blocks) == expected
+        # a labelling canonical already needs no renumbering
+        r = Partition.from_canonical(list(expected[0]))
+        assert (r.block_of, r.blocks) == expected
+
+
+def test_naive_result_is_the_canonical_partition_of_its_last_sweep(monkeypatch):
+    # refine_naive groups its last labelling as it stands, which is only
+    # right because every sweep numbers its keys canonically
+    from_canonical = Partition.from_canonical
+    calls = []
+
+    def checked(block_of):
+        number = {}
+        assert [number.setdefault(b, len(number)) for b in block_of] == list(block_of)
+        calls.append(len(block_of))
+        return from_canonical(block_of)
+
+    monkeypatch.setattr(Partition, "from_canonical", staticmethod(checked))
+    for fam in FAMILIES:
+        coalg = generate(GenSpec(fam, 30, seed=6))
+        assert refine_naive(coalg).partition == refine_hopcroft(coalg).partition
+    assert calls

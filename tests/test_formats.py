@@ -1,10 +1,14 @@
 """Input format parsers and canonical output documents."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
-from util import dfa_text
+from test_fuzz import CASES as FUZZ_CASES
+from test_fuzz import EXTENSIONS, mutate, seed_documents
+from util import dfa_text, labelled_mc, random_value, reference_load
 
 import bisimkit.coalgebra
 from bisimkit.cli import main
@@ -19,9 +23,10 @@ from bisimkit.formats import (
     tree_from_json,
     tree_to_json,
 )
+from bisimkit.functors import parse_functor
 from bisimkit.gen import GenSpec, generate
 from bisimkit.oracle import bisim_bruteforce
-from bisimkit.values import Label, TupleVal
+from bisimkit.values import DistVal, FunVal, InjVal, Label, SetVal, StateRef, TupleVal
 from bisimkit.wtree import audit_tree
 
 
@@ -180,6 +185,205 @@ def test_coalgebra_needs_values_or_compiled_form():
     with pytest.raises(ValueError):
         Coalgebra(made.functor, 3, None, CompiledForm(made.form.refs))
     assert Coalgebra(made.functor, 3, None, made.form) == made
+
+
+# -- decoding into the compiled form ------------------------------------------------
+
+VALUE_CLASSES = (StateRef, Label, TupleVal, InjVal, FunVal, SetVal, DistVal)
+
+
+def _aut_text(coalg):
+    """A ``P ({...} * X)`` coalgebra written as Aldebaran text."""
+    edges = [(x, m.items[0].name, m.items[1].index)
+             for x, v in enumerate(coalg.values) for m in v.members]
+    lines = [f"des (0, {len(edges)}, {coalg.n_states})"]
+    lines += [f'({x}, "{a}", {y})' for x, a, y in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _tsv_text(coalg):
+    """A ``D X`` coalgebra written as mc-tsv rows."""
+    rows = ["# src dst prob"]
+    rows += [f"{x} {y.index} {p.numerator}/{p.denominator}"
+             for x, v in enumerate(coalg.values) for y, p in v.entries]
+    return "\n".join(rows) + "\n"
+
+
+def _general_inputs(tmp_path):
+    """P/D inputs of every loader that decodes into the compiled form."""
+    lmdp = parse_functor("P ({a,b} * D X)")
+    rng = random.Random(4)
+    texts = {
+        "nfa.json": dump_coalgebra(generate(GenSpec("nfa", 30, seed=2))),
+        "lmc.json": dump_coalgebra(labelled_mc(30, 2)),
+        "lmdp.json": dump_coalgebra(
+            Coalgebra.make(lmdp, [random_value(lmdp, rng, 30) for _ in range(30)])),
+        "lts.aut": _aut_text(generate(GenSpec("lts", 30, seed=2))),
+        "mc.tsv": _tsv_text(generate(GenSpec("mc", 30, seed=2))),
+    }
+    return {name: write(tmp_path, name, text) for name, text in texts.items()}
+
+
+def test_minimize_general_inputs_build_no_values_and_hash_no_fraction(tmp_path, monkeypatch):
+    paths = _general_inputs(tmp_path)
+    built, hashed = [], []
+    for cls in VALUE_CLASSES:
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    fraction_hash = Fraction.__hash__
+
+    def spy_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", spy_hash)
+    for name, path in paths.items():
+        for args in (["--audit", "--tree-out", "-"], ["--algo", "naive"]):
+            res = CliRunner().invoke(main, ["minimize", path, *args])
+            assert res.exit_code == 0, (name, res.output)
+            assert built == [] and hashed == [], (name, args)
+    # the oracle reads values, so compare decodes them: the spy sees it
+    for name, path in paths.items():
+        res = CliRunner().invoke(main, ["compare", path])
+        assert res.exit_code == 0, (name, res.output)
+        assert built, name
+        built.clear()
+
+
+def _outcome(load):
+    """A loader's coalgebra, or its error message."""
+    try:
+        return load()
+    except FormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("fmt", ["coalg-json", "aut", "mc-tsv"])
+def test_loaders_agree_with_the_value_reference_on_fuzzed_inputs(tmp_path, fmt):
+    # the fuzzer's own mutations, in its order: each is rejected by both
+    # with one message, or accepted by both with one coalgebra
+    rng = random.Random(list(EXTENSIONS).index(fmt))
+    docs = seed_documents(fmt, rng)
+    path = tmp_path / ("case" + EXTENSIONS[fmt])
+    accepted = 0
+    for _ in range(FUZZ_CASES):
+        path.write_text(mutate(rng.choice(docs), rng), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        got = _outcome(lambda: load_coalgebra(str(path), fmt))
+        want = _outcome(lambda: reference_load(fmt, text))
+        if isinstance(want, str):
+            assert got == want, text[:300]
+            continue
+        accepted += 1
+        assert isinstance(got, Coalgebra), (got, text[:300])
+        assert got == want
+        assert got.form == want.form
+        assert build_pred_index(SignatureEvaluator(got)) == build_pred_index(SignatureEvaluator(want))
+    assert 0 < accepted < FUZZ_CASES
+
+
+def _doc(functor, *values):
+    return json.dumps({"functor": functor, "states": len(values), "c": list(values)})
+
+
+def _x(i):
+    return {"x": i}
+
+
+EDGE_DOCUMENTS = [
+    # zero entries are dropped before validation, whatever their value
+    _doc("D X", {"dist": [[_x(0), "0"], [_x(1), "1"]]}, {"dist": [[_x(0), 1]]}),
+    _doc("D X", {"dist": [[_x(99), "0/5"], [_x(0), "1"]]}),
+    _doc("D X", {"dist": [[["a"], 0], [_x(0), "1/1"]]}),
+    # other literals, equal entries merged, unreduced and spaced fractions
+    _doc("D X", {"dist": [[_x(0), "0.25"], [_x(1), " 3/4"]]}, {"dist": [[_x(1), "1"]]}),
+    _doc("D X", {"dist": [[_x(0), True]]}),
+    _doc("D X", {"dist": [[_x(0), "1/4"], [_x(0), "2/8"], [_x(1), "2/4"]]},
+         {"dist": [[_x(1), "2/4"], [_x(1), "2/4"]]}),
+    _doc("D X", {"dist": [[_x(0), "3/2"]]}, {"dist": [[_x(0), "1"]]}),
+    _doc("D X", {"dist": [[_x(0), "3/2"], [_x(1), "-1/2"]]}),
+    _doc("D X", {"dist": [[_x(0), "1/3"], [_x(1), "1/3"]]}, {"dist": [[_x(0), "1"]]}),
+    _doc("D X", {"dist": [[_x(0), "1/" + "1" * 4301]]}),
+    _doc("D X", {"dist": [[_x(0), "1e-3"]]}),
+    _doc("D X", {"dist": [[_x(0), "1/0"]]}),
+    _doc("D X", {"dist": []}),
+    # members deduplicated and sorted, extra keys ignored, precedence kept
+    _doc("P X", {"set": [_x(2), _x(0), _x(2)]}, {"set": [], "dist": []}, {"set": [{"x": 1, "set": []}]}),
+    _doc("D X", {"set": [], "dist": [[_x(0), "1"]]}),
+    _doc("P X", {"set": [{"x": True}]}),
+    _doc("P X", {"set": [_x(3)]}),
+    _doc("P ({a,b} * D X)",
+         {"set": [["a", {"dist": [[_x(0), "1/2"], [_x(0), "1/2"]]}], ["a", {"dist": [[_x(0), "1"]]}]]},
+         {"set": [["b", {"dist": [[_x(1), "2/3"], [_x(0), "1/3"]]}],
+                  ["b", {"dist": [[_x(1), "1/3"], [_x(0), "2/3"]]}], ["a", {"dist": [[_x(2), 1]]}]]},
+         {"set": []}),
+    _doc("P ({a,b} * D X)", {"set": [["c", {"dist": [[_x(0), 1]]}]]}),
+    _doc("P D X", {"set": [{"dist": [[_x(0), "3/4"], [_x(1), "1/4"]]},
+                           {"dist": [[_x(0), "1/4"], [_x(1), "3/4"]]}]}, {"set": []}),
+    # sums, exponents in any label order, and their faults
+    _doc("P X + D (X * X)", {"inj": 1, "val": {"dist": [[[_x(0), _x(1)], "1/2"], [[_x(0), _x(1)], "1/2"]]}},
+         {"inj": 0, "val": {"set": [_x(1)]}, "extra": 1}),
+    _doc("P X + D (X * X)", {"inj": 2, "val": {"set": []}}),
+    _doc("P X + D (X * X)", {"inj": True, "val": {"set": []}}),
+    _doc("P X + D (X * X)", {"inj": 0}),
+    _doc("(P X) ^ {b,a}", {"fun": {"b": {"set": [_x(0)]}, "a": {"set": []}}}),
+    _doc("(P X) ^ {b,a}", {"fun": {"b": {"set": [_x(0)]}, "c": {"set": []}}}),
+    _doc("(P X) ^ {b,a}", {"fun": {"b": {"set": [_x(0)]}}}),
+    _doc("(P X) ^ {b,a}", {"x": 0, "fun": {"b": {"set": []}, "a": {"set": []}}}),
+    _doc("{0,1} * P X", ["1", {"set": []}], ["2", {"set": []}]),
+    _doc("{0,1} * P X", ["1", {"set": []}, "extra"]),
+    # the document around the values
+    json.dumps({"functor": "P X", "states": True, "c": [{"set": []}]}),
+    json.dumps({"functor": "P X", "states": 2, "c": [{"set": []}]}),
+    json.dumps({"functor": "P X +", "states": 1, "c": [{"set": []}]}),
+    json.dumps({"functor": "P X", "states": 1, "c": [{"bogus": []}, {"set": []}]}),
+    json.dumps({"functor": "P X", "c": [{"set": []}]}),
+    json.dumps([1]),
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
+def test_coalg_json_edge_documents_load_as_the_reference_does(tmp_path, doc):
+    got = _outcome(lambda: load_coalgebra(write(tmp_path, "c.json", doc)))
+    want = _outcome(lambda: reference_load("coalg-json", doc))
+    assert got == want
+    if isinstance(want, Coalgebra):
+        assert got.form == want.form
+
+
+DEEP = 5000
+
+
+@pytest.mark.parametrize("doc", [
+    # a functor past the parser's recursion, with a value that fits it
+    '{"functor": "' + "P " * DEEP + 'X", "states": 1, "c": [{"set": []}]}',
+    '{"functor": "' + "(" * DEEP + "X" + ")" * DEEP + '", "states": 1, "c": [{"x": 0}]}',
+    # a value past the value codec's recursion, under a shallow functor
+    '{"functor": "P X", "states": 1, "c": [' + "[" * 900 + "]" * 900 + "]}",
+    '{"functor": "P X", "states": 1, "c": [' + '{"set": [' * 900 + "]}" * 900 + "]}",
+    # a document past the JSON decoder's recursion
+    '{"functor": "P X", "states": 1, "c": [' + "[" * DEEP + "]" * DEEP + "]}",
+])
+def test_deep_nesting_exits_2(tmp_path, doc):
+    path = write(tmp_path, "deep.json", doc)
+    res = CliRunner().invoke(main, ["minimize", path])
+    assert res.exit_code == 2
+    assert res.output == "error: input nested too deeply\n"
+
+
+def test_nesting_the_functor_allows_is_decoded(tmp_path):
+    depth = 200
+    doc = ('{"functor": "' + "P " * depth + 'X", "states": 2, "c": ['
+           + '{"set": [' * depth + '{"x": 1}' + "]}" * depth + ", "
+           + '{"set": [' * depth + '{"x": 0}' + "]}" * depth + "]}")
+    path = write(tmp_path, "deep.json", doc)
+    c = load_coalgebra(path)
+    assert c == reference_load("coalg-json", doc)
+    assert c.form.code[0] == (1,) * depth
+    assert refine_naive(c).partition.blocks == ((0, 1),)
 
 
 # -- aut -------------------------------------------------------------------------

@@ -6,7 +6,9 @@ The benchmark's tracer times ``engine.mark_dirty``,
 those names from outside the program; a split's signatures are computed in
 ``engine.split_leaf``.  Inlining one of them into its caller would leave
 the program correct and zero that layer's metric without a word, so these
-tests count the calls through each name.
+tests count the calls through each name.  A coalgebra JSON document goes
+through the two value names only when the direct decoder leaves it to the
+reference decoding, as it does every rejected document.
 
 A naive sweep computes every state's key in one call of
 ``SignatureEvaluator.sweep_keys``.  The tracer does not wrap that name yet,
@@ -15,6 +17,7 @@ keeps the work behind the one name a tracer can wrap.
 """
 
 import gc
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -25,7 +28,7 @@ import bisimkit.cli as cli
 from bisimkit import coalgebra, engine
 from bisimkit.coalgebra import SignatureEvaluator
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
-from bisimkit.formats import dump_coalgebra, load_coalgebra
+from bisimkit.formats import FormatError, dump_coalgebra, load_coalgebra
 from bisimkit.gen import GenSpec, generate
 
 FAMILIES = ("dfa", "chain", "lts")
@@ -102,15 +105,38 @@ def test_minimize_audit_goes_through_cli_audit_tree(monkeypatch, tmp_path):
     assert calls == {"audit_tree": 1}
 
 
+def _first_ref_out_of_range(obj, n):
+    """A copy of JSON value ``obj`` with its first state reference set to n,
+    or None when it has none."""
+    if isinstance(obj, dict) and isinstance(obj.get("x"), int):
+        return {**obj, "x": n}
+    items = list(obj.items()) if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        bad = _first_ref_out_of_range(v, n)
+        if bad is not None:
+            copy = dict(obj) if isinstance(obj, dict) else list(obj)
+            copy[k] = bad
+            return copy
+    return None
+
+
 @pytest.mark.parametrize("family", ["nfa", "mdp", "lmc"])
 def test_coalg_json_load_goes_through_the_traced_value_names(monkeypatch, tmp_path, family):
     # values.from_obj_s and values.validate_s time exactly these two names,
-    # once per state; the walkers' own recursion is not counted
+    # once per state, on the reference decoding, which decides the documents
+    # the direct decoder does not accept; a valid document calls neither
     coalg = labelled_mc(12, 3) if family == "lmc" else generate(GenSpec(family, 12, seed=3))
-    path = tmp_path / "in.json"
-    path.write_text(dump_coalgebra(coalg), encoding="utf-8")
+    doc = json.loads(dump_coalgebra(coalg))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc), encoding="utf-8")
+    # the last state refers past the state count
+    doc["c"][-1] = next(filter(None, (_first_ref_out_of_range(v, 12) for v in doc["c"])))
+    bad.write_text(json.dumps(doc), encoding="utf-8")
     calls = {}
     for name in ("value_from_obj", "validate_value"):
         monkeypatch.setattr(coalgebra, name, counting(calls, name, getattr(coalgebra, name)))
-    assert load_coalgebra(str(path)) == coalg
+    assert load_coalgebra(str(good)) == coalg
+    assert calls == {}
+    with pytest.raises(FormatError, match=r"^state 11: state 12 out of range \[0, 12\)$"):
+        load_coalgebra(str(bad))
     assert calls == {"value_from_obj": 12, "validate_value": 12}

@@ -1,10 +1,12 @@
 """Shared test helpers: seeded random weighted trees, a reference tree audit,
 a reference brute-force oracle, reference value walkers, old-form tree
 documents, a labelled Markov chain family, random values of any functor,
-DFAs written as dfa-text."""
+DFAs written as dfa-text, reference loaders that build values."""
 
+import io
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -584,3 +586,114 @@ def dfa_text(coalg):
         succs = (dict(fun.entries)[a].index for a in default_letters(k))
         lines.append(" ".join([bit.name, *map(str, succs)]))
     return "\n".join(lines) + "\n"
+
+
+# -- reference loaders ------------------------------------------------------------
+#
+# The coalg-json, aut and mc-tsv loaders as they were before they decoded
+# into the compiled form: every value built, then validated by
+# Coalgebra.make.  Each returns the coalgebra or raises the loader's
+# FormatError.
+
+
+def reference_load(fmt, text):
+    from bisimkit import formats
+
+    loader = {"coalg-json": _reference_coalg_json, "aut": _reference_aut,
+              "mc-tsv": _reference_mc_tsv}[fmt]
+    return loader(formats, text)
+
+
+def _reference_coalg_json(formats, text):
+    from bisimkit.coalgebra import coalgebra_from_obj
+    from bisimkit.functors import FunctorSyntaxError
+
+    obj = formats._json_loads(text)
+    try:
+        return coalgebra_from_obj(obj)
+    except (InvalidValueError, FunctorSyntaxError) as e:
+        raise formats.FormatError(str(e)) from None
+    except RecursionError:
+        raise formats.FormatError("input nested too deeply") from None
+
+
+_AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+_AUT_EDGE = re.compile(r"\(\s*(\d+)\s*,\s*(\"[^\"]*\"|[^,]+?)\s*,\s*(\d+)\s*\)\s*$")
+
+
+def _reference_aut(formats, text):
+    FormatError = formats.FormatError
+    lines = [(i + 1, line.strip()) for i, line in enumerate(io.StringIO(text)) if line.strip()]
+    if not lines:
+        raise FormatError("empty aut file")
+    lineno, header = lines[0]
+    m = _AUT_HEADER.match(header)
+    if not m:
+        raise FormatError("header must be 'des (first, transitions, states)'", lineno)
+    first, n_edges, n = (formats._aut_int(m.group(i), lineno) for i in (1, 2, 3))
+    if n < 1:
+        raise FormatError("state count must be positive", lineno)
+    if n > formats.AUT_MAX_STATES:
+        raise FormatError(f"{n} states exceed the limit of {formats.AUT_MAX_STATES}", lineno)
+    if first >= n:
+        raise FormatError("initial state out of range", lineno)
+    if len(lines) - 1 != n_edges:
+        raise FormatError(f"header promises {n_edges} transitions, found {len(lines) - 1}", lineno)
+    edges, labels = [], set()
+    for lineno, line in lines[1:]:
+        m = _AUT_EDGE.match(line)
+        if not m:
+            raise FormatError(f"bad transition {line!r}", lineno)
+        src, dst = formats._aut_int(m.group(1), lineno), formats._aut_int(m.group(3), lineno)
+        label = m.group(2)
+        if label.startswith('"'):
+            label = label[1:-1]
+        if not label:
+            raise FormatError("empty transition label", lineno)
+        if src >= n or dst >= n:
+            raise FormatError(f"state out of range in {line!r}", lineno)
+        labels.add(label)
+        edges.append((src, label, dst))
+    alphabet = tuple(sorted(labels)) if labels else ("tau",)
+    functor = Powerset(Product((ConstSet(alphabet), Identity())))
+    per_state = [[] for _ in range(n)]
+    for src, label, dst in edges:
+        per_state[src].append(TupleVal((Label(label), StateRef(dst))))
+    return Coalgebra.make(functor, [SetVal(tuple(v)) for v in per_state])
+
+
+def _reference_mc_tsv(formats, text):
+    FormatError = formats.FormatError
+    rows, max_state = [], -1
+    for i, line in enumerate(io.StringIO(text)):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise FormatError("expected 'src dst num/den'", i + 1)
+        try:
+            src, dst = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FormatError("state ids must be integers", i + 1) from None
+        try:
+            prob = parse_probability(fields[2])
+        except InvalidValueError as e:
+            raise FormatError(str(e), i + 1) from None
+        if src < 0 or dst < 0:
+            raise FormatError("state ids must be nonnegative", i + 1)
+        if prob == 0:
+            raise FormatError("probability must be positive", i + 1)
+        rows.append((src, dst, prob))
+        max_state = max(max_state, src, dst)
+    if max_state < 0:
+        raise FormatError("empty chain file")
+    n = max_state + 1
+    if n > len(rows):
+        raise FormatError(f"{n} states but {len(rows)} rows: some state has no outgoing row")
+    per_state = [[] for _ in range(n)]
+    for src, dst, prob in rows:
+        per_state[src].append((StateRef(dst), prob))
+    try:
+        return Coalgebra.make(Distribution(Identity()), [DistVal(tuple(e)) for e in per_state])
+    except InvalidValueError as e:
+        raise FormatError(str(e)) from None
