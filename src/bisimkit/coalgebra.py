@@ -8,7 +8,8 @@ and integer masses per distribution layer).  The functor supplies the
 nesting, so the code and the refs decode back to the value.  A coalgebra
 built from values compiles them by one walk on first read of its form; the
 loaders build the form alone, and the values are decoded from it on first
-read.
+read.  The code of a set or a distribution is written by :func:`_set_code`
+and :func:`_dist_code` alone, for the walk and for every loader.
 
 Also houses the predecessor index (who can see whom in one step) and the
 signature evaluator used by the refinement algorithms; both read the
@@ -43,6 +44,7 @@ from .functors import (
     render_functor,
 )
 from .values import (
+    _TOO_MANY_DIGITS,
     DistVal,
     FValue,
     FunVal,
@@ -222,15 +224,13 @@ def _walk(v: FValue, refs: list[int], key: list) -> None:
     elif t is Label:
         key.append(v.name)
     elif t is SetVal:
-        key.append(len(v.members))
-        for m in v.members:
-            _walk(m, refs, key)
+        # members and entries are in canonical order, so their places are keys
+        _set_code([(i, *_parts(m)) for i, m in enumerate(v.members)], key, refs)
     elif t is DistVal:
-        key.append(len(v.entries))
-        den = lcm(*[p.denominator for _, p in v.entries])
-        for x, p in v.entries:
-            key.append(p.numerator * (den // p.denominator))
-            _walk(x, refs, key)
+        entries = [(i, *_parts(x), p.numerator, p.denominator)
+                   for i, (x, p) in enumerate(v.entries)]
+        if _dist_code(entries, key, refs) is None:
+            raise InvalidValueError(f"not a distribution: {v!r}")
     elif t is FunVal:
         for _, x in v.entries:
             _walk(x, refs, key)
@@ -239,6 +239,68 @@ def _walk(v: FValue, refs: list[int], key: list) -> None:
         _walk(v.value, refs, key)
     else:
         raise TypeError(f"not a value: {v!r}")
+
+
+def _parts(v: FValue) -> tuple[list, list[int]]:
+    """The code and the refs of ``v`` on their own."""
+    refs: list[int] = []
+    key: list = []
+    _walk(v, refs, key)
+    return key, refs
+
+
+# Members and entries come to these two as (key, code, refs) items, the keys
+# ordering and equating them as values.structure_key does.
+
+
+def _set_code(members: list, code: list, refs: list) -> list:
+    """Append a set of ``members`` to ``code`` and ``refs``: the count of
+    distinct keys, then each member's code and refs in order of key, equal
+    keys once.  Returns the kept keys."""
+    # sorted, then equal neighbours dropped: keys may hold Fractions, which
+    # are compared here but never hashed
+    members.sort(key=itemgetter(0))
+    kept = [m for i, m in enumerate(members) if not i or members[i - 1][0] != m[0]]
+    code.append(len(kept))
+    for _, c, r in kept:
+        code.extend(c)
+        refs.extend(r)
+    return [k for k, _, _ in kept]
+
+
+def _dist_code(entries: list, code: list, refs: list) -> Optional[list]:
+    """Append a distribution to ``code`` and ``refs``, its ``entries``
+    items (key, code, refs, num, den) of probability num/den > 0: the count
+    of distinct keys, then in order of key each merged entry's mass over the
+    least common denominator, code and refs.  Returns the merged entries'
+    (key, mass) pairs, the masses summing to that denominator; or None,
+    appending nothing, when the probabilities do not sum to 1 or their
+    denominators have a common multiple of more than 4300 digits."""
+    den = 1
+    for e in entries:
+        den = lcm(den, e[4])
+        if den >= _TOO_MANY_DIGITS:
+            return None
+    entries.sort(key=itemgetter(0))
+    merged: list[list] = []  # [key, code, refs, mass over den]
+    for k, c, r, num, d in entries:
+        mass = num * (den // d)
+        if merged and merged[-1][0] == k:
+            merged[-1][3] += mass
+        else:
+            merged.append([k, c, r, mass])
+    if sum([e[3] for e in merged]) != den:
+        return None
+    # the masses sum to den, so their gcd divides it: reduced, they are the
+    # masses over the least common denominator
+    g = gcd(*[e[3] for e in merged])
+    code.append(len(merged))
+    for e in merged:
+        e[3] //= g
+        code.append(e[3])
+        code.extend(e[1])
+        refs.extend(e[2])
+    return [(e[0], e[3]) for e in merged]
 
 
 def _compile(values: Sequence[FValue], rigid: bool) -> CompiledForm:
@@ -291,16 +353,10 @@ def _dist_key(entries) -> frozenset:
     """A distribution's key from its (key, mass) entries: the masses summed
     per key and divided by their gcd.  A distribution's masses sum to its
     denominator, so the reduced masses alone fix the probabilities."""
-    entries = list(entries)
-    if len(dict(entries)) == len(entries):
-        # no two entries share a key: the masses are the code's, coprime
-        return frozenset(entries)
     acc: dict = {}
     for k, mass in entries:
         acc[k] = acc[k] + mass if k in acc else mass
     g = gcd(*acc.values())
-    if g == 1:
-        return frozenset(acc.items())
     return frozenset([(k, mass // g) for k, mass in acc.items()])
 
 
@@ -341,9 +397,6 @@ def _state_key(expr: FunctorExpr) -> _StateKey:
     if t is Product or t is Exponent:
         parts = ([_state_key(f) for f in expr.factors] if t is Product
                  else [_state_key(expr.base)] * len(expr.labels))
-        if len(parts) == 2:  # a pair, as a DFA or a labelled chain has
-            first, second = parts
-            return lambda code, refs, get: (first(code, refs, get), second(code, refs, get))
         return lambda code, refs, get: tuple([part(code, refs, get) for part in parts])
     if t is Coproduct:
         summands = [_state_key(s) for s in expr.summands]
@@ -368,14 +421,11 @@ def _state_key(expr: FunctorExpr) -> _StateKey:
         )
     if t is Distribution:
         if type(expr.inner) is Identity:
-            def point_masses(code, refs, get):
+            def masses(code, refs, get):
                 c = next(code)
-                if c == 1:  # a point mass, whose one mass is 1
-                    next(code)
-                    return frozenset(((get(next(refs)), 1),))
                 return _dist_key(zip(map(get, islice(refs, c)), islice(code, c)))
 
-            return point_masses
+            return masses
         inner = _state_key(expr.inner)
 
         def distribution(code, refs, get):

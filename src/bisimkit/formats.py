@@ -22,7 +22,8 @@ Input formats
 Every input loads into the compiled form (``coalgebra.CompiledForm``)
 without building values: its code holds each state's labels, member
 counts and integer masses, in the order and with the merges the values
-would have.
+would have, sets and distributions written by the same two functions that
+compile values (``coalgebra._set_code`` and ``coalgebra._dist_code``).
 
 Output documents
   partition   {"blocks": [[...], ...]}: sorted blocks, ordered by smallest
@@ -46,11 +47,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from operator import itemgetter
 from typing import Optional, TextIO
 
-from .coalgebra import Coalgebra, CompiledForm, coalgebra_from_obj, coalgebra_to_obj
+from .coalgebra import (
+    Coalgebra,
+    CompiledForm,
+    _dist_code,
+    _set_code,
+    coalgebra_from_obj,
+    coalgebra_to_obj,
+)
 from .engine import Partition, RefinementTree
 from .functors import (
     ConstSet,
@@ -67,10 +73,10 @@ from .functors import (
     parse_functor,
 )
 from .values import (
-    _TOO_MANY_DIGITS,
     DistVal,
     InvalidValueError,
     StateRef,
+    _value_encoding,
     probability_ratio,
 )
 from .wtree import WeightedTree
@@ -188,18 +194,10 @@ def _decode_coalgebra(obj) -> Coalgebra:
     return Coalgebra.from_form(functor, CompiledForm.of(refs, codes, is_rigid(functor)))
 
 
-# how value_from_obj reads a JSON object: by the first of these keys it has
-_ENCODINGS = ("x", "inj", "fun", "set", "dist")
-
-
 def _payload(obj, key: str):
     """``obj[key]`` when ``value_from_obj`` reads JSON ``obj`` by ``key``,
     else None (as when ``obj`` maps ``key`` to null)."""
-    if type(obj) is dict:
-        for k in _ENCODINGS:
-            if k in obj:
-                return obj[k] if k == key else None
-    return None
+    return obj[key] if type(obj) is dict and _value_encoding(obj) == key else None
 
 
 def _value_decoder(expr: FunctorExpr, n: int, keyed: bool):
@@ -268,23 +266,9 @@ def _value_decoder(expr: FunctorExpr, n: int, keyed: bool):
 
 
 def _set_decoder(expr: Powerset, n: int):
-    """:func:`_value_decoder` of a powerset: members sorted by key, equal
-    ones dropped; its key is the tuple of its members' keys."""
+    """:func:`_value_decoder` of a powerset, written by ``_set_code``; its
+    key is the tuple of its members' keys."""
     member = _value_decoder(expr.inner, n, True)
-    if type(expr.inner) is Identity:
-        def states(obj, code, refs):
-            members = _payload(obj, "set")
-            if type(members) is not list:
-                raise _Decline
-            found: list[int] = []
-            for m in members:
-                member(m, code, found)
-            found = sorted(set(found))
-            code.append(len(found))
-            refs.extend(found)
-            return tuple(found)
-
-        return states
 
     def members(obj, code, refs):
         items = _payload(obj, "set")
@@ -295,23 +279,14 @@ def _set_decoder(expr: Powerset, n: int):
             c: list = []
             r: list[int] = []
             decoded.append((member(m, c, r), c, r))
-        # sorted, then equal neighbours dropped: keys may hold Fractions,
-        # which are compared here but never hashed
-        decoded.sort(key=itemgetter(0))
-        kept = [e for i, e in enumerate(decoded) if not i or decoded[i - 1][0] != e[0]]
-        code.append(len(kept))
-        for _, c, r in kept:
-            code.extend(c)
-            refs.extend(r)
-        return tuple([k for k, _, _ in kept])
+        return tuple(_set_code(decoded, code, refs))
 
     return members
 
 
 def _distribution_decoder(expr: Distribution, n: int, keyed: bool):
-    """:func:`_value_decoder` of a distribution: entries of one key merged,
-    in order of key, each led by its mass over the least common
-    denominator; its key is the tuple of (entry key, probability) pairs."""
+    """:func:`_value_decoder` of a distribution, written by ``_dist_code``;
+    its key is the tuple of (entry key, probability) pairs."""
     entry = _value_decoder(expr.inner, n, True)
     ratios: dict[str, tuple[int, int]] = {}  # each literal read once per document
 
@@ -320,7 +295,6 @@ def _distribution_decoder(expr: Distribution, n: int, keyed: bool):
         if type(pairs) is not list:
             raise _Decline
         decoded = []
-        den = 1
         for pair in pairs:
             if type(pair) is not list or len(pair) != 2:
                 raise _Decline
@@ -333,34 +307,17 @@ def _distribution_decoder(expr: Distribution, n: int, keyed: bool):
                     raise _Decline from None
                 if type(p) is str:
                     ratios[p] = ratio
-            den = lcm(den, ratio[1])
-            if ratio[0] == 0 or den >= _TOO_MANY_DIGITS:
+            if ratio[0] == 0:
                 raise _Decline
             c: list = []
             r: list[int] = []
-            decoded.append((entry(pair[0], c, r), c, r, ratio))
-        # sorted, then equal neighbours merged: keys may hold Fractions,
-        # which are compared here but never hashed
-        decoded.sort(key=itemgetter(0))
-        merged: list[list] = []  # [key, code, refs, mass over den]
-        for k, c, r, (num, d) in decoded:
-            mass = num * (den // d)
-            if merged and merged[-1][0] == k:
-                merged[-1][3] += mass
-            else:
-                merged.append([k, c, r, mass])
-        if sum(e[3] for e in merged) != den:
+            decoded.append((entry(pair[0], c, r), c, r, *ratio))
+        merged = _dist_code(decoded, code, refs)
+        if merged is None:
             raise _Decline
-        # the masses sum to den, so their gcd divides it: reduced, they are
-        # the masses over the least common denominator
-        g = gcd(*[e[3] for e in merged])
-        code.append(len(merged))
-        for _, c, r, mass in merged:
-            code.append(mass // g)
-            code.extend(c)
-            refs.extend(r)
         if keyed:
-            return tuple([(k, Fraction(mass, den)) for k, _, _, mass in merged])
+            den = sum([mass for _, mass in merged])
+            return tuple([(k, Fraction(mass, den)) for k, mass in merged])
         return None
 
     return distribution
@@ -481,17 +438,18 @@ def _load_aut(stream: TextIO) -> Coalgebra:
     # a transitionless system still needs a nonempty action alphabet
     alphabet = tuple(sorted(labels)) if labels else ("tau",)
     functor = Powerset(Product((ConstSet(alphabet), Identity())))
-    per_state: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    per_state: list[list] = [[] for _ in range(n)]
     for src, label, dst in edges:
-        per_state[src].append((label, dst))
+        per_state[src].append(((label, dst), (label,), (dst,)))
     # a state's code is its member count and the members' labels, its refs
-    # their targets, members sorted by (label, target) as the values are
+    # their targets, members in order of (label, target) as the values are
     codes, refs = [], []
     for out in per_state:
-        out = sorted(set(out))
-        names, targets = zip(*out) if out else ((), ())
-        codes.append((len(out), *names))
-        refs.append(targets)
+        c: list = []
+        r: list[int] = []
+        _set_code(out, c, r)
+        codes.append(tuple(c))
+        refs.append(tuple(r))
     return Coalgebra.from_form(functor, CompiledForm(refs, code=codes))
 
 
@@ -531,16 +489,12 @@ def _load_mc_tsv(stream: TextIO) -> Coalgebra:
     # order, over the least common denominator of its probabilities
     codes, refs = [], []
     for entries in per_state:
-        den = lcm(*[d for _, _, d in entries])
-        mass: dict[int, int] = {}
-        for dst, num, d in entries:
-            mass[dst] = mass.get(dst, 0) + num * (den // d)
-        if sum(mass.values()) != den or den >= _TOO_MANY_DIGITS:
+        c: list = []
+        r: list[int] = []
+        if _dist_code([(dst, (), (dst,), num, den) for dst, num, den in entries], c, r) is None:
             return _mc_from_values(per_state)
-        g = gcd(*mass.values())
-        targets = sorted(mass)
-        codes.append((len(targets), *[mass[y] // g for y in targets]))
-        refs.append(tuple(targets))
+        codes.append(tuple(c))
+        refs.append(tuple(r))
     return Coalgebra.from_form(Distribution(Identity()), CompiledForm(refs, code=codes))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .functors import (
     ConstSet,
@@ -343,29 +343,40 @@ def parse_probability(text) -> Fraction:
     return Fraction(*probability_ratio(text))
 
 
+# the keys a JSON object may encode a value by, in the order they are looked for
+_ENCODINGS = ("x", "inj", "fun", "set", "dist")
+
+
+def _value_encoding(obj: dict) -> Optional[str]:
+    """The key by which :func:`value_from_obj` reads JSON object ``obj``:
+    the first of ``_ENCODINGS`` it has, or None."""
+    return next((k for k in _ENCODINGS if k in obj), None)
+
+
 def value_from_obj(obj) -> FValue:
     """Decode the JSON form of a value; raises InvalidValueError on bad input."""
     t = type(obj)
     if t is dict:
-        if "x" in obj:
+        encoding = _value_encoding(obj)
+        if encoding == "x":
             if type(obj["x"]) is not int:
                 raise InvalidValueError(f"state reference must be an integer: {obj!r}")
             return StateRef(obj["x"])
-        if "inj" in obj:
+        if encoding == "inj":
             if type(obj["inj"]) is not int:
                 raise InvalidValueError(f"injection tag must be an integer: {obj!r}")
             if "val" not in obj:
                 raise InvalidValueError(f"injection needs a 'val': {obj!r}")
             return InjVal(obj["inj"], value_from_obj(obj["val"]))
-        if "fun" in obj:
+        if encoding == "fun":
             if type(obj["fun"]) is not dict:
                 raise InvalidValueError(f"'fun' must map labels to values: {obj!r}")
             return FunVal(tuple([(k, value_from_obj(x)) for k, x in obj["fun"].items()]))
-        if "set" in obj:
+        if encoding == "set":
             if type(obj["set"]) is not list:
                 raise InvalidValueError(f"'set' must be an array: {obj!r}")
             return SetVal(tuple([value_from_obj(m) for m in obj["set"]]))
-        if "dist" in obj:
+        if encoding == "dist":
             if type(obj["dist"]) is not list:
                 raise InvalidValueError(f"'dist' must be an array: {obj!r}")
             entries = []

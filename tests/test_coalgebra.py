@@ -200,13 +200,20 @@ NESTED_FUNCTORS = (
 
 def _key_inputs():
     """Coalgebras of every gen family, the labelled Markov chain and random
-    values of the nested functors."""
-    inputs = {fam: generate(GenSpec(fam, 24, seed=3)) for fam in FAMILIES}
-    inputs["labelled_mc"] = labelled_mc(24, 5)
+    values of the nested functors, each with labellings to try beside the
+    test's own.  Four small general gen coalgebras come with one labelling
+    of three blocks each, drawn in turn from one generator."""
+    inputs = {fam: (generate(GenSpec(fam, 24, seed=3)), []) for fam in FAMILIES}
+    inputs["labelled_mc"] = (labelled_mc(24, 5), [])
     for functor in NESTED_FUNCTORS:
         expr = parse_functor(functor)
         rng = random.Random(functor)
-        inputs[functor] = Coalgebra.make(expr, [random_value(expr, rng, 12) for _ in range(12)])
+        values = [random_value(expr, rng, 12) for _ in range(12)]
+        inputs[functor] = (Coalgebra.make(expr, values), [])
+    rng = random.Random(23)
+    for fam in ("nfa", "lts", "mc", "mdp"):
+        blocks = [rng.randrange(3) for _ in range(12)]
+        inputs[f"{fam} 12 states"] = (generate(GenSpec(fam, 12, seed=99)), [blocks])
     return inputs
 
 
@@ -217,10 +224,10 @@ KEY_INPUTS = _key_inputs()
 def test_compiled_keys_are_equal_exactly_when_signatures_are(name, seed=29):
     # under the all-zero labelling every distribution's entries merge into
     # one mass, which only the gcd reduction makes equal to a point mass
-    c = KEY_INPUTS[name]
+    c, extra = KEY_INPUTS[name]
     n = c.n_states
     rng = random.Random(seed)
-    labellings = [[0] * n] + [[rng.randrange(k) for _ in range(n)] for k in (2, 3, 5)]
+    labellings = [[0] * n] + [[rng.randrange(k) for _ in range(n)] for k in (2, 3, 5)] + extra
     verdicts = set()
     for blocks in labellings:
         ev = SignatureEvaluator(c)
