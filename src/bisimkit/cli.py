@@ -6,13 +6,12 @@ failure), 2 configuration or parse errors.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from contextlib import ExitStack
 from typing import NoReturn
-
-import click
 
 from .coalgebra import Coalgebra
 from .engine import WEIGHT_KINDS, RefineResult, _gc_paused, refine_hopcroft, refine_naive
@@ -40,22 +39,12 @@ STATS_COLUMNS = (
 COMPARE_ORACLE_STATES = 1000
 
 
-@click.group()
-@click.pass_context
-def main(ctx):
-    """Minimize finite state systems modulo bisimilarity."""
-    # load, compile, refine, audit and output all run with the cyclic
-    # garbage collector paused; the context restores the caller's setting
-    # however the command ends
-    ctx.with_resource(_gc_paused())
-
-
 def _echo(line: str, err: bool = False) -> None:
     """Write one line to stdout or stderr and flush.
 
-    Not ``click.echo``: it caches a wrapper per stream object, keyed
-    weakly but holding the stream, so every stream a caller redirects
-    into would stay alive for good.
+    The stream is looked up on each call and nothing keeps it, so a caller
+    that redirects ``sys.stdout`` or ``sys.stderr`` gets every line and can
+    drop the stream afterwards.
     """
     stream = sys.stderr if err else sys.stdout
     stream.write(line + "\n")
@@ -112,24 +101,6 @@ def _audit(tree: WeightedTree, weights, heavy):
         _fail(e, 1)
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--format", "fmt", default="auto", show_default=True,
-              type=click.Choice(("auto",) + FORMATS))
-@click.option("--algo", default="hopcroft", show_default=True,
-              type=click.Choice(("naive", "hopcroft")))
-@click.option("--weight", default=None, type=click.Choice(WEIGHT_KINDS),
-              help="Block weight for the hopcroft algorithm [default: card].")
-@click.option("--out", default="-", show_default=True,
-              help="Partition JSON destination ('-' for stdout).")
-@click.option("--audit", is_flag=True,
-              help="Emit the refinement tree and verify its weight bounds.")
-@click.option("--tree-out", default=None,
-              help="Refinement tree destination, with --audit "
-                   "[default: OUT.tree.json; ./refinement-tree.json when OUT is '-'].")
-@click.option("--stats", "want_stats", is_flag=True, help="Emit run counters.")
-@click.option("--stats-out", default=None,
-              help="Counters destination, with --stats [default: stderr].")
 def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, stats_out):
     """Minimize INPUT and write the partition as JSON."""
     if algo == "naive" and weight is not None:
@@ -172,10 +143,6 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         )
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--format", "fmt", default="auto", show_default=True,
-              type=click.Choice(("auto",) + FORMATS))
 def compare(input_path, fmt):
     """Run every algorithm on INPUT and check all results agree; the
     brute-force oracle joins on inputs of at most 1000 states."""
@@ -195,8 +162,6 @@ def compare(input_path, fmt):
     sys.exit(0 if ok else 1)
 
 
-@main.command("audit-tree")
-@click.argument("tree_path", metavar="TREEFILE")
 def audit_tree_cmd(tree_path):
     """Check the weight bounds of a refinement tree file."""
     try:
@@ -226,13 +191,6 @@ def audit_tree_cmd(tree_path):
     sys.exit(0 if report.all_ok() else 1)
 
 
-@main.command("gen")
-@click.option("--family", required=True, type=click.Choice(FAMILIES))
-@click.option("--states", "n_states", required=True, type=int)
-@click.option("--alphabet", default=2, show_default=True, type=int)
-@click.option("--branching", default=2, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--out", default="-", show_default=True)
 def gen_cmd(family, n_states, alphabet, branching, seed, out):
     """Emit a seeded random instance as coalgebra JSON."""
     try:
@@ -241,6 +199,71 @@ def gen_cmd(family, n_states, alphabet, branching, seed, out):
     except ValueError as e:
         _fail(e)
     _write_all([(out, dump_coalgebra(coalg))])
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every command; each subcommand stores its function as
+    ``run`` and its options under that function's parameter names."""
+    parser = argparse.ArgumentParser(
+        prog="bisimkit", description="Minimize finite state systems modulo bisimilarity.",
+        allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    default = "[default: %(default)s]"
+
+    def command(name, run):
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    add = command("minimize", minimize)
+    add("input_path", metavar="INPUT")
+    add("--format", dest="fmt", default="auto", choices=("auto",) + FORMATS, help=default)
+    add("--algo", default="hopcroft", choices=("naive", "hopcroft"), help=default)
+    add("--weight", choices=WEIGHT_KINDS,
+        help="Block weight for the hopcroft algorithm [default: card].")
+    add("--out", default="-", help="Partition JSON destination ('-' for stdout). " + default)
+    add("--audit", action="store_true",
+        help="Emit the refinement tree and verify its weight bounds.")
+    add("--tree-out", help="Refinement tree destination, with --audit "
+                           "[default: OUT.tree.json; ./refinement-tree.json when OUT is '-'].")
+    add("--stats", dest="want_stats", action="store_true", help="Emit run counters.")
+    add("--stats-out", help="Counters destination, with --stats [default: stderr].")
+
+    add = command("compare", compare)
+    add("input_path", metavar="INPUT")
+    add("--format", dest="fmt", default="auto", choices=("auto",) + FORMATS, help=default)
+
+    command("audit-tree", audit_tree_cmd)("tree_path", metavar="TREEFILE")
+
+    add = command("gen", gen_cmd)
+    add("--family", required=True, choices=FAMILIES)
+    add("--states", dest="n_states", required=True, type=int)
+    add("--alphabet", default=2, type=int, help=default)
+    add("--branching", default=2, type=int, help=default)
+    add("--seed", default=0, type=int, help=default)
+    add("--out", default="-", help=default)
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(argv=None, standalone_mode=True) -> NoReturn:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names, and exit.
+
+    Every outcome ends in ``SystemExit``: 0 on success or after ``--help``,
+    a command's own 1 or 2, or 2 with a usage and an error line for argv
+    the parser rejects; only a crash raises anything else.  So
+    ``standalone_mode``, kept for callers that pass it, changes nothing.
+    """
+    # parse, load, compile, refine, audit and output all run with the cyclic
+    # garbage collector paused; the context restores the caller's setting
+    # however the command ends
+    with _gc_paused():
+        args = vars(_PARSER.parse_args(argv))
+        args.pop("run")(**args)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

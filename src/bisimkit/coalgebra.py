@@ -330,15 +330,16 @@ def _decode(expr: FunctorExpr, key: Iterator, refs: Iterator[int]) -> FValue:
         return InjVal(tag, _decode(expr.summands[tag], key, refs))
     if isinstance(expr, Exponent):
         return FunVal(tuple((a, _decode(expr.base, key, refs)) for a in sorted(expr.labels)))
+    # a code holds sets and distributions in canonical order, merged
     if isinstance(expr, Powerset):
-        return SetVal(tuple([_decode(expr.inner, key, refs) for _ in range(next(key))]))
+        return SetVal.canonical(tuple([_decode(expr.inner, key, refs) for _ in range(next(key))]))
     if isinstance(expr, Distribution):
         entries = []
         for _ in range(next(key)):
             mass = next(key)
             entries.append((_decode(expr.inner, key, refs), mass))
         den = sum(mass for _, mass in entries)
-        return DistVal(tuple([(x, Fraction(mass, den)) for x, mass in entries]))
+        return DistVal.canonical(tuple([(x, Fraction(mass, den)) for x, mass in entries]))
     raise TypeError(f"not a functor expression: {expr!r}")
 
 

@@ -121,6 +121,14 @@ class SetVal:
         ordered = tuple([keyed[k] for k in sorted(keyed)])
         object.__setattr__(self, "members", ordered)
 
+    @classmethod
+    def canonical(cls, members: tuple["FValue", ...]) -> "SetVal":
+        """The set of ``members``, which are distinct and in order of
+        ``structure_key`` already: kept as given, not sorted again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "members", members)
+        return v
+
 
 @dataclass(frozen=True)
 class DistVal:
@@ -140,6 +148,15 @@ class DistVal:
             vals[k] = v
         ordered = tuple([(vals[k], acc[k]) for k in sorted(acc)])
         object.__setattr__(self, "entries", ordered)
+
+    @classmethod
+    def canonical(cls, entries: tuple[tuple["FValue", Fraction], ...]) -> "DistVal":
+        """The distribution of ``entries``, whose values are distinct and in
+        order of ``structure_key`` already and whose probabilities are
+        positive ``Fraction``s: kept as given, not merged again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", entries)
+        return v
 
     def total(self) -> Fraction:
         ps = [p for _, p in self.entries]

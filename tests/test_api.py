@@ -4,14 +4,14 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
+from util import invoke_cli
 
 import bisimkit
-from bisimkit.cli import main
 
 MODULES = ["cli", "coalgebra", "engine", "formats", "functors", "gen", "oracle", "values", "wtree"]
 
@@ -116,12 +116,57 @@ def test_names_the_benchmark_traces_resolve():
     assert missing == []
 
 
+# every option of every command and its help text, defaults as click showed them
+HELP = {
+    "minimize": {
+        "--help": "show this help message and exit",
+        "--format": "[default: auto]",
+        "--algo": "[default: hopcroft]",
+        "--weight": "Block weight for the hopcroft algorithm [default: card].",
+        "--out": "Partition JSON destination ('-' for stdout). [default: -]",
+        "--audit": "Emit the refinement tree and verify its weight bounds.",
+        "--tree-out": "Refinement tree destination, with --audit "
+                      "[default: OUT.tree.json; ./refinement-tree.json when OUT is '-'].",
+        "--stats": "Emit run counters.",
+        "--stats-out": "Counters destination, with --stats [default: stderr].",
+    },
+    "compare": {"--help": "show this help message and exit", "--format": "[default: auto]"},
+    "audit-tree": {"--help": "show this help message and exit"},
+    "gen": {
+        "--help": "show this help message and exit",
+        "--family": "",
+        "--states": "",
+        "--alphabet": "[default: 2]",
+        "--branching": "[default: 2]",
+        "--seed": "[default: 0]",
+        "--out": "[default: -]",
+    },
+}
+
+
+def options_help(text):
+    """Each option of a ``--help`` text with its help, wrapped lines joined."""
+    helps, option = {}, None
+    for line in text.split("\noptions:\n")[1].splitlines():
+        m = re.fullmatch(r"  (?:-h, )?(--[\w-]+)(?: [A-Z_]+| \{[^}]*\})?(?:  +(.*))?", line)
+        if m:
+            option = m[1]
+            helps[option] = m[2] or ""
+        else:
+            helps[option] = f"{helps[option]} {line.strip()}".strip()
+    return helps
+
+
 def test_bench_command_is_gone():
     # gen plus minimize --stats give every counter bench wrote
-    res = CliRunner().invoke(main, ["--help"])
+    res = invoke_cli(["--help"])
     assert res.exit_code == 0
     assert "bench" not in res.output
-    assert "minimize" in res.output
+    assert re.findall(r"^    ([\w-]+)", res.stdout, re.M) == list(HELP)
+    for command, helps in HELP.items():
+        res = invoke_cli([command, "--help"])
+        assert (res.exit_code, res.stderr) == (0, ""), command
+        assert options_help(res.stdout) == helps, command
 
 
 def test_audit_loads_no_mpmath():
@@ -132,6 +177,18 @@ def test_audit_loads_no_mpmath():
         "assert audit_tree(WeightedTree([0, 0, 0, 1]), [5, 3, 2, 1]).all_ok()\n"
         "print('mpmath' in sys.modules)\n"
     )
+    src = os.path.dirname(os.path.dirname(bisimkit.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def test_cli_loads_no_click():
+    # commands are parsed by argparse; click is only a test-time dependency
+    code = "import sys, bisimkit, bisimkit.cli\nprint('click' in sys.modules)\n"
     src = os.path.dirname(os.path.dirname(bisimkit.__file__))
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

@@ -9,21 +9,14 @@ import time
 from decimal import Decimal
 
 import pytest
-from click.testing import CliRunner
-from util import old_form_tree_document
+from util import invoke_cli, old_form_tree_document
 
 import bisimkit
 import bisimkit.cli as cli
-from bisimkit.cli import main
 from bisimkit.engine import refine_naive
 from bisimkit.formats import dump_coalgebra
 from bisimkit.gen import GenSpec, generate
 from bisimkit.wtree import MalformedTreeError, WeightedTree, audit_tree
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def coalg_file(tmp_path, name="in.json", fam="dfa", n=12, seed=5):
@@ -32,17 +25,17 @@ def coalg_file(tmp_path, name="in.json", fam="dfa", n=12, seed=5):
     return str(p)
 
 
-def test_minimize_stdout(runner, tmp_path):
+def test_minimize_stdout(tmp_path):
     path = coalg_file(tmp_path)
-    res = runner.invoke(main, ["minimize", path])
+    res = invoke_cli(["minimize", path])
     assert res.exit_code == 0, res.output
     obj = json.loads(res.output)
     assert "blocks" in obj
 
 
-def test_minimize_naive_weight_contradiction(runner, tmp_path):
+def test_minimize_naive_weight_contradiction(tmp_path):
     path = coalg_file(tmp_path)
-    res = runner.invoke(main, ["minimize", path, "--algo", "naive", "--weight", "card"])
+    res = invoke_cli(["minimize", path, "--algo", "naive", "--weight", "card"])
     assert res.exit_code == 2
 
 
@@ -52,55 +45,48 @@ def test_minimize_naive_weight_contradiction(runner, tmp_path):
     ["--stats-out", "stats.json"],
     ["--tree-out", "tree.json"],
 ])
-def test_minimize_option_conflict_prints_one_error_line(runner, tmp_path, args):
+def test_minimize_option_conflict_prints_one_error_line(tmp_path, args):
     # like every other exit-2 path: one error: line, no usage text, no output
-    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), *args])
+    res = invoke_cli(["minimize", coalg_file(tmp_path), *args])
     assert res.exit_code == 2
-    assert res.stderr.startswith("error: ") and "Usage:" not in res.stderr
+    assert res.stderr.startswith("error: ") and "usage:" not in res.stderr.lower()
     assert len(res.stderr.splitlines()) == 1
     assert res.stdout == ""
 
 
-def test_minimize_naive_ok(runner, tmp_path):
+def test_minimize_naive_ok(tmp_path):
     path = coalg_file(tmp_path)
-    res = runner.invoke(main, ["minimize", path, "--algo", "naive"])
+    res = invoke_cli(["minimize", path, "--algo", "naive"])
     assert res.exit_code == 0
 
 
-def test_minimize_is_byte_deterministic(runner, tmp_path):
+def test_minimize_is_byte_deterministic(tmp_path):
     path = coalg_file(tmp_path, n=40)
     out1 = tmp_path / "p1.json"
     out2 = tmp_path / "p2.json"
     for out in (out1, out2):
-        res = runner.invoke(
-            main, ["minimize", path, "--weight", "pred", "--out", str(out)]
-        )
+        res = invoke_cli(["minimize", path, "--weight", "pred", "--out", str(out)])
         assert res.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_minimize_audit_writes_tree(runner, tmp_path):
+def test_minimize_audit_writes_tree(tmp_path):
     path = coalg_file(tmp_path, fam="lts", n=20)
     out = tmp_path / "part.json"
     tree = tmp_path / "tree.json"
-    res = runner.invoke(
-        main,
-        ["minimize", path, "--out", str(out), "--audit", "--tree-out", str(tree)],
-    )
+    res = invoke_cli(["minimize", path, "--out", str(out), "--audit", "--tree-out", str(tree)])
     assert res.exit_code == 0, res.output
     doc = json.loads(tree.read_text())
     assert set(doc) == {"parent", "w", "members", "heavy"}
 
-    res2 = runner.invoke(main, ["audit-tree", str(tree)])
+    res2 = invoke_cli(["audit-tree", str(tree)])
     assert res2.exit_code == 0, res2.output
 
 
-def test_minimize_stats(runner, tmp_path):
+def test_minimize_stats(tmp_path):
     path = coalg_file(tmp_path)
     stats_path = tmp_path / "stats.json"
-    res = runner.invoke(
-        main, ["minimize", path, "--stats", "--stats-out", str(stats_path), "--out", "-"]
-    )
+    res = invoke_cli(["minimize", path, "--stats", "--stats-out", str(stats_path), "--out", "-"])
     assert res.exit_code == 0
     stats = json.loads(stats_path.read_text())
     assert {"iterations", "splits", "signatures_computed"} <= set(stats)
@@ -110,7 +96,7 @@ def test_minimize_stats(runner, tmp_path):
     assert all(v >= 0 for v in phases.values())
     assert sum(phases.values()) <= stats["wall_ms"] / 1000.0 + 1e-5
     # --audit adds the tree audit, timed before any output is written
-    res = runner.invoke(main, ["minimize", path, "--stats", "--audit", "--tree-out", "-"])
+    res = invoke_cli(["minimize", path, "--stats", "--audit", "--tree-out", "-"])
     assert res.exit_code == 0, res.output
     lines = res.stderr.splitlines()
     assert lines[-1].startswith("audit ok: ")
@@ -121,8 +107,8 @@ def test_minimize_stats(runner, tmp_path):
     assert {k: audited[k] for k in counters} == {k: stats[k] for k in counters}
 
 
-def test_minimize_naive_stats_phases(runner, tmp_path):
-    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--algo", "naive", "--stats"])
+def test_minimize_naive_stats_phases(tmp_path):
+    res = invoke_cli(["minimize", coalg_file(tmp_path), "--algo", "naive", "--stats"])
     assert res.exit_code == 0
     stats = json.loads(res.stderr.strip().splitlines()[-1])
     assert set(stats["phases"]) == {"coalgebra.evaluator_s", "engine.main_loop_s",
@@ -130,37 +116,34 @@ def test_minimize_naive_stats_phases(runner, tmp_path):
 
 
 @pytest.mark.parametrize("option, flag", [("--stats-out", "--stats"), ("--tree-out", "--audit")])
-def test_minimize_destination_without_its_output_exit_2(runner, tmp_path, option, flag):
+def test_minimize_destination_without_its_output_exit_2(tmp_path, option, flag):
     # a destination for an output that is not asked for would be silently ignored
     dest, out = tmp_path / "dest.json", tmp_path / "part.json"
-    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--out", str(out),
-                               option, str(dest)])
+    res = invoke_cli(["minimize", coalg_file(tmp_path), "--out", str(out),
+                      option, str(dest)])
     assert res.exit_code == 2
     assert f"{option} only applies with {flag}" in res.output
     assert not dest.exists() and not out.exists()
-    res = runner.invoke(main, ["minimize", coalg_file(tmp_path), "--out", str(out),
-                               option, str(dest), flag])
+    res = invoke_cli(["minimize", coalg_file(tmp_path), "--out", str(out),
+                      option, str(dest), flag])
     assert res.exit_code == 0, res.output
     assert json.loads(dest.read_text())
 
 
-def test_minimize_parse_error_exit_2(runner, tmp_path):
+def test_minimize_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("0 1 1/2\n1 0 1/1\n", encoding="utf-8")
-    res = runner.invoke(main, ["minimize", str(bad)])
+    res = invoke_cli(["minimize", str(bad)])
     assert res.exit_code == 2
 
 
-def test_minimize_audit_matches_audit_tree_on_written_file(runner, tmp_path):
+def test_minimize_audit_matches_audit_tree_on_written_file(tmp_path):
     for fam, n, weight in (("dfa", 40, "card"), ("lts", 30, "pred"), ("chain", 25, "reach")):
         path = coalg_file(tmp_path, name=f"{fam}.json", fam=fam, n=n, seed=3)
         tree = tmp_path / f"{fam}.tree.json"
-        res = runner.invoke(
-            main,
-            ["minimize", path, "--weight", weight, "--out", str(tmp_path / "p.json"),
-             "--audit", "--tree-out", str(tree)],
-        )
-        res2 = runner.invoke(main, ["audit-tree", str(tree)])
+        res = invoke_cli(["minimize", path, "--weight", weight, "--out", str(tmp_path / "p.json"),
+                          "--audit", "--tree-out", str(tree)])
+        res2 = invoke_cli(["audit-tree", str(tree)])
         assert res.exit_code == res2.exit_code == 0, (res.output, res2.output)
         # "audit ok: light sum S <= bound B (margin M)" against
         # "weight bound: S <= B (exact check ok) (margin M)"
@@ -173,20 +156,17 @@ def test_minimize_audit_matches_audit_tree_on_written_file(runner, tmp_path):
         assert margin == pytest.approx(float(in_memory[3]) - int(in_memory[0]), abs=1e-3)
 
 
-def test_audit_tree_reads_old_and_new_documents_alike(runner, tmp_path):
+def test_audit_tree_reads_old_and_new_documents_alike(tmp_path):
     # the earlier document listed every node's states; audit-tree reads
     # neither those nor the leaf members, so both forms audit the same
     path = coalg_file(tmp_path, fam="lts", n=30, seed=3)
     new = tmp_path / "new.tree.json"
-    res = runner.invoke(
-        main,
-        ["minimize", path, "--weight", "pred", "--out", str(tmp_path / "p.json"),
-         "--audit", "--tree-out", str(new)],
-    )
+    res = invoke_cli(["minimize", path, "--weight", "pred", "--out", str(tmp_path / "p.json"),
+                      "--audit", "--tree-out", str(new)])
     assert res.exit_code == 0, res.output
     old = tmp_path / "old.tree.json"
     old.write_text(old_form_tree_document(new.read_text()), encoding="utf-8")
-    res_old, res_new = (runner.invoke(main, ["audit-tree", str(p)]) for p in (old, new))
+    res_old, res_new = (invoke_cli(["audit-tree", str(p)]) for p in (old, new))
     assert res_old.exit_code == res_new.exit_code == 0, (res_old.output, res_new.output)
     assert res_old.output == res_new.output
 
@@ -205,6 +185,36 @@ def run_cli(*args, limit_as=None):
         capture_output=True, text=True, env=env,
         preexec_fn=cap if limit_as else None,
     )
+
+
+# argv the parser rejects before any command runs, and the start of its error
+PARSE_ERRORS = [
+    (["minimize", "{in}", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+    (["minimize", "{in}", "--weight", "heavy"], "argument --weight: invalid choice: 'heavy'"),
+    (["compare", "{in}", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["minimize", "--audit"], "the following arguments are required: INPUT"),
+    (["minimize", "{in}", "--aud"], "unrecognized arguments: --aud"),  # no abbreviations
+    (["gen", "--family", "dfa", "--states", "x"], "argument --states: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("in_process", [True, False], ids=["in-process", "subprocess"])
+@pytest.mark.parametrize("argv, message", PARSE_ERRORS)
+def test_parse_error_exit_2_with_usage_and_error_line(tmp_path, in_process, argv, message):
+    argv = [a.format(**{"in": coalg_file(tmp_path)}) for a in argv]
+    if in_process:
+        res = invoke_cli(argv)
+        code, stdout, stderr = res.exit_code, res.stdout, res.stderr
+    else:
+        res = run_cli(*argv)
+        code, stdout, stderr = res.returncode, res.stdout, res.stderr
+    assert code == 2, stderr
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert lines[0].startswith("usage: bisimkit ")
+    assert lines[-1].startswith("bisimkit") and ": error: " + message in lines[-1]
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("value", ['{"inj": 0}', '{"fun": [1, 2]}'])
@@ -385,16 +395,16 @@ def test_loader_sizes_checked_before_allocating(tmp_path, name, text):
     assert "Traceback" not in res.stdout + res.stderr
 
 
-def test_compare_agrees(runner, tmp_path):
+def test_compare_agrees(tmp_path):
     for fam in ("dfa", "mc", "lts"):
         path = coalg_file(tmp_path, name=f"{fam}.json", fam=fam, n=15, seed=9)
-        res = runner.invoke(main, ["compare", path])
+        res = invoke_cli(["compare", path])
         assert res.exit_code == 0, res.output
         assert "MISMATCH" not in res.output
 
 
 @pytest.mark.parametrize("n, oracle", [(1000, True), (1001, False)])
-def test_compare_runs_oracle_up_to_1000_states(runner, tmp_path, monkeypatch, n, oracle):
+def test_compare_runs_oracle_up_to_1000_states(tmp_path, monkeypatch, n, oracle):
     calls = []
 
     def bruteforce(coalg):  # a stand-in: the real oracle is slow at this size
@@ -402,62 +412,59 @@ def test_compare_runs_oracle_up_to_1000_states(runner, tmp_path, monkeypatch, n,
         return refine_naive(coalg).partition
 
     monkeypatch.setattr(cli, "bisim_bruteforce", bruteforce)
-    res = runner.invoke(main, ["compare", coalg_file(tmp_path, n=n)])
+    res = invoke_cli(["compare", coalg_file(tmp_path, n=n)])
     assert res.exit_code == 0, res.output
     assert calls == ([n] if oracle else [])
     assert ("bruteforce: " in res.output) == oracle
 
 
-def test_audit_tree_tight_example(runner, tmp_path):
+def test_audit_tree_tight_example(tmp_path):
     doc = {
         "parent": [0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 9, 9],
         "w": [36, 15, 14, 7, 5, 10, 9, 2, 3, 7, 2, 5],
     }
     p = tmp_path / "tree.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    res = runner.invoke(main, ["audit-tree", str(p)])
+    res = invoke_cli(["audit-tree", str(p)])
     assert res.exit_code == 0, res.output
     assert "light-children sum 33 = weighted light-path sum 33" in res.output
 
 
-def test_audit_tree_invalid_weight_exit_1(runner, tmp_path):
+def test_audit_tree_invalid_weight_exit_1(tmp_path):
     p = tmp_path / "tree.json"
     p.write_text(json.dumps({"parent": [0, 0, 0], "w": [3, 2, 2]}), encoding="utf-8")
-    res = runner.invoke(main, ["audit-tree", str(p)])
+    res = invoke_cli(["audit-tree", str(p)])
     assert res.exit_code == 1
 
 
-def test_audit_tree_passes_a_valid_tree_whose_float_bound_cancels(runner, tmp_path):
+def test_audit_tree_passes_a_valid_tree_whose_float_bound_cancels(tmp_path):
     # the true bound is 54.44; the float sum cancels to 0.0 near 2**53, so
     # only the exact path may decide and give the bound and the margin
     doc = {"parent": [0, 0, 0], "w": [9007199254738994, 9007199254738993, 1]}
     p = tmp_path / "tree.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    res = runner.invoke(main, ["audit-tree", str(p)])
+    res = invoke_cli(["audit-tree", str(p)])
     assert res.exit_code == 0, res.output
     assert "weight bound: 1 <= 54.4427 (exact check ok) (margin 53.4427)" in res.output
 
 
-def test_audit_tree_malformed_exit_2(runner, tmp_path):
+def test_audit_tree_malformed_exit_2(tmp_path):
     p = tmp_path / "tree.json"
     p.write_text('{"parent": [1, 0], "w": [1, 1]}', encoding="utf-8")
-    res = runner.invoke(main, ["audit-tree", str(p)])
+    res = invoke_cli(["audit-tree", str(p)])
     assert res.exit_code == 2
 
 
-def test_gen_roundtrips_through_minimize(runner, tmp_path):
+def test_gen_roundtrips_through_minimize(tmp_path):
     out = tmp_path / "gen.json"
-    res = runner.invoke(
-        main,
-        ["gen", "--family", "mdp", "--states", "9", "--seed", "4", "--out", str(out)],
-    )
+    res = invoke_cli(["gen", "--family", "mdp", "--states", "9", "--seed", "4", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    res2 = runner.invoke(main, ["compare", str(out)])
+    res2 = invoke_cli(["compare", str(out)])
     assert res2.exit_code == 0, res2.output
 
 
-def test_gen_bad_family_exit_2(runner):
-    res = runner.invoke(main, ["gen", "--family", "tape", "--states", "3"])
+def test_gen_bad_family_exit_2():
+    res = invoke_cli(["gen", "--family", "tape", "--states", "3"])
     assert res.exit_code == 2
 
 

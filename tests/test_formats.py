@@ -5,13 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from test_fuzz import CASES as FUZZ_CASES
 from test_fuzz import EXTENSIONS, mutate, seed_documents
-from util import dfa_text, labelled_mc, random_value, reference_load
+from util import dfa_text, invoke_cli, labelled_mc, random_value, reference_load
 
 import bisimkit.coalgebra
-from bisimkit.cli import main
 from bisimkit.coalgebra import Coalgebra, CompiledForm, SignatureEvaluator, build_pred_index
 from bisimkit.engine import refine_hopcroft, refine_naive
 from bisimkit.formats import (
@@ -151,7 +149,7 @@ def test_dfa_text_errors_name_the_line_past_blank_lines(tmp_path, text, message)
     with pytest.raises(FormatError) as e:
         load_coalgebra(str(path))
     assert str(e.value) == message
-    res = CliRunner().invoke(main, ["minimize", str(path)])
+    res = invoke_cli(["minimize", str(path)])
     assert res.exit_code == 2
     assert f"error: {message}" in res.output
 
@@ -166,11 +164,11 @@ def test_minimize_dfa_text_never_decodes_values(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bisimkit.coalgebra, "_decode", spy)
     path = write(tmp_path, "m.dfa", dfa_text(generate(GenSpec("dfa", 40, seed=6))))
-    res = CliRunner().invoke(main, ["minimize", path, "--audit", "--tree-out", "-"])
+    res = invoke_cli(["minimize", path, "--audit", "--tree-out", "-"])
     assert res.exit_code == 0, res.output
     assert decoded == []
     # the oracle reads values, so compare decodes them: the spy sees it
-    res = CliRunner().invoke(main, ["compare", path])
+    res = invoke_cli(["compare", path])
     assert res.exit_code == 0, res.output
     assert decoded
 
@@ -242,12 +240,12 @@ def test_minimize_general_inputs_build_no_values_and_hash_no_fraction(tmp_path, 
     monkeypatch.setattr(Fraction, "__hash__", spy_hash)
     for name, path in paths.items():
         for args in (["--audit", "--tree-out", "-"], ["--algo", "naive"]):
-            res = CliRunner().invoke(main, ["minimize", path, *args])
+            res = invoke_cli(["minimize", path, *args])
             assert res.exit_code == 0, (name, res.output)
             assert built == [] and hashed == [], (name, args)
     # the oracle reads values, so compare decodes them: the spy sees it
     for name, path in paths.items():
-        res = CliRunner().invoke(main, ["compare", path])
+        res = invoke_cli(["compare", path])
         assert res.exit_code == 0, (name, res.output)
         assert built, name
         built.clear()
@@ -369,7 +367,7 @@ DEEP = 5000
 ])
 def test_deep_nesting_exits_2(tmp_path, doc):
     path = write(tmp_path, "deep.json", doc)
-    res = CliRunner().invoke(main, ["minimize", path])
+    res = invoke_cli(["minimize", path])
     assert res.exit_code == 2
     assert res.output == "error: input nested too deeply\n"
 

@@ -122,7 +122,7 @@ def run_case(main, workdir, ext, text):
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            main.main(argv, prog_name="bisimkit")
+            main(argv)
         code = 0
     except SystemExit as e:
         code = e.code or 0

@@ -85,8 +85,8 @@ CASES = [
     ("compare-0", ["compare", "{in}"], 0, None),
     ("audit-tree-0", ["audit-tree", "{tight}"], 0, None),
     ("audit-tree-1", ["audit-tree", "{broken}"], 1, None),
-    ("no-such-option", ["minimize", "{in}", "--no-such-option"], "NoSuchOption", None),
-    ("no-such-command", ["no-such-command"], "NoSuchCommand", None),
+    ("no-such-option", ["minimize", "{in}", "--no-such-option"], 2, None),
+    ("no-such-command", ["no-such-command"], 2, None),
 ]
 
 

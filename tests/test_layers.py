@@ -20,9 +20,8 @@ import gc
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from util import labelled_mc
+from util import invoke_cli, labelled_mc
 
 import bisimkit.cli as cli
 from bisimkit import coalgebra, engine
@@ -99,8 +98,8 @@ def test_minimize_audit_goes_through_cli_audit_tree(monkeypatch, tmp_path):
     path.write_text(dump_coalgebra(generate(GenSpec("dfa", 30, seed=3))), encoding="utf-8")
     calls = {}
     monkeypatch.setattr(cli, "audit_tree", counting(calls, "audit_tree", cli.audit_tree))
-    res = CliRunner().invoke(cli.main, ["minimize", str(path), "--audit", "--stats",
-                                        "--tree-out", "-"])
+    res = invoke_cli(["minimize", str(path), "--audit", "--stats",
+                      "--tree-out", "-"])
     assert res.exit_code == 0, res.output
     assert calls == {"audit_tree": 1}
 

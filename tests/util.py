@@ -1,15 +1,19 @@
 """Shared test helpers: seeded random weighted trees, a reference tree audit,
 a reference brute-force oracle, reference value walkers, old-form tree
 documents, a labelled Markov chain family, random values of any functor,
-DFAs written as dfa-text, reference loaders that build values."""
+DFAs written as dfa-text, reference loaders that build values, and an
+in-process CLI run."""
 
 import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from bisimkit import cli
 from bisimkit.coalgebra import Coalgebra
 from bisimkit.engine import Partition
 from bisimkit.functors import (
@@ -697,3 +701,38 @@ def _reference_mc_tsv(formats, text):
         return Coalgebra.make(Distribution(Identity()), [DistVal(tuple(e)) for e in per_state])
     except InvalidValueError as e:
         raise FormatError(str(e)) from None
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies each write into ``shared``."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, s):
+        self.shared.write(s)
+        return super().write(s)
+
+
+def invoke_cli(argv) -> CliResult:
+    """Run one ``bisimkit`` command in this process with stdout and stderr
+    captured.  A crash propagates: no test expects one."""
+    output = io.StringIO()
+    out, err = _Tee(output), _Tee(output)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    else:
+        raise AssertionError("cli.main returned without exiting")
+    return CliResult(code, out.getvalue(), err.getvalue(), output.getvalue())
