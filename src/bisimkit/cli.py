@@ -137,8 +137,8 @@ def minimize(input_path, fmt, algo, weight, out, audit, tree_out, want_stats, st
         if not report.all_ok():
             _fail("refinement tree failed its audit", 1)
         _echo(
-            f"audit ok: light sum {report.light_sum} <= bound {report.bound_float:.4f} "
-            f"(margin {report.margin:.4f})",
+            f"audit ok: light sum {report.light_sum} <= bound {report.bound} "
+            f"(margin {report.margin})",
             err=True,
         )
 
@@ -184,9 +184,9 @@ def audit_tree_cmd(tree_path):
     _echo(f"tightening properties: {'ok' if report.lemma3_ok else 'FAILED'}")
     _echo(f"light-path length bound: {'ok' if report.lemma4_ok else 'FAILED'}")
     _echo(
-        f"weight bound: {report.light_sum} <= {report.bound_float:.4f} "
+        f"weight bound: {report.light_sum} <= {report.bound} "
         f"(exact check {'ok' if report.theorem1_ok else 'FAILED'}) "
-        f"(margin {report.margin:.4f})"
+        f"(margin {report.margin})"
     )
     sys.exit(0 if report.all_ok() else 1)
 
@@ -203,7 +203,8 @@ def gen_cmd(family, n_states, alphabet, branching, seed, out):
 
 def _parser() -> argparse.ArgumentParser:
     """One parser for every command; each subcommand stores its function as
-    ``run`` and its options under that function's parameter names."""
+    ``run``, itself as ``parser`` and its options under that function's
+    parameter names."""
     parser = argparse.ArgumentParser(
         prog="bisimkit", description="Minimize finite state systems modulo bisimilarity.",
         allow_abbrev=False)
@@ -213,7 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     def command(name, run):
         doc = " ".join(run.__doc__.split())
         sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, parser=sub)
         return sub.add_argument
 
     add = command("minimize", minimize)
@@ -261,7 +262,16 @@ def main(argv=None, standalone_mode=True) -> NoReturn:
     # garbage collector paused; the context restores the caller's setting
     # however the command ends
     with _gc_paused():
-        args = vars(_PARSER.parse_args(argv))
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args, extra = _PARSER.parse_known_args(argv)
+        args = vars(args)
+        parser = args.pop("parser")
+        if extra:
+            # the parser that met the first of them reports them, with its
+            # usage line: the top one before the command name, else the command's
+            if argv.index(extra[0]) < argv.index(parser.prog.split()[-1]):
+                parser = _PARSER
+            parser.error("unrecognized arguments: " + " ".join(extra))
         args.pop("run")(**args)
     sys.exit(0)
 

@@ -8,26 +8,25 @@ refinement, culminating in the bound
     sum of light-children weights  <=  w(root)*log2 w(root) - sum over
     nonzero leaves of w(leaf)*log2 w(leaf)
 
-which is decided exactly, never by floating point alone: the float bound
-decides when it clears a rigorous error margin, and a near-tie goes to an
-equality test on exponents over a coprime base, then to decimal logarithms
-at doubling precision.  A near-tie reports the bound from that exact
-path, since the float sum can cancel there.
+decided in integers by the proof's own chain: tightening the weights to
+``w2`` keeps the light sum, which under the tight ``w2`` is the weighted
+light-path sum, and each light edge at least halves ``w2`` (Hopcroft,
+1971).  So the light sum is at most B, the sum over nonzero leaves ``l``
+of ``w2(l) * floor(log2(w(root) / w2(l)))``, and B lies below the bound
+above, as ``w2 >= w`` and ``x*log2 x`` grows.  The audit reports B and
+decides the theorem as ``light sum <= B``.
 
 A heavy-child choice ``h`` is a per-node list: ``h[v]`` is a child of an
 internal node ``v`` and None at a leaf, as a ``RefinementTree`` records
 it.  Every function that takes ``h`` rejects anything else
-(:func:`_check_heavy`); only :func:`audit_tree` also requires each named
-child to be of maximal weight.  Weights are natural numbers of at most
-``MAX_WEIGHT``.
+(:func:`_check_heavy`); :func:`audit_tree` and :func:`hopcroft_bound_check`,
+which need the theorem's hypotheses, also require each named child to be
+of maximal weight.  Weights are natural numbers of at most ``MAX_WEIGHT``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from itertools import compress, repeat
 from operator import ge, le, lshift, mul, not_
 from typing import NamedTuple, Optional, Sequence
@@ -50,9 +49,8 @@ __all__ = [
 ]
 
 
-# the largest weight accepted: refinement weights count states or
-# predecessor pairs, far below it, and every weight up to it converts to a
-# float exactly, so the bound check's float screen cannot overflow
+# the largest weight accepted, an input limit: refinement weights count
+# states or predecessor pairs, far below it
 MAX_WEIGHT = 2**53
 
 # per node, its heavy child, or None at a leaf
@@ -119,7 +117,7 @@ class WeightCheck(NamedTuple):
 class BoundCheck(NamedTuple):
     ok: bool
     lhs: int
-    bound_float: float
+    bound: int
 
 
 def _check_weights_shape(tree: WeightedTree, w: Sequence[int]) -> None:
@@ -138,7 +136,8 @@ def _check_heavy(tree: WeightedTree, h: HeavyChoice) -> None:
     """Raise unless ``h`` is a heavy-child choice of ``tree``, weights aside:
     MalformedTreeError unless it is a list of one None or int node id per
     node, ValueError unless it names one of its own children at every
-    internal node and None at every leaf."""
+    internal node and None at every leaf.  Maximal weight is checked apart,
+    where the theorem needs it (:func:`_check_maximal`)."""
     n = tree.node_count
     if len(h) != n:
         raise MalformedTreeError(f"heavy choice covers {len(h)} nodes, tree has {n}")
@@ -197,6 +196,11 @@ def _choose_heavy(tree: WeightedTree, w: Sequence[int]) -> list[Optional[int]]:
 def _heavy_is_maximal(w: Sequence[int], h: HeavyChoice, tops: Sequence[int]) -> bool:
     """Whether the checked ``h`` names a child of weight ``tops[v]`` at each inner node ``v``."""
     return [-1 if u is None else w[u] for u in h] == tops
+
+
+def _check_maximal(w: Sequence[int], h: HeavyChoice, tops: Sequence[int]) -> None:
+    if not _heavy_is_maximal(w, h, tops):
+        raise ValueError("a heavy child is lighter than one of its siblings")
 
 
 def tighten(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> list[int]:
@@ -303,142 +307,33 @@ def _lpath_lengths_ok(tree: WeightedTree, w: Sequence[int], depths: Sequence[int
     return all(map(le, map(lshift, w, depths), repeat(w[tree.root])))
 
 
-# -- exact decision for  2^lhs * prod w^w <= root^root ------------------------
-
-
-def _coprime_base(nums) -> list[int]:
-    """Pairwise coprime integers above 1 of which every number in ``nums`` is
-    a product.  A number ``y`` first loses every power of a base element
-    ``b`` dividing it; if ``g = gcd(b, y) > 1`` remains, ``b`` and ``y`` give
-    way to ``g``, ``b / g`` and ``y / g``.  Each step shrinks the product of
-    everything pending, so it ends."""
-    base, todo = [], list(nums)
-    while todo:
-        y = todo.pop()
-        for i, b in enumerate(base):
-            while y % b == 0:
-                y //= b
-            g = math.gcd(b, y)
-            if g > 1:
-                del base[i]
-                todo += (g, b // g, y // g)
-                break
-        else:
-            if y > 1:
-                base.append(y)
-    return base
-
-
-def _valuation(n: int, b: int) -> int:
-    e = 0
-    while n % b == 0:
-        n //= b
-        e += 1
-    return e
-
-
-def _products_equal(lhs: int, leaf_weights: Sequence[int], root_w: int) -> bool:
-    """Whether 2^lhs * prod w^w == root^root, by exponents over a coprime base.
-
-    A number with a prime that does not divide the root weight makes the
-    products unequal.  The others factor over a coprime base of themselves
-    and the root weight, whose primes are the root weight's, so it has at
-    most 13 elements below 2**53; products of powers of pairwise coprime
-    numbers are equal exactly when their exponents are (Bernstein,
-    "Factoring into coprimes in essentially linear time", 2005).
-    """
-    exps = Counter({2: lhs})
-    for x, c in Counter(leaf_weights).items():
-        exps[x] += c * x
-    exps[root_w] -= root_w
-    # net exponent per number, left side minus right side; 1 weighs nothing
-    nums = {x: e for x, e in exps.items() if e and x > 1}
-    for x in nums:
-        g = math.gcd(x, root_w)
-        while g > 1:
-            x //= g
-            g = math.gcd(x, g)
-        if x > 1:
-            return False
-    base = _coprime_base(nums)
-    return all(sum(e * _valuation(x, b) for x, e in nums.items()) == 0 for b in base)
-
-
-def _product_log_le(
-    lhs: int, leaf_weights: Sequence[int], root_w: int, bound_float: float
-) -> tuple[bool, float]:
-    """Exact verdict of  2^lhs * prod_{w in leaf_weights} w^w  <=  root_w^root_w,
-    and the bound to report with it.
-
-    ``leaf_weights`` must contain only nonzero entries of at most
-    ``MAX_WEIGHT``, and ``bound_float`` must be the float bound
-    ``_hopcroft_bound`` computes for them.  Its difference to ``lhs`` decides
-    when it clears a rigorous margin.  With u = 2**-53, k leaf weights, pos
-    the root's term and S the leaf terms' sum, each term is within 3u of its
-    true value relatively (the C library's log2 within one ulp, one product
-    rounding), the sum of k terms adds at most (k - 1)u S, and the two
-    subtractions and the conversion of ``lhs`` at most u each of their
-    magnitudes.  So the difference errs by less than (k + 5)u (pos + S + lhs)
-    to first order, and 2 pos - ``bound_float`` + lhs is pos + S + lhs to
-    within that relative error; the margin, (k + 4) 2**-50 (2 pos -
-    ``bound_float`` + lhs), is more than six times it.  Then ``bound_float``
-    is reported.  A near-tie goes to :func:`_products_equal`, whose equal
-    products report ``lhs`` itself, then to :func:`_decimal_log_le`, whose
-    logarithms report the bound: the float sum can cancel there.
-    """
-    if root_w == 0:
-        # weight law forces every weight to 0, so no nonzero leaves survive
-        return lhs == 0 and not leaf_weights, bound_float
-    pos = root_w * math.log2(root_w)
-    d = bound_float - lhs
-    if abs(d) > (len(leaf_weights) + 4) * (2 * pos - bound_float + lhs) * 2.0**-50:
-        return d > 0, bound_float
-    if _products_equal(lhs, leaf_weights, root_w):
-        return True, float(lhs)
-    return _decimal_log_le(lhs, leaf_weights, root_w)
-
-
-def _decimal_log_le(
-    lhs: int, leaf_weights: Sequence[int], root_w: int, prec: int = 40
-) -> tuple[bool, float]:
-    """``_product_log_le`` for unequal products, by natural logarithms in
-    ``decimal``.  ``ln``, products and sums round correctly to ``prec`` digits,
-    each within half a unit in the last digit, and at most k + 4 roundings
-    (k distinct leaf weights) reach the difference, so it lies within ``err``
-    of the true one; that is not 0, so doubling the precision ends.  The
-    bound reported is ``lhs`` plus the difference in bits."""
-    counts = Counter(leaf_weights)
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ln2 = Decimal(2).ln()
-        pos = root_w * Decimal(root_w).ln()
-        neg = lhs * ln2 + sum(c * x * Decimal(x).ln() for x, c in counts.items())
-        d, err = pos - neg, (len(counts) + 4) * (pos + neg) * Decimal(10) ** (1 - prec)
-        if abs(d) > err:
-            return d > 0, float(lhs + d / ln2)
-    return _decimal_log_le(lhs, leaf_weights, root_w, 2 * prec)
+def _halving_bound(tree: WeightedTree, w2: Sequence[int]) -> int:
+    """B for the tight weights ``w2``: over the nonzero leaves ``l``, ``w2(l)``
+    times the most light edges that, each at least halving the weight, fit
+    between the root and ``l``, floor(log2(w2(root) / w2(l)))."""
+    wr = w2[tree.root]
+    leaf_ws = filter(None, map(w2.__getitem__, tree._leaves))
+    return sum(x * ((wr // x).bit_length() - 1) for x in leaf_ws)
 
 
 def hopcroft_bound_check(tree: WeightedTree, w: Sequence[int], h: HeavyChoice) -> BoundCheck:
     """Verify the light-children weight bound for a weighted tree with hcc ``h``.
 
-    The sum of light-children weights must not exceed
+    The theorem's hypotheses are required: a ValueError unless ``w`` keeps
+    the weight law and ``h`` names a child of maximal weight at every
+    internal node.  The light sum must not exceed ``bound``, the integer B
+    of :func:`audit_tree`, which lies below the paper's
     ``w(r)*log2 w(r) - sum(w(l)*log2 w(l))`` over nonzero-weight leaves.
-    The verdict is exact (see :func:`_product_log_le`); ``bound_float``, the
-    bound reported with it, is the float sum unless that lies too near the
-    light sum to decide, and is then taken from the exact path.
     """
-    return _hopcroft_bound(tree, w, light_child_sum(tree, w, h))
-
-
-def _hopcroft_bound(tree: WeightedTree, w: Sequence[int], lhs: int) -> BoundCheck:
-    leaf_ws = list(filter(None, map(w.__getitem__, tree._leaves)))
-    wr = w[tree.root]
-    bound_float = 0.0
-    if wr > 0:
-        bound_float = wr * math.log2(wr) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
-    ok, bound = _product_log_le(lhs, leaf_ws, wr, bound_float)
-    return BoundCheck(ok, lhs, bound)
+    _check_weights_shape(tree, w)
+    _check_heavy(tree, h)
+    (valid, _), sums, tops = _weight_pass(tree, w)
+    if not valid:
+        raise ValueError("weight law violated: a node's children outweigh it")
+    _check_maximal(w, h, tops)
+    lhs = _outside_sum(tree, w, _heavy_children(h))
+    bound = _halving_bound(tree, _tighten(tree, w, h, sums))
+    return BoundCheck(lhs <= bound, lhs, bound)
 
 
 @dataclass
@@ -454,15 +349,17 @@ class AuditReport:
     theorem1_ok: bool = False  # the headline weight bound
     light_sum: int = 0
     lpath_sum: int = 0
-    bound_float: float = 0.0
+    bound: int = 0  # B, the integer bound on the light sum
 
     @property
-    def margin(self) -> float:
-        """How far the light sum stays below the bound: bound minus light sum.
+    def margin(self) -> int:
+        """How far the light sum stays below the bound: bound minus light sum."""
+        return self.bound - self.light_sum
 
-        ``bound_float`` comes from the exact path on a near-tie, so the
-        margin does not inherit the float sum's cancellation."""
-        return self.bound_float - self.light_sum
+    @property
+    def bound_float(self) -> float:
+        # read by perfbench's tracer; goes when it reads ``bound`` (ROADMAP item 8)
+        return float(self.bound)
 
     def all_ok(self) -> bool:
         return (
@@ -492,8 +389,7 @@ def audit_tree(
     if not valid:
         return AuditReport(valid=False, tight=False)
     h = _choose_heavy(tree, w) if heavy is None else heavy
-    if not _heavy_is_maximal(w, h, tops):
-        raise ValueError("a heavy child is lighter than one of its siblings")
+    _check_maximal(w, h, tops)
 
     # lemma 1 for the edge sets none, heavy and all: path counts depend on
     # the tree and the edge set only, not on weights; with no edge kept they
@@ -521,7 +417,8 @@ def audit_tree(
 
     lemma4_ok = _lpath_lengths_ok(tree, w, light_depths)
 
-    theorem1_ok, _, bound_float = _hopcroft_bound(tree, w, light_sum)
+    # the light sum is w2's (lemma 3), its light-path sum (lemma 2), at most B (lemma 4)
+    bound = _halving_bound(tree, w2)
 
     return AuditReport(
         valid=True,
@@ -530,8 +427,8 @@ def audit_tree(
         lemma2_ok=lemma2_ok,
         lemma3_ok=lemma3_ok,
         lemma4_ok=lemma4_ok,
-        theorem1_ok=theorem1_ok,
+        theorem1_ok=light_sum <= bound,
         light_sum=light_sum,
         lpath_sum=lpath_sum,
-        bound_float=bound_float,
+        bound=bound,
     )

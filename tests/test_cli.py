@@ -152,8 +152,9 @@ def test_minimize_audit_matches_audit_tree_on_written_file(tmp_path):
         assert in_memory[0] == from_file[0]
         assert in_memory[3] == from_file[2]
         assert in_memory[-2:] == from_file[-2:]
-        margin = float(in_memory[-1].rstrip(")"))
-        assert margin == pytest.approx(float(in_memory[3]) - int(in_memory[0]), abs=1e-3)
+        # bound and margin are integers, the margin exactly bound minus light sum
+        light, bound, margin = int(in_memory[0]), int(in_memory[3]), int(in_memory[-1][:-1])
+        assert margin == bound - light >= 0
 
 
 def test_audit_tree_reads_old_and_new_documents_alike(tmp_path):
@@ -195,6 +196,10 @@ PARSE_ERRORS = [
     (["minimize", "--audit"], "the following arguments are required: INPUT"),
     (["minimize", "{in}", "--aud"], "unrecognized arguments: --aud"),  # no abbreviations
     (["gen", "--family", "dfa", "--states", "x"], "argument --states: invalid int value: 'x'"),
+    (["compare", "--no-such-option", "{in}"], "unrecognized arguments: --no-such-option"),
+    (["audit-tree", "{in}", "--x"], "unrecognized arguments: --x"),
+    (["no-such-command"], "argument COMMAND: invalid choice: 'no-such-command'"),
+    (["--bogus", "minimize", "{in}", "--x"], "unrecognized arguments: --bogus --x"),
 ]
 
 
@@ -211,8 +216,11 @@ def test_parse_error_exit_2_with_usage_and_error_line(tmp_path, in_process, argv
     assert code == 2, stderr
     assert stdout == ""
     lines = stderr.splitlines()
-    assert lines[0].startswith("usage: bisimkit ")
-    assert lines[-1].startswith("bisimkit") and ": error: " + message in lines[-1]
+    # argv after a command name is rejected by the command's own parser
+    commands = ("minimize", "compare", "audit-tree", "gen")
+    prog = f"bisimkit {argv[0]}" if argv[0] in commands else "bisimkit"
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-1].startswith(f"{prog}: error: {message}")
     assert [line for line in lines if "error:" in line] == lines[-1:]
     assert "Traceback" not in stderr
 
@@ -438,14 +446,14 @@ def test_audit_tree_invalid_weight_exit_1(tmp_path):
 
 
 def test_audit_tree_passes_a_valid_tree_whose_float_bound_cancels(tmp_path):
-    # the true bound is 54.44; the float sum cancels to 0.0 near 2**53, so
-    # only the exact path may decide and give the bound and the margin
+    # the paper's bound is 54.44, and its float sum cancels to 0.0 near
+    # 2**53; the integer bound is 52, from the leaf of weight 1 below 2**53
     doc = {"parent": [0, 0, 0], "w": [9007199254738994, 9007199254738993, 1]}
     p = tmp_path / "tree.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     res = invoke_cli(["audit-tree", str(p)])
     assert res.exit_code == 0, res.output
-    assert "weight bound: 1 <= 54.4427 (exact check ok) (margin 53.4427)" in res.output
+    assert "weight bound: 1 <= 52 (exact check ok) (margin 51)" in res.output
 
 
 def test_audit_tree_malformed_exit_2(tmp_path):

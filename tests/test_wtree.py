@@ -1,15 +1,16 @@
 """Weighted-tree checks against hand-verified micro examples and brute force."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import random
 import time
 from decimal import Decimal, localcontext
-from operator import mul
 
 import pytest
 from test_pinned_outputs import INSTANCES, SEEDS
-from util import random_weighted_tree, ref_product_log_le, ref_products_equal, reference_audit
+from util import random_weighted_tree, ref_product_log_le, reference_audit
 
 from bisimkit import wtree
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft
@@ -324,24 +325,23 @@ def test_bound_check_tight_example():
     ok, lhs, bound = hopcroft_bound_check(example_tree(), EX_W_TIGHT, EX_HCC)
     assert ok is True
     assert lhs == 33
-    expected = 36 * math.log2(36) - sum(
-        x * math.log2(x) for x in (5, 10, 9, 2, 3, 2, 5)
-    )
-    assert bound == pytest.approx(expected)
-    assert bound == pytest.approx(92.39, abs=5e-3)
+    # per leaf, its weight times floor(log2(36 / weight))
+    leaves = (5, 10, 9, 2, 3, 2, 5)
+    assert bound == sum(x * math.floor(math.log2(36 / x)) for x in leaves) == 73
+    # below the paper's bound, 92.39
+    assert bound < 36 * math.log2(36) - sum(x * math.log2(x) for x in leaves)
 
 
 def test_bound_check_single_node():
     t = WeightedTree([0])
     ok, lhs, bound = hopcroft_bound_check(t, [17], [None])
-    assert ok is True and lhs == 0
-    assert bound == pytest.approx(0.0)
+    assert ok is True and lhs == 0 and bound == 0
 
 
 def test_bound_check_all_zero_weights():
     t = WeightedTree([0, 0, 0])
     ok, lhs, bound = hopcroft_bound_check(t, [0, 0, 0], [1, None, None])
-    assert ok is True and lhs == 0 and bound == 0.0
+    assert ok is True and lhs == 0 and bound == 0
 
 
 def test_bound_check_exact_vs_direct_bignum(seed=3):
@@ -368,145 +368,49 @@ def test_bound_check_large_weights_fast():
         assert hopcroft_bound_check(tree, w, h).ok is True
 
 
-def float_bound(leaf_ws, root_w):
-    """The float bound as ``hopcroft_bound_check`` reports it."""
-    return root_w * math.log2(root_w) - sum(map(mul, leaf_ws, map(math.log2, leaf_ws)))
+def bound_chain_holds(tree, w, h):
+    """light sum <= B <= the paper's bound, the last decided by the reference."""
+    ok, lhs, bound = hopcroft_bound_check(tree, w, h)
+    leaf_ws = [w[l] for l in tree.leaves() if w[l]]
+    return ok is True and lhs <= bound and ref_product_log_le(bound, leaf_ws, w[tree.root])
 
 
-# (light sum, leaf weights besides the ones, count of weight-1 leaves, root
-# weight, verdict): 2^lhs * prod w^w lies within the float margin of
-# root^root without equalling it.  Found by a search over random leaf
-# weights (random.Random(2024), 5000-30000 ones plus up to five leaves of
-# 2-49, root weight their sum plus 0-2, lhs the floor or ceiling of the
-# float bound).
-NEAR_TIES = [
-    (270651, [36, 14], 19002, 19053, True),
-    (437465, [46], 29433, 29481, True),
-    (392642, [41, 31], 26653, 26725, False),
-    (448124, [49, 48, 44, 34, 3], 29998, 30178, False),
-]
-
-
-@pytest.mark.parametrize("lhs, parts, ones, root_w, verdict", NEAR_TIES)
-def test_product_log_le_near_tie_matches_bignum(monkeypatch, lhs, parts, ones, root_w, verdict):
-    # the float margin must not decide these, so the prime-exponent test runs
-    # and finds the products unequal; the verdict must be the bignum one
-    leaves = parts + [1] * ones
-    real, seen = wtree._products_equal, []
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(wtree, "_products_equal", spy)
-    ok, _ = wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w))
-    assert seen == [False]
-    assert ok == (math.prod(x**x for x in parts) << lhs <= root_w**root_w) == verdict
-
-
-def test_product_log_le_near_tie_with_a_large_root_weight_is_fast():
-    # the float screen cannot decide it and the prime exponents differ; the
-    # old bignum fallback raised 2**40 to the power 2**40 and ran for minutes
-    started = time.perf_counter()
-    assert wtree._product_log_le(83, [2**40 - 2], 2**40, float_bound([2**40 - 2], 2**40))[0] is False
-    assert time.perf_counter() - started < 0.5
-
-
-def test_decimal_log_le_matches_the_reference_on_random_trees(seed=31):
-    # lhs at the light sum and on both sides of the float bound, so both
-    # verdicts occur; the decimal path runs on every case with unequal
-    # products, including those the float screen decides
+def test_integer_bound_lies_between_light_sum_and_paper_bound_on_random_trees(seed=31):
     rng = random.Random(seed)
-    verdicts = set()
     for _ in range(300):
-        tree, w = random_weighted_tree(rng, max_nodes=60, max_root_weight=rng.choice((50, 10**6)))
-        leaf_ws = [w[l] for l in tree.leaves() if w[l]]
-        wr = w[tree.root]
-        if wr == 0:
-            continue
-        bound = float_bound(leaf_ws, wr)
-        for lhs in {light_child_sum(tree, w, choose_heavy(tree, w)), int(bound), int(bound) + 1}:
-            if lhs < 0:
-                continue
-            want = ref_product_log_le(lhs, leaf_ws, wr)
-            assert wtree._product_log_le(lhs, leaf_ws, wr, bound)[0] == want
-            if not wtree._products_equal(lhs, leaf_ws, wr):
-                assert wtree._decimal_log_le(lhs, leaf_ws, wr)[0] == want
-                verdicts.add(want)
-    assert verdicts == {True, False}
+        tree, w = random_weighted_tree(rng, max_nodes=60, max_root_weight=1000)
+        assert bound_chain_holds(tree, w, choose_heavy(tree, w)), (tree.parent, w)
 
 
-# the products are equal: 2^6 * 3^3 * 3^3 = 6^6, 2^4 * 2^2 * 2^2 = 4^4,
-# 27^27 = 27^27, 2^8 = 4^4, and root weight 1 with leaves of weight 1
-EQUAL_PRODUCTS = [(6, [3, 3], 6), (4, [2, 2], 4), (0, [27], 27), (8, [], 4), (0, [1, 1], 1),
-                  (0, [], 1)]
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+def test_integer_bound_lies_between_light_sum_and_paper_bound_on_pinned_trees(family):
+    for weight in WEIGHT_KINDS:
+        for seed in SEEDS:
+            t = refine_hopcroft(INSTANCES[family](seed), weight).tree
+            assert bound_chain_holds(WeightedTree(t.parent), t.weight, t.heavy), (weight, seed)
 
 
-@pytest.mark.parametrize("lhs, leaves, root_w", EQUAL_PRODUCTS)
-def test_products_equal_on_constructed_equalities(lhs, leaves, root_w):
-    assert ref_products_equal(lhs, leaves, root_w) is True
-    assert wtree._products_equal(lhs, leaves, root_w) is True
-    # the float screen cannot decide an equality, so the bound reported is lhs
-    assert wtree._product_log_le(lhs, leaves, root_w, float_bound(leaves, root_w)) == (True, lhs)
-    # one more factor of 2 on the left, or one more leaf, breaks the equality
-    for unequal in ((lhs + 1, leaves, root_w), (lhs, leaves + [2], root_w)):
-        assert ref_products_equal(*unequal) is wtree._products_equal(*unequal) is False
+def test_bound_check_requires_the_theorems_hypotheses():
+    # an overfull node and a lighter heavy child are not the theorem's
+    # hypotheses: a plain ValueError, as a heavy choice that is no choice
+    t = WeightedTree([0, 0, 0])
+    for w, h, match in (([3, 2, 2], [1, None, None], "weight law"),
+                        ([10, 3, 7], [1, None, None], "lighter")):
+        with pytest.raises(ValueError, match=match) as e:
+            hopcroft_bound_check(t, w, h)
+        assert type(e.value) is ValueError
 
 
-def test_products_equal_matches_the_factoring_reference_on_smooth_instances(seed=37):
-    # roots and leaves built from a few small primes, so that trial division
-    # stays cheap and the coprime base has real work; every third instance
-    # is an equality by construction: root s^t and leaves s^j, padded by
-    # leaves of weight s until the exponents of s reach t * s^t
-    rng = random.Random(seed)
-    outcomes = set()
-    for i in range(3000):
-        primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4))
-        if i % 3:
-            root_w = math.prod(p ** rng.randint(1, 4) for p in primes)
-            leaves = [math.prod(p ** rng.randint(0, 3) for p in primes)
-                      for _ in range(rng.randint(0, 6))]
-            lhs = rng.randint(0, 60)
-        else:
-            s = math.prod(primes[:2])
-            t = rng.randint(1, 3 if s < 20 else 2)
-            root_w = s**t
-            js = [rng.randint(1, t) for _ in range(rng.randint(0, 3))]
-            rest = t * root_w - sum(j * s**j for j in js)
-            if rest < 0:
-                continue
-            leaves = [s**j for j in js] + [s] * (rest // s)
-            lhs = 0
-        want = ref_products_equal(lhs, leaves, root_w)
-        assert wtree._products_equal(lhs, leaves, root_w) is want, (lhs, leaves, root_w)
-        outcomes.add(want)
-    assert outcomes == {True, False}
-
-
-def test_products_equal_on_many_smooth_leaves_takes_few_gcds(monkeypatch):
-    # 5000 distinct weights made of the primes 2 to 13 under the root
-    # 2*3*5*7*11*13: a weight divides out over a base of at most six
-    # elements, so a few gcds per weight suffice; splitting a weight again
-    # for each of its prime factors took about 500,000
-    rng = random.Random(41)
-    leaves = set()
-    while len(leaves) < 5000:
-        x = math.prod(p ** rng.randint(0, 6) for p in (2, 3, 5, 7, 11, 13))
-        if 1 < x <= wtree.MAX_WEIGHT:
-            leaves.add(x)
-    leaves = sorted(leaves)
-    calls, gcd = 0, math.gcd
-
-    def counting_gcd(a, b):
-        nonlocal calls
-        calls += 1
-        return gcd(a, b)
-
-    monkeypatch.setattr(math, "gcd", counting_gcd)
-    got = wtree._products_equal(0, leaves, 30030)
-    monkeypatch.undo()
-    assert got is ref_products_equal(0, leaves, 30030)
-    assert calls < 100_000
+def test_wtree_imports_neither_decimal_nor_fractions():
+    # the audit decides in integers only
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(wtree))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" in imported
+    assert not imported & {"decimal", "fractions"}
 
 
 # -- audit ---------------------------------------------------------------------
@@ -600,25 +504,25 @@ def test_every_entry_point_rejects_a_non_choice(check, h, error):
     assert type(e.value) is error
 
 
-def test_margin_near_a_cancelling_float_bound_comes_from_the_exact_path():
-    # the float sum cancels to 0.0 near 2**53; the true bound, taken in
-    # 60-digit decimal, is 54.44
+def test_margin_near_a_cancelling_float_bound_is_an_exact_integer():
+    # the paper's bound sums to 0.0 in floats near 2**53, and is 54.44 in
+    # 60-digit decimal; B takes 52 from the leaf of weight 1 alone
     t = WeightedTree([0, 0, 0])
     r, l = 9007199254738994, 9007199254738993
-    assert float_bound([l, 1], r) == 0.0
+    assert r * math.log2(r) - l * math.log2(l) == 0.0
     with localcontext() as ctx:
         ctx.prec = 60
         true = float((r * Decimal(r).ln() - l * Decimal(l).ln()) / Decimal(2).ln())
     report = audit_tree(t, [r, l, 1])
     assert report.theorem1_ok and report.light_sum == 1
-    assert report.bound_float == pytest.approx(true, rel=1e-12)
-    assert report.margin == pytest.approx(true - 1, rel=1e-12)
-    assert hopcroft_bound_check(t, [r, l, 1], [1, None, None]).bound_float == report.bound_float
+    assert (report.bound, report.margin) == (52, 51)
+    assert 52 < true
+    assert hopcroft_bound_check(t, [r, l, 1], [1, None, None]) == (True, 1, 52)
 
 
 def test_audit_of_a_star_with_a_prime_leaf_is_fast():
     # root 2**53, one leaf of a prime weight near it and 111 of weight 1: the
-    # float screen cannot decide, and the prime ends the equality test
+    # paper's bound is too near the light sum for floats to decide it
     t = WeightedTree([0] * 113)
     started = time.perf_counter()
     assert audit_tree(t, [2**53, 9007199254740881] + [1] * 111).all_ok()
@@ -667,12 +571,12 @@ def test_corollary_total_cost_bounded(seed=13):
 
 
 def audit_outcome(audit, tree, w, heavy):
-    """The report as a tuple, bound_float bit for bit, or the error raised."""
+    """The report as a tuple, or the error raised."""
     try:
         report = audit(tree, w, heavy)
     except ValueError as e:  # MalformedTreeError included
         return type(e), str(e)
-    return dataclasses.astuple(report), report.bound_float.hex()
+    return dataclasses.astuple(report)
 
 
 def relabelled(rng, tree, w):
@@ -744,6 +648,6 @@ def test_audit_matches_per_node_definitions_on_pinned_trees(family):
             recorded = {v: u for v, u in enumerate(t.heavy) if u is not None}
             for heavy in (None, recorded):
                 expected = audit_outcome(reference_audit, tree, t.weight, heavy)
-                assert expected[0][0] is True  # a valid weight law, reported
+                assert expected[0] is True  # a valid weight law, reported
                 got = audit_outcome(audit_tree, tree, t.weight, as_list(tree, heavy))
                 assert got == expected

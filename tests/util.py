@@ -220,15 +220,21 @@ def reference_audit(tree, w, heavy=None):
     )
     wr = w[tree.root]
     lemma4_ok = all(w[v] == 0 or (w[v] << counts[1][v]) <= wr for v in range(tree.node_count))
-    leaf_ws = [w[l] for l in tree.leaves() if w[l] != 0]
-    ok = ref_product_log_le(light_sum, leaf_ws, wr)
-    bound_float = 0.0
-    if wr > 0:
-        bound_float = wr * math.log2(wr) - sum(x * math.log2(x) for x in leaf_ws)
+    # Theorem 1 as the paper states it, decided exactly; the bound is B,
+    # each nonzero tightened leaf weight times the doublings it takes to
+    # stay within the root weight
+    ok = ref_product_log_le(light_sum, [w[l] for l in tree.leaves() if w[l] != 0], wr)
+    bound = 0
+    for l in tree.leaves():
+        if w2[l]:
+            k = 0
+            while w2[l] << (k + 1) <= wr:
+                k += 1
+            bound += w2[l] * k
     return AuditReport(
         valid=True, tight=tight, lemma1_ok=lemma1_ok, lemma2_ok=lemma2_ok,
         lemma3_ok=lemma3_ok, lemma4_ok=lemma4_ok, theorem1_ok=ok,
-        light_sum=light_sum, lpath_sum=lpath_sum, bound_float=bound_float,
+        light_sum=light_sum, lpath_sum=lpath_sum, bound=bound,
     )
 
 
