@@ -580,7 +580,7 @@ class SignatureEvaluator:
             return (self._shape[x], self._labels[x](block_of))
         return self._key(iter(self._code[x]), iter(self.refs[x]), block_of.__getitem__)
 
-    def sweep_keys(self, block_of: Sequence[int]) -> Iterator[tuple]:
+    def sweep_keys(self, block_of: Sequence[int], shaped: bool = True) -> Iterator[tuple]:
         """Every state's key, in state order: ``block_of[x]`` first, then
         x's signature, computed column by column.
 
@@ -589,9 +589,12 @@ class SignatureEvaluator:
         with fewer refs than the widest is padded with state -1, whose block
         is then in every key of its shape at the same place: a shape fixes
         the number of refs, so the pad cannot tell states of one shape
-        apart.  Otherwise the signature is the one ``signature`` gives,
-        from the columns of :func:`_column_plan`.  The columns are built on
-        the first call and kept.
+        apart.  With ``shaped`` false the shape id is left out; that is
+        exact only when ``block_of`` refines the shapes, so that a block
+        fixes its shape and with it the pad positions.  Otherwise the
+        signature is the one ``signature`` gives, from the columns of
+        :func:`_column_plan`, and ``shaped`` is ignored.  The columns are
+        built on the first call and kept.
         """
         get = block_of.__getitem__
         if self._shape is None:
@@ -602,7 +605,8 @@ class SignatureEvaluator:
             return zip(block_of, self._columns(get))
         if self._columns is None:
             self._columns = list(zip_longest(*self.refs, fillvalue=-1))
-        return zip(block_of, self._shape, *[map(get, col) for col in self._columns])
+        shape = (self._shape,) if shaped else ()
+        return zip(block_of, *shape, *[map(get, col) for col in self._columns])
 
 
 # -- JSON ------------------------------------------------------------------------

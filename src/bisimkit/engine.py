@@ -3,9 +3,9 @@
 Both algorithms compute the coarsest partition in which same-block states
 have equal one-step signatures.  ``refine_naive`` re-groups every state in
 every sweep until nothing splits; a sweep is a few passes of builtins over
-whole columns, with no Python call per state: the evaluator's
-``sweep_keys`` yields every state's key and one ``map`` numbers them.
-``refine_hopcroft`` keeps per-leaf
+whole columns, with no Python function call per state: the evaluator's
+``sweep_keys`` yields every state's key and one ``dict.setdefault``
+comprehension numbers them.  ``refine_hopcroft`` keeps per-leaf
 clean/dirty markings: a split computes signatures only for dirty states
 (the clean rest stays one child, see :func:`split_leaf`), all children of
 a split start clean, and only predecessors of the *non-heavy* children are
@@ -24,10 +24,10 @@ from __future__ import annotations
 import gc
 import time
 from bisect import insort
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate, count, pairwise
+from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -329,10 +329,12 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
 
     Each sweep takes every state's ``(block, signature)`` key from one call
     of :meth:`SignatureEvaluator.sweep_keys` and numbers the keys in order
-    of first occurrence, so each new labelling is canonical; a block split
-    when its id begins more than one key.  The cyclic garbage collector is
-    paused for the run, and the caller's setting is restored on return or
-    raise.
+    of first occurrence with ``dict.setdefault``, so each new labelling is
+    canonical; a block split when its id begins more than one key.  Sweep 1
+    runs on the all-zero labelling, so it groups states by shape; every
+    later labelling refines that, so from sweep 2 on rigid keys leave the
+    shape id out.  The cyclic garbage collector is paused for the run, and
+    the caller's setting is restored on return or raise.
     """
     start = time.perf_counter()
     n = coalg.n_states
@@ -346,14 +348,16 @@ def refine_naive(coalg: Coalgebra, snapshots: Optional[list] = None) -> RefineRe
             snapshots.append(Partition.from_block_of(block_of))
         stats.iterations += 1
         # the next labelling numbers each key at its first occurrence, which
-        # is also the canonical numbering; a key's first entry is its block
-        ids = defaultdict(count().__next__)
-        new_block_of = list(map(ids.__getitem__, ev.sweep_keys(block_of)))
+        # is also the canonical numbering; a key's first entry is its block.
+        # Sweep 1 groups by shape, so later blocks fix their shapes
+        ids = {}
+        keys = ev.sweep_keys(block_of, shaped=stats.iterations == 1)
+        new_block_of = [ids.setdefault(k, len(ids)) for k in keys]
         stats.signatures_computed += n
         if len(ids) == n_blocks:
             break
         keys_per_block = Counter(map(itemgetter(0), ids))
-        stats.splits += sum(1 for c in keys_per_block.values() if c > 1)
+        stats.splits += len(keys_per_block) - [*keys_per_block.values()].count(1)
         block_of = new_block_of
         n_blocks = len(ids)
     looped = time.perf_counter()

@@ -17,7 +17,7 @@ from bisimkit.coalgebra import (
     coalgebra_from_obj,
     coalgebra_to_obj,
 )
-from bisimkit.functors import parse_functor
+from bisimkit.functors import is_rigid, parse_functor
 from bisimkit.engine import WEIGHT_KINDS, refine_hopcroft, refine_naive
 from bisimkit.formats import dump_coalgebra, load_coalgebra
 from bisimkit.gen import FAMILIES, GenSpec, generate
@@ -291,6 +291,35 @@ def test_sweep_keys_are_equal_when_blocks_and_signatures_are(functor, seed=13):
                     same = keys[x] == keys[y]
                     assert same == (pairs[x] == pairs[y])
                     verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("functor", [
+    *[f for f in MIXED_ARITY_FUNCTORS if is_rigid(parse_functor(f))],
+    "{0,1} * (X ^ {a,b})",
+])
+def test_shape_free_sweep_keys_equate_the_same_pairs_once_blocks_refine_shapes(functor, seed=17):
+    expr = parse_functor(functor)
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(6):
+        c = Coalgebra.make(expr, [random_value(expr, rng, 10) for _ in range(10)])
+        ev = SignatureEvaluator(c)
+        shape = c.form.shape
+        # k = 1 gives the shape classes, as sweep 1 leaves them
+        for k in (1, 2, 3, 3):
+            blocks = [s * k + rng.randrange(k) for s in shape]
+            shaped = list(ev.sweep_keys(blocks))
+            free = list(ev.sweep_keys(blocks, shaped=False))
+            for x in range(c.n_states):
+                for y in range(c.n_states):
+                    same = shaped[x] == shaped[y]
+                    assert (free[x] == free[y]) == same, (x, y, blocks)
+                    verdicts.add(same)
+        # before blocks fix the shapes, only the shape id tells them apart
+        zero = [0] * c.n_states
+        assert len(set(ev.sweep_keys(zero))) == len(set(shape))
+        assert len(set(ev.sweep_keys(zero, shaped=False))) == 1
     assert verdicts == {True, False}
 
 

@@ -31,6 +31,7 @@ from bisimkit.values import (
     SetVal,
     StateRef,
     TupleVal,
+    signature_of,
     value_to_obj,
 )
 from bisimkit.wtree import WeightedTree, audit_tree, light_child_sum
@@ -100,6 +101,57 @@ def test_naive_agrees_on_shapes_of_mixed_arity(functor):
         assert partitions_equal(base, bisim_bruteforce(c))
         nontrivial += 1 < base.n_blocks < n
     assert nontrivial
+
+
+def reference_sweeps(c):
+    """Every labelling of Moore's fixpoint, computed from ``signature_of``
+    keys with no evaluator: sweep i keys each state by its block and its
+    value's signature, and numbers the keys in order of first occurrence."""
+    block_of = [0] * c.n_states
+    labellings = [block_of]
+    while True:
+        keys = [(b, signature_of(v, block_of)) for b, v in zip(block_of, c.values)]
+        firsts = list(dict.fromkeys(keys))
+        if len(firsts) == len(set(block_of)):
+            return labellings
+        block_of = [firsts.index(k) for k in keys]
+        labellings.append(block_of)
+
+
+def naive_input(name, seed):
+    if name == "labelled_mc":
+        return labelled_mc(30, seed)
+    if name in FAMILIES:
+        return generate(GenSpec(name, 30, seed=seed))
+    expr = parse_functor(name)
+    rng = random.Random(f"{name} {seed}")
+    return Coalgebra.make(expr, [random_value(expr, rng, 14) for _ in range(14)])
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *MIXED_ARITY_FUNCTORS, "labelled_mc"])
+def test_every_naive_sweep_matches_a_signature_of_reference(name):
+    # the sweeps' own keys (rigid ones without the shape id after sweep 1)
+    # must give the very labellings the general signatures give
+    longest = 0
+    for seed in range(5):
+        c = naive_input(name, seed)
+        snaps = []
+        stats = refine_naive(c, snapshots=snaps).stats
+        expected = reference_sweeps(c)
+        # one snapshot before each sweep, and the result, which the last
+        # sweep left as it was
+        assert [list(p.block_of) for p in snaps] == [*expected, expected[-1]]
+        assert stats.iterations == len(expected)
+        assert stats.signatures_computed == len(expected) * c.n_states
+        splits = sum(
+            sum(1 for group in p.blocks if len({q.block_of[x] for x in group}) > 1)
+            for p, q in zip(snaps, snaps[1:])
+        )
+        assert stats.splits == splits
+        longest = max(longest, len(expected))
+    # shape-free keys are at work from sweep 2 on; gen's mc and mdp never
+    # split, and states of {a,b} split by shape alone
+    assert longest > 2 or name in ("mc", "mdp", "{a,b}")
 
 
 # -- refine_hopcroft -------------------------------------------------------------
