@@ -14,11 +14,12 @@ and :func:`_dist_code` alone, for the walk and for every loader.
 Also houses the predecessor index (who can see whom in one step) and the
 signature evaluator used by the refinement algorithms; both read the
 compiled form.  For rigid functors (no ``P`` or ``D`` layer) a state's key
-is a flat tuple of a shape id and block labels.  Otherwise it is built
-from the code and the blocks alone, mirroring :func:`values.signature_of`:
-a powerset as a frozenset of member keys, a distribution as a frozenset of
-(key, mass) pairs, masses summed per key and divided by their gcd.  A naive
-sweep takes every state's key at once, column by column.
+is a flat tuple of a shape id and block labels.  Otherwise one builder,
+:func:`_column_plan`, reads the codes column by column into keys mirroring
+:func:`values.signature_of`: a powerset as a frozenset of member keys, a
+distribution as a frozenset of (key, mass) pairs, masses summed per key and
+divided by their gcd.  It keys every state for a naive sweep and a leaf's
+dirty states for a split.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import islice, repeat, zip_longest
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .functors import (
     ConstSet,
@@ -361,110 +362,49 @@ def _dist_key(entries) -> frozenset:
     return frozenset([(k, mass // g) for k, mass in acc.items()])
 
 
-def _is_label_and_state(expr: FunctorExpr) -> bool:
-    """True for ``A * X``, whose code is one label and whose refs one state."""
-    return (type(expr) is Product and len(expr.factors) == 2
-            and type(expr.factors[0]) is ConstSet and type(expr.factors[1]) is Identity)
-
-
 def _read_by_slices(expr: FunctorExpr) -> bool:
     """True for ``P X``, ``P (A * X)`` and ``D X``: after its count, each
     member's or entry's code is one label, one mass or nothing, and its
     refs one state."""
     t = type(expr)
-    if t is Powerset:
-        return type(expr.inner) is Identity or _is_label_and_state(expr.inner)
-    return t is Distribution and type(expr.inner) is Identity
+    if t is Powerset and type(expr.inner) is Product:
+        f = expr.inner.factors
+        return len(f) == 2 and type(f[0]) is ConstSet and type(f[1]) is Identity
+    return (t is Powerset or t is Distribution) and type(expr.inner) is Identity
 
 
-_StateKey = Callable[[Iterator, Iterator[int], Callable], object]
+def _column(cols: list) -> list:
+    """A new empty column, listed in ``cols``."""
+    cols.append([])
+    return cols[-1]
 
 
-def _state_key(expr: FunctorExpr) -> _StateKey:
-    """``key(code, refs, get)``: the key of one value of ``expr`` whose code
-    and refs are read from the iterators, ``get`` giving a state's block.
-
-    Identity gives the block, a label itself, a product or exponent the
-    tuple of its parts' keys, an injection (tag, key), a powerset the
-    frozenset of its members' keys and a distribution :func:`_dist_key`.
-    A powerset or distribution of ``X``, and a powerset of ``A * X``, are
-    read by builtin passes over the iterators.
-    """
-    t = type(expr)
-    if t is Identity:
-        return lambda code, refs, get: get(next(refs))
-    if t is ConstSet:
-        return lambda code, refs, get: next(code)
-    if t is Product or t is Exponent:
-        parts = ([_state_key(f) for f in expr.factors] if t is Product
-                 else [_state_key(expr.base)] * len(expr.labels))
-        return lambda code, refs, get: tuple([part(code, refs, get) for part in parts])
-    if t is Coproduct:
-        summands = [_state_key(s) for s in expr.summands]
-
-        def injection(code, refs, get):
-            tag = next(code)
-            return tag, summands[tag](code, refs, get)
-
-        return injection
-    if t is Powerset:
-        if type(expr.inner) is Identity:
-            return lambda code, refs, get: frozenset(map(get, islice(refs, next(code))))
-        if _is_label_and_state(expr.inner):
-            def edges(code, refs, get):
-                c = next(code)
-                return frozenset(zip(islice(code, c), map(get, islice(refs, c))))
-
-            return edges
-        member = _state_key(expr.inner)
-        return lambda code, refs, get: frozenset(
-            [member(code, refs, get) for _ in range(next(code))]
-        )
-    if t is Distribution:
-        if type(expr.inner) is Identity:
-            def masses(code, refs, get):
-                c = next(code)
-                return _dist_key(zip(map(get, islice(refs, c)), islice(code, c)))
-
-            return masses
-        inner = _state_key(expr.inner)
-
-        def distribution(code, refs, get):
-            entries = []
-            for _ in range(next(code)):
-                mass = next(code)
-                entries.append((inner(code, refs, get), mass))
-            return _dist_key(entries)
-
-        return distribution
-    raise TypeError(f"not a functor expression: {expr!r}")
-
-
-def _column_plan(expr: FunctorExpr):
-    """``(fill, keys)`` for the values of ``expr`` throughout a coalgebra.
+def _column_plan(expr: FunctorExpr, cols: list):
+    """``(fill, keys)`` for values of ``expr``, its columns listed in ``cols``.
 
     ``fill(code, refs)`` reads one value from the iterators into columns
     kept per functor node: the states of an ``X``, the labels of a label
     set, the tags of a sum, the member counts of a ``P``, the entry counts
     and masses of a ``D``.  ``keys(get)`` then yields every filled value's
-    key, in fill order, the same key :func:`_state_key` gives it, from
-    builtin passes over the columns; a distribution's merge is the one
-    Python call, per distribution.
+    key, in fill order, from builtin passes over the columns: an ``X``
+    gives its block ``get(x)``, a label itself, a product or exponent the
+    tuple of its parts' keys, an injection (tag, key), a powerset the
+    frozenset of its members' keys and a distribution :func:`_dist_key`,
+    whose merge is the one Python call.  Emptying ``cols`` empties the plan.
     """
     t = type(expr)
     if t is Identity:
-        states: list[int] = []
+        states = _column(cols)
         return (lambda code, refs: states.append(next(refs))), (lambda get: map(get, states))
     if t is ConstSet:
-        labels: list = []
+        labels = _column(cols)
         return (lambda code, refs: labels.append(next(code))), (lambda get: labels)
     if t is Product or t is Exponent:
-        n_parts = len(expr.factors) if t is Product else len(expr.labels)
-        if n_parts == 0:
-            empties: list = []
+        if t is Product and not expr.factors:  # an exponent has labels
+            empties = _column(cols)
             return (lambda code, refs: empties.append(())), (lambda get: empties)
-        plans = ([_column_plan(f) for f in expr.factors] if t is Product
-                 else [_column_plan(expr.base) for _ in expr.labels])
+        plans = ([_column_plan(f, cols) for f in expr.factors] if t is Product
+                 else [_column_plan(expr.base, cols) for _ in expr.labels])
 
         def fill_parts(code, refs):
             for fill, _ in plans:
@@ -472,8 +412,8 @@ def _column_plan(expr: FunctorExpr):
 
         return fill_parts, (lambda get: zip(*[keys(get) for _, keys in plans]))
     if t is Coproduct:
-        tags: list[int] = []
-        plans = [_column_plan(s) for s in expr.summands]
+        tags = _column(cols)
+        plans = [_column_plan(s, cols) for s in expr.summands]
 
         def fill_injection(code, refs):
             tag = next(code)
@@ -486,10 +426,10 @@ def _column_plan(expr: FunctorExpr):
 
         return fill_injection, injection_keys
     if _read_by_slices(expr):
-        return _leaf_column_plan(expr)
+        return _leaf_column_plan(expr, cols)
     if t is Powerset:
-        counts: list[int] = []
-        fill_member, member_keys = _column_plan(expr.inner)
+        counts = _column(cols)
+        fill_member, member_keys = _column_plan(expr.inner, cols)
 
         def fill_set(code, refs):
             c = next(code)
@@ -501,9 +441,8 @@ def _column_plan(expr: FunctorExpr):
             lambda get: map(frozenset, map(islice, repeat(iter(member_keys(get))), counts))
         )
     if t is Distribution:
-        sizes: list[int] = []
-        masses: list[int] = []
-        fill_entry, entry_keys = _column_plan(expr.inner)
+        sizes, masses = _column(cols), _column(cols)
+        fill_entry, entry_keys = _column_plan(expr.inner, cols)
 
         def fill_distribution(code, refs):
             c = next(code)
@@ -518,12 +457,11 @@ def _column_plan(expr: FunctorExpr):
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def _leaf_column_plan(expr: FunctorExpr):
+def _leaf_column_plan(expr: FunctorExpr, cols: list):
     """:func:`_column_plan` of a functor :func:`_read_by_slices`: a value's
     refs, and its labels or masses, are read as one slice each."""
-    counts: list[int] = []
-    states: list[int] = []
-    inner: list = []  # the members' labels, or the entries' masses
+    counts, states = _column(cols), _column(cols)
+    inner = _column(cols)  # the members' labels, or the entries' masses
     coded = type(expr) is Distribution or type(expr.inner) is not Identity
 
     def fill(code, refs):
@@ -549,36 +487,54 @@ class SignatureEvaluator:
     coalgebra get equal keys under ``block_of`` exactly when their full
     canonical signatures (:func:`values.signature_of`) agree.  It reads
     only the compiled form and ``block_of``: no value, and no ``Fraction``.
+    Unless ``rigid``, ``keys(states, block_of)`` gives the same keys for
+    many states at once; it and ``signature`` then refill one set of
+    columns, so an evaluator is not for use by two threads at once.
     ``sweep_keys(block_of)`` yields every state's ``(block, signature)``
-    pair at once, in another key form for rigid functors: two of its keys
-    are equal exactly when the states' blocks and ``signature`` keys are.
-    Keys from different evaluators, modes or methods are not comparable.
+    pair at once, in another key form when ``rigid``: two of its keys are
+    equal exactly when the states' blocks and ``signature`` keys are.
+    Keys from different evaluators are not comparable.
     ``refs[x]`` lists the states occurring in x's value, in value order,
     repeats kept.
     """
 
-    __slots__ = ("n_states", "refs", "_shape", "_labels", "_functor", "_code", "_key",
-                 "_columns")
+    __slots__ = ("n_states", "refs", "rigid", "_shape", "_labels", "_functor", "_code",
+                 "_columns", "_split_plan")
 
     def __init__(self, coalg: Coalgebra):
         form = coalg.form
         self.n_states = coalg.n_states
         self.refs = form.refs
         self._shape = form.shape
+        self.rigid = form.shape is not None
         self._columns = None
-        if form.shape is None:
+        if not self.rigid:
             self._functor = coalg.functor
             self._code = form.code
-            self._key = _state_key(coalg.functor)
+            cols: list = []
+            self._split_plan = (*_column_plan(coalg.functor, cols), cols)
             return
         # per state, a getter of its successors' block labels; a shape
         # fixes the number of refs, so equal shapes give keys of one form
         self._labels = [itemgetter(*r) if r else _no_labels for r in form.refs]
 
     def signature(self, x: int, block_of):
-        if self._shape is not None:
+        if self.rigid:
             return (self._shape[x], self._labels[x](block_of))
-        return self._key(iter(self._code[x]), iter(self.refs[x]), block_of.__getitem__)
+        return next(iter(self.keys((x,), block_of)))
+
+    def keys(self, states: Sequence[int], block_of: Sequence[int]) -> Iterator:
+        """The ``signature`` keys of ``states``, in order, for a functor
+        that is not ``rigid``: read from a :func:`_column_plan` kept for
+        this and refilled with ``states`` alone, so read them before the
+        next call."""
+        fill, keys, cols = self._split_plan
+        for col in cols:
+            col.clear()
+        code, refs = self._code, self.refs
+        for x in states:
+            fill(iter(code[x]), iter(refs[x]))
+        return keys(block_of.__getitem__)
 
     def sweep_keys(self, block_of: Sequence[int], shaped: bool = True) -> Iterator[tuple]:
         """Every state's key, in state order: ``block_of[x]`` first, then
@@ -597,9 +553,9 @@ class SignatureEvaluator:
         built on the first call and kept.
         """
         get = block_of.__getitem__
-        if self._shape is None:
+        if not self.rigid:
             if self._columns is None:
-                fill, self._columns = _column_plan(self._functor)
+                fill, self._columns = _column_plan(self._functor, [])
                 for code, refs in zip(self._code, self.refs):
                     fill(iter(code), iter(refs))
             return zip(block_of, self._columns(get))

@@ -250,7 +250,8 @@ def split_leaf(
     """Group a leaf's dirty states by signature; the clean mass stays put.
 
     The leaf's dirty prefix is consumed: the leaf is left clean.  One
-    signature is computed per dirty state and none for a clean one.  The
+    signature is computed per dirty state and none for a clean one, in one
+    ``keys`` call unless the functor is rigid (then one call each).  The
     groups, ordered by smallest member with members ascending, are moved to
     the front of the leaf's slice in that order, so the clean mass, if any,
     is the slice's tail and a child of its own.  Returns the groups; the
@@ -272,10 +273,14 @@ def split_leaf(
     part.mid[leaf] = lo
     dirty = elems[lo:m]
     dirty.sort()
-    signature = ev.signature
     by_sig: dict = {}
-    for x in dirty:
-        by_sig.setdefault(signature(x, block_of), []).append(x)
+    if ev.rigid:
+        signature = ev.signature
+        for x in dirty:
+            by_sig.setdefault(signature(x, block_of), []).append(x)
+    else:
+        for x, key in zip(dirty, ev.keys(dirty, block_of)):
+            by_sig.setdefault(key, []).append(x)
     groups = list(by_sig.values())  # dirty is sorted, so groups ascend by min
     order = [x for g in groups for x in g]
     elems[lo:m] = order

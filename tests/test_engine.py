@@ -306,25 +306,35 @@ def layout(n, *leaves):
 
 
 class CountingEvaluator:
-    """A signature evaluator that records the states it is asked about."""
+    """A signature evaluator that records the states it is asked about, one
+    by one through ``signature`` or in bulk through ``keys``."""
 
     def __init__(self, ev):
-        self.ev, self.asked = ev, []
+        self.ev, self.rigid = ev, ev.rigid
+        self.asked, self.bulk = [], []  # states; the states of each keys call
 
     def signature(self, x, block_of):
         self.asked.append(x)
         return self.ev.signature(x, block_of)
 
+    def keys(self, states, block_of):
+        self.bulk.append(list(states))
+        return self.ev.keys(states, block_of)
+
 
 def checked_split(part, leaf, ev):
     """split_leaf, asserting what it does to a layout: one signature per
-    dirty state and none for a clean one, the groups in order of least
+    dirty state and none for a clean one, asked one by one for a rigid
+    functor and in one ``keys`` call otherwise, the groups in order of least
     member rewriting the dirty prefix, and the clean tail untouched."""
     lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
     dirty, clean = sorted(part.elems[lo:m]), part.elems[m:hi]
     counting = CountingEvaluator(ev)
     groups = split_leaf(part, leaf, counting)
-    assert sorted(counting.asked) == dirty
+    if ev.rigid:
+        assert sorted(counting.asked) == dirty and counting.bulk == []
+    else:
+        assert counting.asked == [] and counting.bulk == [dirty]
     assert all(g == sorted(g) for g in groups)
     assert [g[0] for g in groups] == sorted(g[0] for g in groups)
     assert [x for g in groups for x in g] == part.elems[lo:m]

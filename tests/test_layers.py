@@ -11,8 +11,10 @@ through the two value names only when the direct decoder leaves it to the
 reference decoding, as it does every rejected document.
 
 A naive sweep computes every state's key in one call of
-``SignatureEvaluator.sweep_keys``.  The tracer does not wrap that name yet,
-so its time shows in the naive run's ``engine.self_s``; counting its calls
+``SignatureEvaluator.sweep_keys``, and a split of a leaf of a ``P`` or
+``D`` functor computes its dirty states' keys in one call of
+``SignatureEvaluator.keys``.  The tracer does not wrap those names yet, so
+their time shows in the run's ``engine.self_s``; counting their calls
 keeps the work behind the one name a tracer can wrap.
 """
 
@@ -63,17 +65,30 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
         assert not gc.isenabled()  # refine_hopcroft pauses the collector
         return split_leaf(part, leaf, ev)
 
+    keys = SignatureEvaluator.keys
+
+    def keys_spy(ev, states, block_of):
+        calls["keyed states"] = calls.get("keyed states", 0) + len(states)
+        return keys(ev, states, block_of)
+
     monkeypatch.setattr(engine, "split_leaf", counting(calls, "split_leaf", split_leaf_spy))
     monkeypatch.setattr(engine, "mark_dirty", counting(calls, "mark_dirty", mark_dirty_spy))
     for name in ("signature", "sweep_keys"):
         monkeypatch.setattr(SignatureEvaluator, name,
                             counting(calls, name, getattr(SignatureEvaluator, name)))
+    monkeypatch.setattr(SignatureEvaluator, "keys", counting(calls, "keys", keys_spy))
     monkeypatch.setattr(coalgebra, "zip_longest", counting(calls, "columns", coalgebra.zip_longest))
     stats = refine_hopcroft(coalg, weight).stats
     assert stats.splits > 1
     assert calls["split_leaf"] == pops["non_singleton"]
     assert calls["mark_dirty"] == stats.splits
-    assert calls["signature"] == stats.signatures_computed
+    if coalg.form.shape is not None:  # rigid: one signature call per state
+        assert calls["signature"] == stats.signatures_computed
+        assert "keys" not in calls
+    else:  # one keys call per split, and no per-state signature call
+        assert calls["keys"] == calls["split_leaf"]
+        assert calls["keyed states"] == stats.signatures_computed
+        assert "signature" not in calls
     assert "sweep_keys" not in calls and "columns" not in calls  # no sweep, no columns
 
 
@@ -81,7 +96,7 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
 def test_naive_sweep_keys_go_through_one_evaluator_method(monkeypatch, family):
     coalg = labelled_mc(40, 5) if family == "lmc" else generate(GenSpec(family, 40, seed=7))
     calls = {}
-    for name in ("signature", "sweep_keys"):
+    for name in ("signature", "keys", "sweep_keys"):
         monkeypatch.setattr(SignatureEvaluator, name,
                             counting(calls, name, getattr(SignatureEvaluator, name)))
     monkeypatch.setattr(coalgebra, "zip_longest", counting(calls, "columns", coalgebra.zip_longest))
