@@ -12,7 +12,7 @@ from .engine import (
 from .functors import FunctorExpr, parse_functor, render_functor
 from .gen import GenSpec, SplitMix64, generate
 from .oracle import bisim_bruteforce, partitions_equal
-from .values import signature_of, validate_value
+from .values import validate_value
 from .wtree import (
     AuditReport,
     WeightedTree,
@@ -46,7 +46,6 @@ __all__ = [
     "generate",
     "bisim_bruteforce",
     "partitions_equal",
-    "signature_of",
     "validate_value",
     "WeightedTree",
     "AuditReport",

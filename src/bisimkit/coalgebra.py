@@ -16,9 +16,9 @@ signature evaluator used by the refinement algorithms; both read the
 compiled form.  For rigid functors (no ``P`` or ``D`` layer) a state's key
 is a flat tuple of a shape id and block labels.  Otherwise one builder,
 :func:`_column_plan`, reads the codes column by column into keys mirroring
-:func:`values.signature_of`: a powerset as a frozenset of member keys, a
-distribution as a frozenset of (key, mass) pairs, masses summed per key and
-divided by their gcd.  It keys every state for a naive sweep and a leaf's
+the values' signatures (``signature_of`` in ``tests/util.py``): a powerset
+as a frozenset of member keys, a distribution as a frozenset of (key, mass)
+pairs, masses summed per key and divided by their gcd.  It keys every state for a naive sweep and a leaf's
 dirty states for a split.
 """
 
@@ -485,8 +485,9 @@ class SignatureEvaluator:
 
     ``signature(x, block_of)`` returns a hashable key; two states of the same
     coalgebra get equal keys under ``block_of`` exactly when their full
-    canonical signatures (:func:`values.signature_of`) agree.  It reads
-    only the compiled form and ``block_of``: no value, and no ``Fraction``.
+    canonical signatures (``signature_of`` in ``tests/util.py``) agree.  It
+    reads only the compiled form and ``block_of``: no value, and no
+    ``Fraction``.
     Unless ``rigid``, ``keys(states, block_of)`` gives the same keys for
     many states at once; it and ``signature`` then refill one set of
     columns, so an evaluator is not for use by two threads at once.

@@ -6,17 +6,20 @@ every sweep until nothing splits; a sweep is a few passes of builtins over
 whole columns, with no Python function call per state: the evaluator's
 ``sweep_keys`` yields every state's key and one ``dict.setdefault``
 comprehension numbers them.  ``refine_hopcroft`` keeps per-leaf
-clean/dirty markings: a split computes signatures only for dirty states
-(the clean rest stays one child, see :func:`split_leaf`), all children of
-a split start clean, and only predecessors of the *non-heavy* children are
-re-dirtied.  The heavy child is the one maximizing the selected block
-weight, which keeps the total re-dirtying work within the light-children
-weight budget certified by :mod:`bisimkit.wtree`.
+clean/dirty markings: a split computes signatures only for dirty states,
+and none for a lone one (the clean rest stays one child, see
+:func:`split_leaf`), all children of a split start clean, and only
+predecessors of the *non-heavy* children are re-dirtied.  The heavy child
+is the one maximizing the selected block weight, which keeps the total
+re-dirtying work within the light-children weight budget certified by
+:mod:`bisimkit.wtree`.
 
 The leaves live in a :class:`RefinablePartition` (Valmari 2009): slices of
 one element array with a dirty prefix each, so marking a state is a swap
 and a split is a cut.  The heavy child keeps its parent's leaf id and what
-remains of its slice; only light children's states are relabelled.
+remains of its slice; only light children's states are relabelled.  A
+ranking per leaf gives the clean rest's least state, which orders the
+children, without a scan (:meth:`RefinablePartition.least_clean`).
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ class RefinementTree:
 class RunStats:
     """Counters exposed as part of a refinement result.
 
+    ``signatures_computed`` counts the states keyed: every state in each
+    naive sweep, and the dirty states of each worklist split unless one
+    lone dirty state stands beside a clean mass (see :func:`split_leaf`).
     ``phases`` holds seconds per phase of the run, named after the layers
     the benchmark times: ``coalgebra.evaluator_s`` and (hopcroft only)
     ``coalgebra.pred_index_s`` compile, ``engine.main_loop_s`` refines,
@@ -197,9 +203,16 @@ class RefinablePartition:
     states are the prefix ``elems[first[b]:mid[b]]``.  ``pos`` inverts
     ``elems`` and ``leaf_of`` maps each state to its leaf.  A new partition
     has one leaf, 0, holding every state, all of them dirty.
+
+    Leaf ``b``'s ranking ``rank[b][head[b]:]`` starts with its least state
+    and lists all of its states in ascending order, among states that have
+    left it since the ranking was made; a leaf made with one state never
+    splits and has none.  States only ever leave a leaf id, so
+    :meth:`least_clean` finds a leaf's least clean state by a walk that
+    never passes a state twice, instead of a scan of the leaf.
     """
 
-    __slots__ = ("elems", "pos", "leaf_of", "first", "mid", "end")
+    __slots__ = ("elems", "pos", "leaf_of", "first", "mid", "end", "rank", "head")
 
     def __init__(self, n: int):
         self.elems = list(range(n))
@@ -208,6 +221,8 @@ class RefinablePartition:
         self.first = [0]
         self.mid = [n]
         self.end = [n]
+        self.rank: dict[int, Sequence[int]] = {0: range(n)}
+        self.head = {0: 0}
 
     @property
     def n_leaves(self) -> int:
@@ -219,10 +234,30 @@ class RefinablePartition:
     def dirty(self, leaf: int) -> list[int]:
         return self.elems[self.first[leaf]:self.mid[leaf]]
 
+    def least_clean(self, leaf: int, clean_from: int) -> int:
+        """The least state of ``leaf`` at position ``clean_from`` or later.
+
+        After :func:`split_leaf` these are the leaf's clean states.  The
+        walk moves the leaf's head to the answer, past the states that left
+        the leaf and the dirty ones, so it passes each state of a ranking at
+        most once.  A dirty state that the split leaves in the leaf is in
+        the heavy child, so the caller gives the leaf that child's slice as
+        its new ranking.
+        """
+        rank, leaf_of, pos = self.rank[leaf], self.leaf_of, self.pos
+        i = self.head[leaf]
+        x = rank[i]
+        while leaf_of[x] != leaf or pos[x] < clean_from:
+            i += 1
+            x = rank[i]
+        self.head[leaf] = i
+        return x
+
     def check(self, dirty_sets: Mapping[int, set[int]]) -> None:
         """Raise EngineInvariantError unless ``elems`` and ``pos`` are inverse,
-        the slices tile the array, each slice holds exactly its leaf's states
-        and each dirty prefix holds exactly ``dirty_sets[leaf]``."""
+        the slices tile the array, each slice holds exactly its leaf's states,
+        each ranking lists them in ascending order from its head, the least
+        first, and each dirty prefix holds exactly ``dirty_sets[leaf]``."""
         n = len(self.elems)
         if sorted(self.elems) != list(range(n)) or any(
             self.pos[x] != i for i, x in enumerate(self.elems)
@@ -236,6 +271,11 @@ class RefinablePartition:
             at = hi
             if any(self.leaf_of[x] != leaf for x in self.members(leaf)):
                 raise EngineInvariantError(f"leaf {leaf}'s slice holds another leaf's state")
+            rank = self.rank.get(leaf)
+            ranked = self.members(leaf) if rank is None else rank[self.head[leaf]:]
+            listed = [x for x in ranked if self.leaf_of[x] == leaf]
+            if listed != sorted(self.members(leaf)) or ranked[0] != listed[0]:
+                raise EngineInvariantError(f"leaf {leaf}'s ranking does not list its states")
             if set(self.dirty(leaf)) != dirty_sets.get(leaf, set()):
                 raise EngineInvariantError(f"leaf {leaf}'s dirty prefix is not its dirty set")
         if at != n:
@@ -249,13 +289,15 @@ def split_leaf(
 ) -> list[list[int]]:
     """Group a leaf's dirty states by signature; the clean mass stays put.
 
-    The leaf's dirty prefix is consumed: the leaf is left clean.  One
-    signature is computed per dirty state and none for a clean one, in one
-    ``keys`` call unless the functor is rigid (then one call each).  The
-    groups, ordered by smallest member with members ascending, are moved to
-    the front of the leaf's slice in that order, so the clean mass, if any,
-    is the slice's tail and a child of its own.  Returns the groups; the
-    leaf splits into ``len(groups)`` children plus one for a clean mass.
+    The leaf's dirty prefix is consumed: the leaf is left clean.  No key is
+    computed for a clean state.  A lone dirty state beside a clean mass is a
+    group of its own by the argument below, so it is not keyed either; any
+    other dirty set is keyed one state at a time if the functor is rigid and
+    in one ``keys`` call otherwise.  The groups, ordered by smallest member
+    with members ascending, are moved to the front of the leaf's slice in
+    that order, so the clean mass, if any, is the slice's tail and a child of
+    its own.  Returns the groups; the leaf splits into ``len(groups)``
+    children plus one for a clean mass.
 
     No dirty state can belong with the clean mass.  A state is dirty
     because one of its successors moved into a light child since the leaf
@@ -271,6 +313,8 @@ def split_leaf(
     elems, pos, block_of = part.elems, part.pos, part.leaf_of
     lo, m = part.first[leaf], part.mid[leaf]
     part.mid[leaf] = lo
+    if m - lo == 1 and m < part.end[leaf]:
+        return [[elems[lo]]]  # a lone dirty state: no clean state is its equal
     dirty = elems[lo:m]
     dirty.sort()
     by_sig: dict = {}
@@ -407,8 +451,7 @@ def refine_hopcroft(
 
     part = RefinablePartition(n)
     elems, pos, leaf_of = part.elems, part.pos, part.leaf_of
-    first, mid, end = part.first, part.mid, part.end
-    leaf_min = [0]
+    first, mid, end, rank, head = part.first, part.mid, part.end, part.rank, part.head
     card, wget = weight == "card", wvec.__getitem__  # under card a weight is a size
 
     tree = RefinementTree([0], [sum(wvec)], heavy=[None])  # members filled at the end
@@ -434,8 +477,11 @@ def refine_hopcroft(
             mid[rho] = lo
             continue  # a singleton can never split
 
-        # a queued leaf has a dirty state, so there is at least one group
-        signatures += mid[rho] - lo
+        # a queued leaf has a dirty state, so there is at least one group;
+        # a lone one is split off unkeyed
+        dirty = mid[rho] - lo
+        if dirty > 1:
+            signatures += dirty
         groups = split_leaf(part, rho, ev)
         # the groups now open the slice and the clean mass is its tail, so
         # the leaf stays whole when one group fills the slice
@@ -453,17 +499,21 @@ def refine_hopcroft(
             total += gw
             children.append((g[0], gw, at, at + size))
             at += size
-        if at < hi:
-            clean_min = leaf_min[rho]
-            if pos[clean_min] < at:  # the least state left: scan the rest
-                clean_min = min(elems[at:hi])
+        tail = at
+        if tail < hi:
+            clean_min = rank[rho][head[rho]]  # the leaf's least state
+            if pos[clean_min] < tail:  # is dirty: walk on
+                clean_min = part.least_clean(rho, tail)
             clean_weight = tree_weight[parent_node] - total
-            insort(children, (clean_min, clean_weight, at, hi))  # mins are distinct
+            insort(children, (clean_min, clean_weight, tail, hi))  # mins are distinct
         heavy_min = max(children, key=_WEIGHT)[0]  # the first of the heaviest
 
         # the heavy child inherits rho's leaf id and its part of the slice, so
-        # only light children's states get relabelled; a group's slice is
-        # already ascending, so sorting a light child's members is linear
+        # only light children's states get relabelled.  A child's ranking is
+        # its states in order: a group's slice is already ascending, so a
+        # heavy group's ranking is a copy of it and sorting a light child's
+        # members is linear; a heavy clean mass keeps rho's ranking, whose
+        # head is at the clean mass's least state
         light = []
         for node, (cmin, cw, at, stop) in enumerate(children, len(tree_parent)):
             tree_parent.append(parent_node)
@@ -471,17 +521,21 @@ def refine_hopcroft(
             tree_heavy.append(None)
             if cmin == heavy_min:
                 tree_heavy[parent_node] = node_of[rho] = node
-                leaf_min[rho] = cmin
                 first[rho] = mid[rho] = at
                 end[rho] = stop
+                if at < tail:
+                    rank[rho] = elems[at:stop]
+                    head[rho] = 0
                 continue
             leaf = len(first)
             first.append(at)
             mid.append(at)
             end.append(stop)
             node_of.append(node)
-            leaf_min.append(cmin)
             members = sorted(elems[at:stop])
+            if stop - at > 1:
+                rank[leaf] = members
+                head[leaf] = 0
             for x in members:
                 leaf_of[x] = leaf
             light.append(members)

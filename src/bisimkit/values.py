@@ -49,7 +49,6 @@ __all__ = [
     "ProbabilitySumError",
     "StateRangeError",
     "validate_value",
-    "signature_of",
     "structure_key",
     "value_to_obj",
     "value_from_obj",
@@ -256,36 +255,6 @@ def validate_value(expr: FunctorExpr, v: FValue, n_states: int) -> None:
         raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def signature_of(v: FValue, block_of) -> object:
-    """Canonical form of ``v`` with each state replaced by its block label.
-
-    ``block_of`` maps state index -> block label (any sortable, hashable
-    value); a sequence indexed by state works.  Signatures are nested tuples:
-    equal signatures mean the two values are indistinguishable by one
-    observation step under the given block structure.
-    """
-    t = type(v)
-    if t is StateRef:
-        return block_of[v.index]
-    if t is TupleVal:
-        return tuple([signature_of(i, block_of) for i in v.items])
-    if t is SetVal:
-        return tuple(sorted({signature_of(m, block_of) for m in v.members}))
-    if t is DistVal:
-        acc: dict = {}
-        for x, p in v.entries:
-            s = signature_of(x, block_of)
-            acc[s] = acc[s] + p if s in acc else p
-        return tuple(sorted(acc.items()))
-    if t is Label:
-        return v.name
-    if t is FunVal:
-        return tuple([signature_of(x, block_of) for _, x in v.entries])
-    if t is InjVal:
-        return (v.tag, signature_of(v.value, block_of))
-    raise TypeError(f"not a value: {v!r}")
-
-
 # -- JSON encoding -------------------------------------------------------------
 #
 #   StateRef  {"x": i}
@@ -367,7 +336,10 @@ _ENCODINGS = ("x", "inj", "fun", "set", "dist")
 def _value_encoding(obj: dict) -> Optional[str]:
     """The key by which :func:`value_from_obj` reads JSON object ``obj``:
     the first of ``_ENCODINGS`` it has, or None."""
-    return next((k for k in _ENCODINGS if k in obj), None)
+    for k in _ENCODINGS:
+        if k in obj:
+            return k
+    return None
 
 
 def value_from_obj(obj) -> FValue:

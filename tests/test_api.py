@@ -18,7 +18,8 @@ MODULES = ["cli", "coalgebra", "engine", "formats", "functors", "gen", "oracle",
 DELETED = ["block_weight", "reachable_targets", "occurring_states", "RigidForm", "edges",
            "PairRelation", "check_r_partitioning", "quotient", "map_state_refs",
            "FLOAT_BOUND_RELTOL", "_factorize", "_components", "_successors", "_predecessors",
-           "_check_heavy_shape", "_check_hcc", "_related", "_flat_masses", "_bucket_masses"]
+           "_check_heavy_shape", "_check_hcc", "_related", "_flat_masses", "_bucket_masses",
+           "signature_of"]
 
 
 def test_package_exports_resolve():

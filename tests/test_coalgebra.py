@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value
+from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value, signature_of
 
 import bisimkit.coalgebra
 from bisimkit.coalgebra import (
@@ -31,7 +31,6 @@ from bisimkit.values import (
     SetVal,
     StateRef,
     TupleVal,
-    signature_of,
     value_to_obj,
 )
 

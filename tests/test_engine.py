@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value
+from util import MIXED_ARITY_FUNCTORS, labelled_mc, random_value, relabel, signature_of
 
 from bisimkit import engine
 from bisimkit.coalgebra import Coalgebra, SignatureEvaluator, build_pred_index
@@ -31,7 +31,6 @@ from bisimkit.values import (
     SetVal,
     StateRef,
     TupleVal,
-    signature_of,
     value_to_obj,
 )
 from bisimkit.wtree import WeightedTree, audit_tree, light_child_sum
@@ -262,8 +261,6 @@ def test_hopcroft_monotone_refinement_snapshots():
 
 
 def test_output_partition_is_a_signature_fixpoint():
-    from bisimkit.values import signature_of
-
     for fam in ("dfa", "lts", "mc"):
         c = generate(GenSpec(fam, 24, seed=31))
         part = refine_hopcroft(c, "card").partition
@@ -283,6 +280,43 @@ def test_hopcroft_stats_counters_consistent():
     assert s.signatures_computed >= c.n_states
 
 
+@pytest.mark.parametrize("letters", (1, 2))
+def test_hopcroft_keys_each_chain_state_once(letters):
+    # the first pop keys every state; every later split of a counter chain
+    # peels a lone dirty state off its leaf, and that state gets no key
+    for n in (2, 3, 40, 301):
+        s = refine_hopcroft(generate(GenSpec("chain", n, alphabet_size=letters))).stats
+        assert s.splits == n - 1
+        assert s.signatures_computed == n
+
+
+def test_least_clean_states_cost_no_scan_of_the_clean_mass(monkeypatch):
+    # numbered backwards, a counter chain's lone dirty state is its leaf's
+    # least state at every split, so a scan of the clean rest for the next
+    # least state would examine about n^2/2 states; the walks of the leaves'
+    # rankings examine at most n plus the light children's weight
+    n = 2000
+    c = relabel(generate(GenSpec("chain", n)), range(n - 1, -1, -1))
+    least_clean = RefinablePartition.least_clean
+    examined = []
+
+    def spy(part, leaf, clean_from):
+        rank, i = part.rank[leaf], part.head[leaf]
+        while part.leaf_of[rank[i]] != leaf or part.pos[rank[i]] < clean_from:
+            i += 1
+        examined.append(i + 1 - part.head[leaf])
+        x = least_clean(part, leaf, clean_from)
+        assert x == rank[i] == min(part.elems[clean_from:part.end[leaf]])
+        return x
+
+    monkeypatch.setattr(RefinablePartition, "least_clean", spy)
+    r = refine_hopcroft(c)
+    assert r.partition.n_blocks == n
+    assert len(examined) == n - 2  # every split but the first has a clean mass
+    light = light_child_sum(WeightedTree(r.tree.parent), r.tree.weight, r.tree.heavy)
+    assert sum(examined) <= n + light
+
+
 # -- split_leaf ------------------------------------------------------------------
 
 
@@ -291,12 +325,14 @@ def layout(n, *leaves):
     ``leaves[i]``, laid out in that order; the leaves must cover range(n)."""
     part = RefinablePartition(n)
     part.elems, part.first, part.mid, part.end = [], [], [], []
+    part.rank, part.head = {}, {}
     for leaf, (dirty, clean) in enumerate(leaves):
         part.first.append(len(part.elems))
         part.elems += dirty
         part.mid.append(len(part.elems))
         part.elems += clean
         part.end.append(len(part.elems))
+        part.rank[leaf], part.head[leaf] = sorted(dirty + clean), 0
         for x in dirty + clean:
             part.leaf_of[x] = leaf
     for i, x in enumerate(part.elems):
@@ -323,15 +359,18 @@ class CountingEvaluator:
 
 
 def checked_split(part, leaf, ev):
-    """split_leaf, asserting what it does to a layout: one signature per
-    dirty state and none for a clean one, asked one by one for a rigid
-    functor and in one ``keys`` call otherwise, the groups in order of least
-    member rewriting the dirty prefix, and the clean tail untouched."""
+    """split_leaf, asserting what it does to a layout: no signature for a
+    clean state, nor for a lone dirty state beside a clean mass; otherwise
+    one per dirty state, asked one by one for a rigid functor and in one
+    ``keys`` call otherwise; the groups in order of least member rewriting
+    the dirty prefix, and the clean tail untouched."""
     lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
     dirty, clean = sorted(part.elems[lo:m]), part.elems[m:hi]
     counting = CountingEvaluator(ev)
     groups = split_leaf(part, leaf, counting)
-    if ev.rigid:
+    if len(dirty) == 1 and clean:
+        assert counting.asked == [] and counting.bulk == []
+    elif ev.rigid:
         assert sorted(counting.asked) == dirty and counting.bulk == []
     else:
         assert counting.asked == [] and counting.bulk == [dirty]
@@ -374,15 +413,17 @@ def test_split_leaf_keeps_the_clean_tail():
 @pytest.mark.parametrize("family", [*FAMILIES, "labelled_mc"])
 def test_split_leaf_on_every_layout_a_run_reaches(monkeypatch, family, weight):
     # no dirty state shares a signature with a clean one, which is why
-    # split_leaf computes none for the clean mass and never merges into it
-    clean_masses = 0
+    # split_leaf computes none for the clean mass and never merges into it,
+    # and why a lone dirty state beside it needs no signature either
+    clean_masses = lone = 0
 
     def spy(part, leaf, ev):
-        nonlocal clean_masses
+        nonlocal clean_masses, lone
         lo, m, hi = part.first[leaf], part.mid[leaf], part.end[leaf]
         assert lo < m  # a popped leaf has a dirty state
         if m < hi:
             clean_masses += 1
+            lone += m - lo == 1
             clean = {ev.signature(x, part.leaf_of) for x in part.elems[m:hi]}
             assert not any(ev.signature(x, part.leaf_of) in clean for x in part.elems[lo:m])
         return checked_split(part, leaf, ev)
@@ -397,6 +438,7 @@ def test_split_leaf_on_every_layout_a_run_reaches(monkeypatch, family, weight):
     # every distribution sums to 1, so gen's mc and mdp states are all
     # bisimilar and the first leaf never splits
     assert clean_masses > 0 or family in ("mc", "mdp")
+    assert lone > 0 or family in ("mc", "mdp")
 
 
 # -- mark_dirty ------------------------------------------------------------------

@@ -48,7 +48,7 @@ def counting(calls, key, fn):
 def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight):
     coalg = generate(GenSpec(family, 40, seed=7))
     calls = {}
-    pops = {"non_singleton": int(coalg.n_states > 1)}  # leaf 0 is queued first
+    pops = {"non_singleton": int(coalg.n_states > 1), "lone": 0}  # leaf 0 is queued first
     split_leaf, mark_dirty = engine.split_leaf, engine.mark_dirty
 
     def mark_dirty_spy(light, pidx, part, queue):
@@ -63,6 +63,7 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
     def split_leaf_spy(part, leaf, ev):
         assert part.end[leaf] - part.first[leaf] > 1
         assert not gc.isenabled()  # refine_hopcroft pauses the collector
+        pops["lone"] += part.mid[leaf] - part.first[leaf] == 1  # split off unkeyed
         return split_leaf(part, leaf, ev)
 
     keys = SignatureEvaluator.keys
@@ -85,9 +86,9 @@ def test_engine_work_goes_through_the_timed_routines(monkeypatch, family, weight
     if coalg.form.shape is not None:  # rigid: one signature call per state
         assert calls["signature"] == stats.signatures_computed
         assert "keys" not in calls
-    else:  # one keys call per split, and no per-state signature call
-        assert calls["keys"] == calls["split_leaf"]
-        assert calls["keyed states"] == stats.signatures_computed
+    else:  # one keys call per keyed split, and no per-state signature call
+        assert calls.get("keys", 0) == calls["split_leaf"] - pops["lone"]
+        assert calls.get("keyed states", 0) == stats.signatures_computed
         assert "signature" not in calls
     assert "sweep_keys" not in calls and "columns" not in calls  # no sweep, no columns
 

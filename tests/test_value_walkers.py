@@ -1,10 +1,11 @@
 """The value walkers agree with the isinstance-chain references in ``util``.
 
-``structure_key``, ``signature_of``, ``validate_value`` and ``value_from_obj``
-dispatch on one ``type()`` lookup; ``util.reference_*`` keep the chains they
-replaced.  On gen's six families, ``labelled_mc`` and hand-built values that
-nest every functor layer, both must return equal results and raise the same
-exception class with the same message.
+``structure_key``, ``validate_value``, ``value_from_obj`` and the test
+reference ``util.signature_of`` dispatch on one ``type()`` lookup;
+``util.reference_*`` keep the chains they replaced.  On gen's six families,
+``labelled_mc`` and hand-built values that nest every functor layer, both
+must return equal results and raise the same exception class with the same
+message.
 """
 
 import random
@@ -18,6 +19,7 @@ from util import (
     reference_structure_key,
     reference_validate_value,
     reference_value_from_obj,
+    signature_of,
 )
 
 from bisimkit.functors import parse_functor, render_functor
@@ -30,7 +32,6 @@ from bisimkit.values import (
     SetVal,
     StateRef,
     TupleVal,
-    signature_of,
     structure_key,
     validate_value,
     value_from_obj,

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from util import signature_of
 
 from bisimkit.coalgebra import Coalgebra
 from bisimkit.functors import parse_functor
@@ -21,7 +22,6 @@ from bisimkit.values import (
     TupleVal,
     UnknownLabelError,
     parse_probability,
-    signature_of,
     value_from_obj,
     value_to_obj,
     validate_value,

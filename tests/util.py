@@ -1,8 +1,8 @@
 """Shared test helpers: seeded random weighted trees, a reference tree audit,
-a reference brute-force oracle, reference value walkers, old-form tree
-documents, a labelled Markov chain family, random values of any functor,
-DFAs written as dfa-text, reference loaders that build values, and an
-in-process CLI run."""
+a reference brute-force oracle, the reference signature and reference value
+walkers, old-form tree documents, a labelled Markov chain family, random
+values of any functor, coalgebras with their states renamed, DFAs written as
+dfa-text, reference loaders that build values, and an in-process CLI run."""
 
 import io
 import json
@@ -453,6 +453,37 @@ def reference_validate_value(expr, v: FValue, n_states: int) -> None:
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
+def signature_of(v: FValue, block_of) -> object:
+    """Canonical form of ``v`` with each state replaced by its block label.
+
+    ``block_of`` maps state index -> block label (any sortable, hashable
+    value); a sequence indexed by state works.  Signatures are nested tuples:
+    equal signatures mean the two values are indistinguishable by one
+    observation step under the given block structure.  This is the
+    reference every compiled key form is held to; the engine never calls it.
+    """
+    t = type(v)
+    if t is StateRef:
+        return block_of[v.index]
+    if t is TupleVal:
+        return tuple([signature_of(i, block_of) for i in v.items])
+    if t is SetVal:
+        return tuple(sorted({signature_of(m, block_of) for m in v.members}))
+    if t is DistVal:
+        acc: dict = {}
+        for x, p in v.entries:
+            s = signature_of(x, block_of)
+            acc[s] = acc[s] + p if s in acc else p
+        return tuple(sorted(acc.items()))
+    if t is Label:
+        return v.name
+    if t is FunVal:
+        return tuple([signature_of(x, block_of) for _, x in v.entries])
+    if t is InjVal:
+        return (v.tag, signature_of(v.value, block_of))
+    raise TypeError(f"not a value: {v!r}")
+
+
 def reference_signature_of(v: FValue, block_of) -> object:
     if isinstance(v, StateRef):
         return block_of[v.index]
@@ -585,6 +616,30 @@ def random_value(expr, rng, n):
     cuts = sorted(rng.sample(range(1, 4), rng.randrange(3)))
     shares = [b - a for a, b in zip([0] + cuts, cuts + [4])]
     return DistVal(tuple((random_value(expr.inner, rng, n), Fraction(q, 4)) for q in shares))
+
+
+def relabel(coalg, perm):
+    """``coalg`` with each state x renamed ``perm[x]``."""
+    def rename(v):
+        t = type(v)
+        if t is StateRef:
+            return StateRef(perm[v.index])
+        if t is TupleVal:
+            return TupleVal(tuple(map(rename, v.items)))
+        if t is InjVal:
+            return InjVal(v.tag, rename(v.value))
+        if t is FunVal:
+            return FunVal(tuple((a, rename(x)) for a, x in v.entries))
+        if t is SetVal:
+            return SetVal(tuple(map(rename, v.members)))
+        if t is DistVal:
+            return DistVal(tuple((rename(x), p) for x, p in v.entries))
+        return v  # a label
+
+    values = [None] * coalg.n_states
+    for x, v in enumerate(coalg.values):
+        values[perm[x]] = rename(v)
+    return Coalgebra.make(coalg.functor, values)
 
 
 def dfa_text(coalg):
